@@ -25,7 +25,6 @@ from .solvers import (
     baseline_solve,
     baseline_step,
     continuous_adjoint_solve,
-    ito_correction_diagonal,
     revheun_adjoint_solve,
     revheun_solve,
     revheun_step_backward,
@@ -50,7 +49,6 @@ __all__ = [
     "clip_weights",
     "continuous_adjoint_solve",
     "fd_check",
-    "ito_correction_diagonal",
     "lipswish",
     "new_seed",
     "revheun_adjoint_solve",

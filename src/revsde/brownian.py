@@ -52,45 +52,6 @@ def bridge_sample(u: float, t: float, s: float, w_ut: np.ndarray,
     return mean_frac * w_ut + std * xi
 
 
-def space_time_levy(h: float, w_n: np.ndarray, seed: SeedState) -> np.ndarray:
-    """Draw the rescaled time integral H_n of a Brownian bridge over a step.
-
-    H_n is N(0, (h/12) I) per channel and independent of the increment w_n;
-    w_n is accepted only to fix the output shape. Valid for freshly
-    generated steps -- no conditional splitting across sub-intervals.
-    """
-    if h <= 0:
-        raise ValueError(f"step must be positive, got {h}")
-    xi = standard_normals(seed, w_n.size).reshape(w_n.shape)
-    return math.sqrt(h / 12.0) * xi
-
-
-def davie_area(w: np.ndarray, h: np.ndarray, step: float,
-               seed: SeedState) -> np.ndarray:
-    """Approximate second iterated integral from (increment, time-area).
-
-    Returns 0.5 w⊗w + h⊗w − w⊗h + λ where λ is antisymmetric with
-    independent upper-triangle entries N(0, step²/12). Symmetrizing the
-    result recovers w⊗w exactly; in one dimension it reduces to 0.5 w².
-    """
-    if step <= 0:
-        raise ValueError(f"step must be positive, got {step}")
-    w = np.asarray(w, dtype=float)
-    h = np.asarray(h, dtype=float)
-    if w.shape != h.shape or w.ndim != 1:
-        raise ValueError(f"w and h must be equal-length vectors, got {w.shape}, {h.shape}")
-    d = w.shape[0]
-    out = 0.5 * np.outer(w, w) + np.outer(h, w) - np.outer(w, h)
-    if d > 1:
-        n_upper = d * (d - 1) // 2
-        draws = standard_normals(seed, n_upper) * (step / math.sqrt(12.0))
-        lam = np.zeros((d, d))
-        iu = np.triu_indices(d, k=1)
-        lam[iu] = draws
-        out += lam - lam.T
-    return out
-
-
 class _Node:
     """Tree node owning the interval [a, b] plus a splittable seed.
 

@@ -6,6 +6,12 @@ diffusion with respect to the state and the (flat) parameter vector, and
 those are small, fixed computations that are written out here and verified
 against central finite differences by `fd_check`.
 
+`VectorField.linearize(t, z)` returns (mu, sigma, pullback): the field's
+values at (t, z) and one function pulling a (d_mu, d_sigma) cotangent back
+to (d_z, d_params). The reversible adjoint and the unrolled oracle pull
+back only through this; a `NeuralField` keeps each network's forward tape
+for the pullback instead of re-running the forward pass per VJP.
+
 Conventions, shared with the solvers:
   * states are batch-major arrays of shape (batch, state_dim);
   * diffusion outputs have shape (batch, state_dim, noise_dim), row-major
@@ -99,15 +105,18 @@ class MLPField:
         of <cotangent, eval(t, z)>, summed over the batch, or per-sample
         with shape (batch, n_params) when `per_sample` is set.
         """
-        z = np.asarray(z)
+        _, tape = self._forward(t, np.asarray(z))
+        return self._backward(tape, cotangent, per_sample)
+
+    def _backward(self, tape, cotangent, per_sample=False):
+        """Reverse pass of `vjp` over the tape of one `_forward` call."""
+        pre, inputs = tape
+        batch = inputs[0].shape[0]
         cot = np.asarray(cotangent)
-        if cot.shape != (z.shape[0], self.out_dim):
+        if cot.shape != (batch, self.out_dim):
             raise ValueError(
                 f"cotangent shape {cot.shape} does not match output "
-                f"({z.shape[0]}, {self.out_dim})")
-        _, tape = self._forward(t, z)
-        pre, inputs = tape
-        batch = z.shape[0]
+                f"({batch}, {self.out_dim})")
         n_layers = len(self.weights)
         grads_w = [None] * n_layers
         grads_b = [None] * n_layers
@@ -167,15 +176,6 @@ class MLPField:
             self.biases[i] = flat[pos:pos + b.size].copy()
             pos += b.size
 
-    def manifest(self):
-        """Plain-text shape manifest matching get_params() layout."""
-        lines = [f"mlp state_dim={self.state_dim} out_dim={self.out_dim} "
-                 f"activation={self.activation} final={self.final_activation}"]
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            lines.append(f"layer {i}: weight {w.shape[0]}x{w.shape[1]}, "
-                         f"bias {b.shape[0]}")
-        return "\n".join(lines)
-
 
 def clip_weights(net: MLPField):
     """Clamp every weight of each layer to [-1/fan_in, 1/fan_in] in place.
@@ -200,7 +200,6 @@ class VectorField:
     state_dim: int
     noise_dim: int
     param_count: int = 0
-    diagonal_noise: bool = False
 
     def __init__(self):
         self.reset_counters()
@@ -226,6 +225,22 @@ class VectorField:
     def vjp_diffusion(self, t, z, cotangent, per_sample=False):
         self.diffusion_vjp_calls += 1
         return self._diffusion_vjp(t, z, cotangent, per_sample)
+
+    def linearize(self, t, z):
+        """Evaluate (mu, sigma) at (t, z) and return their joint pullback.
+
+        pullback(d_mu, d_sigma) returns (d_z, d_params), the gradient of
+        <d_mu, mu> + <d_sigma, sigma>, and counts one VJP of each kind.
+        """
+        mu = self.eval_drift(t, z)
+        sigma = self.eval_diffusion(t, z)
+
+        def pullback(d_mu, d_sigma):
+            gz_mu, gp_mu = self.vjp_drift(t, z, d_mu)
+            gz_sigma, gp_sigma = self.vjp_diffusion(t, z, d_sigma)
+            return gz_mu + gz_sigma, gp_mu + gp_sigma
+
+        return mu, sigma, pullback
 
     def get_params(self):
         return np.zeros(0)
@@ -284,6 +299,29 @@ class NeuralField(VectorField):
         params = np.concatenate([np.zeros(pad_shape), g], axis=-1)
         return cot_z, params
 
+    def linearize(self, t, z):
+        """As VectorField.linearize, pulling back through each MLP's tape.
+
+        One forward pass per network serves both the values and the
+        pullback, and the parameter gradient needs no zero padding.
+        """
+        self.drift_evals += 1
+        self.diffusion_evals += 1
+        mu, drift_tape = self.drift_net._forward(t, z)
+        flat_sigma, diffusion_tape = self.diffusion_net._forward(t, z)
+        batch = z.shape[0]
+
+        def pullback(d_mu, d_sigma):
+            self.drift_vjp_calls += 1
+            self.diffusion_vjp_calls += 1
+            gz_mu, gp_mu = self.drift_net._backward(drift_tape, d_mu)
+            gz_sigma, gp_sigma = self.diffusion_net._backward(
+                diffusion_tape, np.asarray(d_sigma).reshape(batch, -1))
+            return gz_mu + gz_sigma, np.concatenate([gp_mu, gp_sigma])
+
+        return (mu, flat_sigma.reshape(batch, self.state_dim, self.noise_dim),
+                pullback)
+
     def get_params(self):
         return np.concatenate([self.drift_net.get_params(),
                                self.diffusion_net.get_params()])
@@ -298,10 +336,6 @@ class NeuralField(VectorField):
         clip_weights(self.drift_net)
         clip_weights(self.diffusion_net)
 
-    def manifest(self):
-        return ("drift:\n" + self.drift_net.manifest()
-                + "\ndiffusion:\n" + self.diffusion_net.manifest())
-
 
 class AnalyticField(VectorField):
     """Parameter-free field defined by closures with known derivatives.
@@ -312,11 +346,10 @@ class AnalyticField(VectorField):
     """
 
     def __init__(self, state_dim, noise_dim, drift, diffusion,
-                 drift_vjp_z=None, diffusion_vjp_z=None, diagonal_noise=False):
+                 drift_vjp_z=None, diffusion_vjp_z=None):
         self.state_dim = state_dim
         self.noise_dim = noise_dim
         self.param_count = 0
-        self.diagonal_noise = diagonal_noise
         self._drift_fn = drift
         self._diffusion_fn = diffusion
         self._drift_vjp_fn = drift_vjp_z

@@ -84,5 +84,8 @@ def standard_normals(seed: SeedState, count: int) -> np.ndarray:
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    gen = np.random.Generator(np.random.Philox(key=[seed.hi, seed.lo]))
+    # An explicit uint64 key: numpy would turn a list holding a word
+    # >= 2**63 into float64 and round the key to 53 bits.
+    key = np.array([seed.hi, seed.lo], dtype=np.uint64)
+    gen = np.random.Generator(np.random.Philox(key=key))
     return gen.standard_normal(count)

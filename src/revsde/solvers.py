@@ -7,17 +7,20 @@ a single drift and a single diffusion evaluation per step:
     mu', sigma' = field(t + dt, zhat')
     z' = z + (mu + mu') dt / 2 + (sigma + sigma') dW / 2
 
-The update is algebraically invertible, so the backward pass reconstructs
-the previous state in closed form, re-linearizes the one-step map there,
-and pulls cotangents through it by hand. Iterating that from the terminal
-state gives gradients that match exact reverse-mode differentiation of the
-forward recurrence to floating-point reconstruction error, with O(1)
-storage.
+The update is algebraically invertible, so the backward pass needs no
+stored trajectory. Each backward step linearizes the field at the stored
+(t', zhat'), checks that the values reproduce the tuple's (mu', sigma'),
+pulls the cotangents back through the step map, and reconstructs the
+previous tuple in closed form with one drift and one diffusion
+evaluation. Iterating that from the terminal state gives gradients that
+match exact reverse-mode differentiation of the forward recurrence to
+floating-point reconstruction error, with O(1) storage.
 
 Also here: midpoint / Heun / Euler-Maruyama baseline steps, the continuous
 (backward-SDE) adjoint for the baselines, the O(N)-memory unrolled
-backpropagation used as the gradient oracle, the diagonal-noise Ito to
-Stratonovich drift correction, and a linear stability probe.
+backpropagation used as the gradient oracle, and a linear stability probe.
+Each scheme's step algebra and its pullback are written once and shared by
+the forward solves, the reversible adjoint and the oracle.
 
 Noise is always queried on the solve's time grid (i*dt, end pinned to t1)
 so forward and backward passes hit bitwise-identical tree intervals.
@@ -130,21 +133,56 @@ def revheun_step_forward(state: RevHeunState, dt: float, dw: np.ndarray,
     return RevHeunState(t_next, z_next, zhat_next, mu_next, sigma_next)
 
 
+def _mismatch(got, want):
+    return float(np.max(np.abs(got - want))) / (1.0 + float(np.max(np.abs(want))))
+
+
+def _revheun_pullback(pullback, cot: CotangentState, dt: float,
+                      dw: np.ndarray) -> CotangentState:
+    """Pull cotangents on the tuple after a step back to the tuple before it.
+
+    `pullback` comes from the field's linearization at that step's
+    (t', zhat').
+    """
+    d_mu_next = cot.d_mu + 0.5 * dt * cot.d_z
+    d_sigma_next = cot.d_sigma + 0.5 * _outer(cot.d_z, dw)
+    gz, gp = pullback(d_mu_next, d_sigma_next)
+    b_total = cot.d_zhat + gz
+    tmp = 0.5 * cot.d_z + b_total
+    return CotangentState(
+        d_z=cot.d_z + 2.0 * b_total,
+        d_zhat=-b_total,
+        d_mu=dt * tmp,
+        d_sigma=_outer(tmp, dw),
+        d_params=cot.d_params + gp,
+    )
+
+
 def revheun_step_backward(next_state: RevHeunState, cot_next: CotangentState,
                           dt: float, dw: np.ndarray, field: VectorField,
                           roundtrip_tol: float = 1e-9,
                           ) -> tuple[RevHeunState, CotangentState]:
     """Invert one forward step and pull cotangents through it.
 
-    Reconstructs (t, z, zhat, mu, sigma) in closed form, re-runs the full
-    local forward step from the reconstruction, and applies the exact
-    reverse-mode derivative of the step map to (d_z, d_zhat, d_mu,
-    d_sigma), accumulating parameter gradients from the drift/diffusion
-    evaluations. The local forward doubles as a consistency check: if it
-    fails to reproduce the input tuple to `roundtrip_tol` (relative), the
-    tuple did not come from a forward step with this (dt, dw, field) and
-    SolverDivergence is raised.
+    In order: linearizes the field at the stored (t', zhat'); raises
+    SolverDivergence if the values differ from the tuple's (mu', sigma')
+    by more than `roundtrip_tol` (relative), since then the tuple did not
+    come from a forward step with this field; pulls (d_z, d_zhat, d_mu,
+    d_sigma) back through the step map, accumulating parameter gradients;
+    and reconstructs (t, z, zhat, mu, sigma) in closed form with one drift
+    and one diffusion evaluation.
     """
+    mu_lin, sigma_lin, pullback = field.linearize(next_state.t,
+                                                  next_state.zhat)
+    err = max(_mismatch(mu_lin, next_state.mu),
+              _mismatch(sigma_lin, next_state.sigma))
+    if err > roundtrip_tol:
+        raise SolverDivergence(
+            f"reverse-step round trip error {err:.3e} exceeds "
+            f"{roundtrip_tol:.1e}")
+    cot_prev = _revheun_pullback(pullback, cot_next, dt, dw)
+    del pullback  # frees the field's tapes before the reconstruction
+
     t_prev = next_state.t - dt
     sig_dw_next = _sdw(next_state.sigma, dw)
     zhat_prev = (2.0 * next_state.z - next_state.zhat
@@ -154,44 +192,7 @@ def revheun_step_backward(next_state: RevHeunState, cot_next: CotangentState,
     z_prev = (next_state.z - 0.5 * dt * (mu_prev + next_state.mu)
               - 0.5 * _sdw(sigma_prev + next_state.sigma, dw))
     _check_finite(z_prev, "reconstructed state")
-    prev = RevHeunState(t_prev, z_prev, zhat_prev, mu_prev, sigma_prev)
-
-    # Local forward from the reconstruction; also the linearization point.
-    t_next = t_prev + dt
-    zhat_fwd = 2.0 * z_prev - zhat_prev + mu_prev * dt + _sdw(sigma_prev, dw)
-    mu_fwd = field.eval_drift(t_next, zhat_fwd)
-    sigma_fwd = field.eval_diffusion(t_next, zhat_fwd)
-    z_fwd = (z_prev + 0.5 * dt * (mu_prev + mu_fwd)
-             + 0.5 * _sdw(sigma_prev + sigma_fwd, dw))
-
-    def _mismatch(got, want):
-        return float(np.max(np.abs(got - want))) / (1.0 + float(np.max(np.abs(want))))
-
-    drift_err = max(_mismatch(zhat_fwd, next_state.zhat),
-                    _mismatch(z_fwd, next_state.z),
-                    _mismatch(mu_fwd, next_state.mu),
-                    _mismatch(sigma_fwd, next_state.sigma))
-    if drift_err > roundtrip_tol:
-        raise SolverDivergence(
-            f"reverse-step round trip error {drift_err:.3e} exceeds "
-            f"{roundtrip_tol:.1e}")
-
-    # Local backward: reverse-mode through the step map, by hand.
-    cot_mu_next = cot_next.d_mu + 0.5 * dt * cot_next.d_z
-    cot_sigma_next = cot_next.d_sigma + 0.5 * _outer(cot_next.d_z, dw)
-    t_next = t_prev + dt
-    gz_mu, gp_mu = field.vjp_drift(t_next, zhat_fwd, cot_mu_next)
-    gz_sigma, gp_sigma = field.vjp_diffusion(t_next, zhat_fwd, cot_sigma_next)
-    b_total = cot_next.d_zhat + gz_mu + gz_sigma
-    tmp = 0.5 * cot_next.d_z + b_total
-    cot_prev = CotangentState(
-        d_z=cot_next.d_z + 2.0 * b_total,
-        d_zhat=-b_total,
-        d_mu=dt * tmp,
-        d_sigma=_outer(tmp, dw),
-        d_params=cot_next.d_params + gp_mu + gp_sigma,
-    )
-    return prev, cot_prev
+    return RevHeunState(t_prev, z_prev, zhat_prev, mu_prev, sigma_prev), cot_prev
 
 
 def revheun_solve(field: VectorField, z0: np.ndarray, config: SolveConfig):
@@ -230,23 +231,10 @@ def revheun_adjoint_solve(field: VectorField, z0: np.ndarray,
     Returns (grad_z0, grad_params).
     """
     terminal, _ = revheun_solve(field, z0, config)
-    return _revheun_backward_from(field, terminal, config, loss_cotangent,
-                                  checkpoint_cotangents)
-
-
-def _revheun_backward_from(field, terminal, config, loss_cotangent,
-                           checkpoint_cotangents=None):
     ts = config.grid()
-    batch, x = terminal.z.shape
     cps = checkpoint_cotangents or {}
-    cot = CotangentState(
-        d_z=np.array(loss_cotangent, dtype=float).reshape(batch, x),
-        d_zhat=np.zeros((batch, x)),
-        d_mu=np.zeros((batch, x)),
-        d_sigma=np.zeros((batch, x, field.noise_dim)),
-        d_params=np.zeros(field.param_count),
-    )
     state = terminal
+    cot = _terminal_cotangent(field, terminal.z, loss_cotangent)
     for i in reversed(range(config.n_steps)):
         dw = config.noise.query(ts[i], ts[i + 1])
         try:
@@ -255,11 +243,80 @@ def _revheun_backward_from(field, terminal, config, loss_cotangent,
             raise SolverDivergence(f"{exc} at step {i}") from None
         if i in cps:
             cot.d_z = cot.d_z + np.asarray(cps[i], dtype=float)
-    gz_mu, gp_mu = field.vjp_drift(state.t, state.z, cot.d_mu)
-    gz_sigma, gp_sigma = field.vjp_diffusion(state.t, state.z, cot.d_sigma)
-    grad_z0 = cot.d_z + cot.d_zhat + gz_mu + gz_sigma
-    grad_params = cot.d_params + gp_mu + gp_sigma
-    return grad_z0, grad_params
+    return _revheun_gradients(field, state, cot)
+
+
+def _terminal_cotangent(field, z, loss_cotangent) -> CotangentState:
+    batch, x = z.shape
+    return CotangentState(
+        d_z=np.array(loss_cotangent, dtype=float).reshape(batch, x),
+        d_zhat=np.zeros((batch, x)),
+        d_mu=np.zeros((batch, x)),
+        d_sigma=np.zeros((batch, x, field.noise_dim)),
+        d_params=np.zeros(field.param_count),
+    )
+
+
+def _revheun_gradients(field, first: RevHeunState, cot: CotangentState):
+    """(grad_z0, grad_params), folding in the initial (mu, sigma) evaluation."""
+    _, _, pullback = field.linearize(first.t, first.z)
+    gz, gp = pullback(cot.d_mu, cot.d_sigma)
+    return cot.d_z + cot.d_zhat + gz, cot.d_params + gp
+
+
+# Baseline schemes. Each is written once as scheme(lin, t, z, dt, dw) ->
+# (z_next, pullback), where lin(t, z) -> (mu, sigma, field_pullback) is
+# either `field.linearize` or the forward-only `_evaluator(field)`, and
+# pullback(d_z_next) -> (d_z, d_params) is valid only with `field.linearize`.
+
+def _midpoint(lin, t, z, dt, dw):
+    mu0, sigma0, pull0 = lin(t, z)
+    z_mid = z + 0.5 * (mu0 * dt + _sdw(sigma0, dw))
+    mu1, sigma1, pull1 = lin(t + 0.5 * dt, z_mid)
+    z_next = z + mu1 * dt + _sdw(sigma1, dw)
+
+    def pullback(a):
+        g_mid, gp1 = pull1(dt * a, _outer(a, dw))
+        gz0, gp0 = pull0(0.5 * dt * g_mid, 0.5 * _outer(g_mid, dw))
+        return a + g_mid + gz0, gp1 + gp0
+
+    return z_next, pullback
+
+
+def _heun(lin, t, z, dt, dw):
+    mu0, sigma0, pull0 = lin(t, z)
+    z_pred = z + mu0 * dt + _sdw(sigma0, dw)
+    mu1, sigma1, pull1 = lin(t + dt, z_pred)
+    z_next = z + 0.5 * dt * (mu0 + mu1) + 0.5 * _sdw(sigma0 + sigma1, dw)
+
+    def pullback(a):
+        g_pred, gp1 = pull1(0.5 * dt * a, 0.5 * _outer(a, dw))
+        gz0, gp0 = pull0(dt * g_pred + 0.5 * dt * a,
+                         _outer(g_pred, dw) + 0.5 * _outer(a, dw))
+        return a + g_pred + gz0, gp1 + gp0
+
+    return z_next, pullback
+
+
+def _euler_maruyama(lin, t, z, dt, dw):
+    mu, sigma, pull = lin(t, z)
+    z_next = z + mu * dt + _sdw(sigma, dw)
+
+    def pullback(a):
+        gz, gp = pull(dt * a, _outer(a, dw))
+        return a + gz, gp
+
+    return z_next, pullback
+
+
+_BASELINE_SCHEMES = {"midpoint": _midpoint, "heun": _heun,
+                     "euler_maruyama": _euler_maruyama}
+
+
+def _evaluator(field):
+    """Forward-only stand-in for `field.linearize`: values, no pullback."""
+    return lambda t, z: (field.eval_drift(t, z), field.eval_diffusion(t, z),
+                         None)
 
 
 def baseline_step(method: str, state: PathState, dt: float, dw: np.ndarray,
@@ -271,29 +328,12 @@ def baseline_step(method: str, state: PathState, dt: float, dw: np.ndarray,
     one-evaluation Ito scheme. dt may be negative for backward-in-time
     integration provided dw is the matching reversed increment.
     """
-    t, z = state.t, state.z
-    if method == "midpoint":
-        mu0 = field.eval_drift(t, z)
-        sigma0 = field.eval_diffusion(t, z)
-        z_mid = z + 0.5 * (mu0 * dt + _sdw(sigma0, dw))
-        t_mid = t + 0.5 * dt
-        z_next = z + field.eval_drift(t_mid, z_mid) * dt \
-            + _sdw(field.eval_diffusion(t_mid, z_mid), dw)
-    elif method == "heun":
-        mu0 = field.eval_drift(t, z)
-        sigma0 = field.eval_diffusion(t, z)
-        z_pred = z + mu0 * dt + _sdw(sigma0, dw)
-        t_next = t + dt
-        mu1 = field.eval_drift(t_next, z_pred)
-        sigma1 = field.eval_diffusion(t_next, z_pred)
-        z_next = z + 0.5 * dt * (mu0 + mu1) + 0.5 * _sdw(sigma0 + sigma1, dw)
-    elif method == "euler_maruyama":
-        z_next = z + field.eval_drift(t, z) * dt \
-            + _sdw(field.eval_diffusion(t, z), dw)
-    else:
+    scheme = _BASELINE_SCHEMES.get(method)
+    if scheme is None:
         raise ValueError(f"unknown baseline method {method!r}")
+    z_next, _ = scheme(_evaluator(field), state.t, state.z, dt, dw)
     _check_finite(z_next, f"state after {method} step")
-    return PathState(t + dt, z_next)
+    return PathState(state.t + dt, z_next)
 
 
 def baseline_solve(method: str, field: VectorField, z0: np.ndarray,
@@ -409,9 +449,10 @@ def unrolled_backprop(method: str, field: VectorField, z0: np.ndarray,
     """Discretise-then-optimise gradients: the O(N)-memory oracle.
 
     Stores every intermediate state (and increment) on the forward pass,
-    then applies the exact reverse-mode chain rule through each step using
-    the field's VJPs. Raises MemoryError up front if the stored trajectory
-    would exceed `memory_limit_bytes`. Returns (grad_z0, grad_params).
+    then applies the exact reverse-mode chain rule through each step with
+    the step pullbacks the reversible adjoint and the baseline schemes
+    share. Raises MemoryError up front if the stored trajectory would
+    exceed `memory_limit_bytes`. Returns (grad_z0, grad_params).
     """
     z0 = np.atleast_2d(np.asarray(z0, dtype=float))
     batch, x = z0.shape
@@ -430,147 +471,32 @@ def unrolled_backprop(method: str, field: VectorField, z0: np.ndarray,
             dw = config.noise.query(ts[i], ts[i + 1])
             increments.append(dw)
             states.append(revheun_step_forward(states[-1], dt, dw, field))
-        return _unrolled_revheun_backward(field, states, increments, dt,
-                                          loss_cotangent, cps)
+        cot = _terminal_cotangent(field, states[-1].z, loss_cotangent)
+        for i in reversed(range(config.n_steps)):
+            nxt = states[i + 1]
+            _, _, pullback = field.linearize(nxt.t, nxt.zhat)
+            cot = _revheun_pullback(pullback, cot, dt, increments[i])
+            if i in cps:
+                cot.d_z = cot.d_z + np.asarray(cps[i], dtype=float)
+        return _revheun_gradients(field, states[0], cot)
     if method not in BASELINE_METHODS:
         raise ValueError(f"unknown method {method!r}")
-    zs = [z0]
-    state = PathState(ts[0], z0)
+    states = [PathState(ts[0], z0)]
     for i in range(config.n_steps):
         dw = config.noise.query(ts[i], ts[i + 1])
         increments.append(dw)
-        state = baseline_step(method, state, dt, dw, field)
-        zs.append(state.z)
-    return _unrolled_baseline_backward(method, field, zs, increments, ts, dt,
-                                       loss_cotangent, cps)
-
-
-def _unrolled_revheun_backward(field, states, increments, dt,
-                               loss_cotangent, cps):
-    batch, x = states[0].z.shape
-    a = np.array(loss_cotangent, dtype=float).reshape(batch, x)
-    b = np.zeros((batch, x))
-    c = np.zeros((batch, x))
-    d = np.zeros((batch, x, field.noise_dim))
-    gp = np.zeros(field.param_count)
-    for i in reversed(range(len(increments))):
-        nxt = states[i + 1]
-        dw = increments[i]
-        cot_mu = c + 0.5 * dt * a
-        cot_sigma = d + 0.5 * _outer(a, dw)
-        gz_mu, gp_mu = field.vjp_drift(nxt.t, nxt.zhat, cot_mu)
-        gz_sigma, gp_sigma = field.vjp_diffusion(nxt.t, nxt.zhat, cot_sigma)
-        b_total = b + gz_mu + gz_sigma
-        gp += gp_mu + gp_sigma
-        tmp = 0.5 * a + b_total
-        a = a + 2.0 * b_total
-        b = -b_total
-        c = dt * tmp
-        d = _outer(tmp, dw)
-        if i in cps:
-            a = a + np.asarray(cps[i], dtype=float)
-    first = states[0]
-    gz_mu, gp_mu = field.vjp_drift(first.t, first.z, c)
-    gz_sigma, gp_sigma = field.vjp_diffusion(first.t, first.z, d)
-    return a + b + gz_mu + gz_sigma, gp + gp_mu + gp_sigma
-
-
-def _unrolled_baseline_backward(method, field, zs, increments, ts, dt,
-                                loss_cotangent, cps):
-    batch, x = zs[0].shape
+        states.append(baseline_step(method, states[-1], dt, dw, field))
+    scheme = _BASELINE_SCHEMES[method]
     a = np.array(loss_cotangent, dtype=float).reshape(batch, x)
     gp = np.zeros(field.param_count)
-    for i in reversed(range(len(increments))):
-        z = zs[i]
-        dw = increments[i]
-        t = ts[i]
-        if method == "midpoint":
-            mu0 = field.eval_drift(t, z)
-            sigma0 = field.eval_diffusion(t, z)
-            z_mid = z + 0.5 * (mu0 * dt + _sdw(sigma0, dw))
-            t_mid = t + 0.5 * dt
-            gz1, gp1 = field.vjp_drift(t_mid, z_mid, dt * a)
-            gz2, gp2 = field.vjp_diffusion(t_mid, z_mid, _outer(a, dw))
-            g_mid = gz1 + gz2
-            gz3, gp3 = field.vjp_drift(t, z, 0.5 * dt * g_mid)
-            gz4, gp4 = field.vjp_diffusion(t, z, 0.5 * _outer(g_mid, dw))
-            a = a + g_mid + gz3 + gz4
-            gp += gp1 + gp2 + gp3 + gp4
-        elif method == "heun":
-            mu0 = field.eval_drift(t, z)
-            sigma0 = field.eval_diffusion(t, z)
-            z_pred = z + mu0 * dt + _sdw(sigma0, dw)
-            t_next = t + dt
-            gz1, gp1 = field.vjp_drift(t_next, z_pred, 0.5 * dt * a)
-            gz2, gp2 = field.vjp_diffusion(t_next, z_pred, 0.5 * _outer(a, dw))
-            g_pred = gz1 + gz2
-            gz3, gp3 = field.vjp_drift(t, z, dt * g_pred + 0.5 * dt * a)
-            gz4, gp4 = field.vjp_diffusion(
-                t, z, _outer(g_pred, dw) + 0.5 * _outer(a, dw))
-            a = a + g_pred + gz3 + gz4
-            gp += gp1 + gp2 + gp3 + gp4
-        else:  # euler_maruyama
-            gz1, gp1 = field.vjp_drift(t, z, dt * a)
-            gz2, gp2 = field.vjp_diffusion(t, z, _outer(a, dw))
-            a = a + gz1 + gz2
-            gp += gp1 + gp2
+    for i in reversed(range(config.n_steps)):
+        _, pullback = scheme(field.linearize, states[i].t, states[i].z, dt,
+                             increments[i])
+        a, g = pullback(a)
+        gp = gp + g
         if i in cps:
             a = a + np.asarray(cps[i], dtype=float)
     return a, gp
-
-
-class _ItoCorrectedField(VectorField):
-    """Diagonal-noise Ito field re-expressed in Stratonovich form.
-
-    Drift becomes mu_i - sigma_ii * d(sigma_ii)/dz_i / 2; diffusion passes
-    through. Evaluation only: differentiating the corrected drift would
-    need second derivatives of the diffusion, which no consumer here
-    requires.
-    """
-
-    def __init__(self, base: VectorField):
-        if not base.diagonal_noise or base.noise_dim != base.state_dim:
-            raise ValueError("field must declare diagonal noise with w == x")
-        self.base = base
-        self.state_dim = base.state_dim
-        self.noise_dim = base.noise_dim
-        self.param_count = base.param_count
-        self.diagonal_noise = True
-        super().__init__()
-
-    def _drift(self, t, z):
-        mu = self.base.eval_drift(t, z)
-        sigma = self.base.eval_diffusion(t, z)
-        x = self.state_dim
-        diag = np.einsum("bii->bi", sigma)
-        deriv = np.empty_like(diag)
-        cot = np.zeros_like(sigma)
-        for i in range(x):
-            cot[:, i, i] = 1.0
-            gz, _ = self.base.vjp_diffusion(t, z, cot)
-            cot[:, i, i] = 0.0
-            deriv[:, i] = gz[:, i]
-        return mu - 0.5 * diag * deriv
-
-    def _diffusion(self, t, z):
-        return self.base.eval_diffusion(t, z)
-
-    def get_params(self):
-        return self.base.get_params()
-
-    def set_params(self, flat):
-        self.base.set_params(flat)
-
-    def _drift_vjp(self, t, z, cotangent, per_sample):
-        raise NotImplementedError(
-            "corrected drift has no VJP (second derivatives of sigma)")
-
-    _diffusion_vjp = _drift_vjp
-
-
-def ito_correction_diagonal(field: VectorField) -> VectorField:
-    """Wrap a diagonal-noise Ito field for use with Stratonovich solvers."""
-    return _ItoCorrectedField(field)
 
 
 @dataclass
@@ -617,23 +543,3 @@ def stability_probe(lam_h: complex, n_steps: int,
             break
     return StabilityResult(max_z, max_zhat,
                            bounded=max(max_z, max_zhat) <= 10.0)
-
-
-def export_trajectory(path, times, trajectory):
-    """Write a solve trajectory as CSV: t, then z coordinates per path.
-
-    Header is `t,z{path}_{coord},...`; one row per stored step; full
-    round-trip float precision.
-    """
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        first = trajectory[0]
-        z = first.z
-        header = ["t"] + [f"z{b}_{i}" for b in range(z.shape[0])
-                          for i in range(z.shape[1])]
-        writer.writerow(header)
-        for t, state in zip(times, trajectory):
-            writer.writerow([repr(float(t))]
-                            + [repr(float(v)) for v in state.z.ravel()])

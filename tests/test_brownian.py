@@ -1,7 +1,5 @@
 """Tree topology, determinism, additivity, and distribution checks."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -9,8 +7,6 @@ from revsde.brownian import (
     BrownianInterval,
     VirtualBrownianTree,
     bridge_sample,
-    davie_area,
-    space_time_levy,
 )
 from revsde.prng import new_seed, standard_normals
 
@@ -260,61 +256,3 @@ class TestVirtualBrownianTree:
         vals = np.stack([vbt.query(k / n, (k + 1) / n) for k in range(n)])
         var = vals.var()
         assert abs(var * n - 1.0) < 0.02
-
-
-class TestSpaceTimeLevy:
-    def test_variance_and_scaling(self):
-        w = np.zeros(1)
-        draws = np.array([space_time_levy(1.0, w, new_seed(k))[0]
-                          for k in range(200_000)])
-        assert abs(draws.var() - 1.0 / 12.0) / (1.0 / 12.0) < 0.01
-        # h = 4 -> standard deviation sqrt(4/12).
-        d4 = np.array([space_time_levy(4.0, w, new_seed(k))[0]
-                       for k in range(50_000)])
-        assert abs(d4.std() - math.sqrt(4.0 / 12.0)) < 0.01
-
-    def test_independent_of_supplied_increment(self):
-        ws = standard_normals(new_seed(999), 100_000)
-        hs = np.array([space_time_levy(1.0, np.array([w]), new_seed(k))[0]
-                       for k, w in enumerate(ws)])
-        r = np.corrcoef(ws, hs)[0, 1]
-        assert abs(r) < 0.01
-
-    def test_nonpositive_step_rejected(self):
-        with pytest.raises(ValueError):
-            space_time_levy(0.0, np.zeros(2), new_seed(0))
-
-
-class TestDavieArea:
-    def test_symmetrization_recovers_outer_product(self):
-        # The antisymmetric parts cancel; only fl re-association noise
-        # (a couple of ulp) can remain in the sum.
-        rng = np.random.default_rng(1)
-        for k in range(50):
-            w = rng.standard_normal(4)
-            h = rng.standard_normal(4)
-            area = davie_area(w, h, 0.5, new_seed(k))
-            np.testing.assert_allclose(area + area.T, np.outer(w, w),
-                                       rtol=0, atol=1e-14)
-
-    def test_scalar_case_is_half_square(self):
-        w = np.array([1.7])
-        h = np.array([-0.3])
-        area = davie_area(w, h, 1.0, new_seed(3))
-        assert area.shape == (1, 1)
-        assert area[0, 0] == 0.5 * 1.7 * 1.7
-
-    def test_antisymmetric_part_variance(self):
-        # Subtract the deterministic part; off-diagonal noise var = h^2/12.
-        w = np.array([0.2, -0.4])
-        h = np.array([0.1, 0.9])
-        det = 0.5 * np.outer(w, w) + np.outer(h, w) - np.outer(w, h)
-        lam01 = np.array([
-            (davie_area(w, h, 1.0, new_seed(k)) - det)[0, 1]
-            for k in range(100_000)
-        ])
-        assert abs(lam01.var() - 1.0 / 12.0) / (1.0 / 12.0) < 0.02
-
-    def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            davie_area(np.zeros(3), np.zeros(2), 1.0, new_seed(0))

@@ -224,8 +224,6 @@ class TestNeuralField:
         before = field.eval_drift(0.3, z)
         field.set_params(flat)
         assert np.array_equal(field.eval_drift(0.3, z), before)
-        text = field.manifest()
-        assert "drift" in text and "diffusion" in text and "layer 0" in text
 
     def test_per_sample_param_grads_sum_to_total(self):
         field = self.make()
@@ -237,6 +235,51 @@ class TestNeuralField:
         assert per.shape == (3, field.param_count)
         np.testing.assert_allclose(per.sum(axis=0), total, rtol=1e-12,
                                    atol=1e-14)
+
+
+def _assert_linearize_matches_counted_calls(field, t, z, d_mu, d_sigma):
+    """linearize and its pullback reproduce eval_* and vjp_* bitwise."""
+    field.reset_counters()
+    mu, sigma, pullback = field.linearize(t, z)
+    assert (field.drift_evals, field.diffusion_evals) == (1, 1)
+    assert (field.drift_vjp_calls, field.diffusion_vjp_calls) == (0, 0)
+    d_z, d_params = pullback(d_mu, d_sigma)
+    assert (field.drift_vjp_calls, field.diffusion_vjp_calls) == (1, 1)
+
+    assert np.array_equal(mu, field.eval_drift(t, z))
+    assert np.array_equal(sigma, field.eval_diffusion(t, z))
+    gz_mu, gp_mu = field.vjp_drift(t, z, d_mu)
+    gz_sigma, gp_sigma = field.vjp_diffusion(t, z, d_sigma)
+    assert np.array_equal(d_z, gz_mu + gz_sigma)
+    assert d_params.shape == (field.param_count,)
+    assert np.array_equal(d_params, gp_mu + gp_sigma)
+
+
+class TestLinearize:
+    def test_neural_field_matches_eval_and_vjp_bitwise(self):
+        rng = np.random.default_rng(16)
+        field = NeuralField(
+            MLPField(4, [8], 4, final_activation="tanh", rng=rng),
+            MLPField(4, [8], 8, final_activation="sigmoid", rng=rng))
+        z = rng.standard_normal((3, 4))
+        _assert_linearize_matches_counted_calls(
+            field, 0.4, z, rng.standard_normal((3, 4)),
+            rng.standard_normal((3, 4, 2)))
+
+    def test_base_class_version_on_analytic_field(self):
+        a = np.array([[0.5, -0.2], [0.1, 0.4]])
+        field = AnalyticField(
+            2, 2,
+            drift=lambda t, z: np.sin(z @ a.T),
+            diffusion=lambda t, z: np.cos(z)[:, :, None] * a[None, :, :],
+            drift_vjp_z=lambda t, z, c: (np.cos(z @ a.T) * c) @ a,
+            diffusion_vjp_z=lambda t, z, c: -np.sin(z) * (c * a).sum(axis=2),
+        )
+        rng = np.random.default_rng(17)
+        z = rng.standard_normal((3, 2))
+        _assert_linearize_matches_counted_calls(
+            field, 0.1, z, rng.standard_normal((3, 2)),
+            rng.standard_normal((3, 2, 2)))
 
 
 class TestFdCheck:

@@ -93,6 +93,20 @@ class TestStandardNormals:
         b = standard_normals(new_seed(1), 16)
         assert not np.array_equal(a, b)
 
+    def test_every_key_bit_reaches_the_stream(self):
+        # Most of these seeds have a word >= 2**63, which a float64 key
+        # would round; flipping bit 0 of either word must change the draw.
+        known = SeedState(0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4)
+        assert not np.array_equal(
+            standard_normals(known, 4),
+            standard_normals(SeedState(known.hi + 1, known.lo), 4))
+        for k in range(1000):
+            s = new_seed(k)
+            base = standard_normals(s, 4)
+            for flipped in (SeedState(s.hi ^ 1, s.lo),
+                            SeedState(s.hi, s.lo ^ 1)):
+                assert not np.array_equal(base, standard_normals(flipped, 4))
+
     def test_seed_words_validated(self):
         with pytest.raises(ValueError):
             SeedState(-1, 0)

@@ -15,9 +15,7 @@ from revsde.solvers import (
     baseline_solve,
     baseline_step,
     continuous_adjoint_solve,
-    export_trajectory,
     initial_state,
-    ito_correction_diagonal,
     revheun_adjoint_solve,
     revheun_solve,
     revheun_step_backward,
@@ -177,6 +175,42 @@ class TestRevHeunBackwardStep:
                              np.zeros(0))
         with pytest.raises(SolverDivergence):
             revheun_step_backward(corrupted, cot, 0.1, np.zeros((1, 1)), field)
+
+    def test_corrupted_sigma_alone_flagged(self):
+        field = reduced_neural_field(seed=4, x=3, w=2)
+        state = initial_state(field, np.zeros((2, 3)))
+        dw = np.full((2, 2), 0.1)
+        nxt = revheun_step_forward(state, 0.1, dw, field)
+        corrupted = type(nxt)(nxt.t, nxt.z, nxt.zhat, nxt.mu,
+                              nxt.sigma + 1e-6)
+        cot = CotangentState(np.ones((2, 3)), np.zeros((2, 3)),
+                             np.zeros((2, 3)), np.zeros((2, 3, 2)),
+                             np.zeros(field.param_count))
+        revheun_step_backward(nxt, cot, 0.1, dw, field)
+        with pytest.raises(SolverDivergence, match="round trip"):
+            revheun_step_backward(corrupted, cot, 0.1, dw, field)
+
+    def test_two_forward_passes_per_network(self, monkeypatch):
+        # One for the linearization at (t', zhat'), one for the
+        # reconstruction at (t, zhat); the pullback reuses the first tape.
+        field = reduced_neural_field(seed=6, x=3, w=2)
+        state = initial_state(field, np.zeros((2, 3)))
+        dw = np.full((2, 2), 0.1)
+        nxt = revheun_step_forward(state, 0.1, dw, field)
+        cot = CotangentState(np.ones((2, 3)), np.zeros((2, 3)),
+                             np.zeros((2, 3)), np.zeros((2, 3, 2)),
+                             np.zeros(field.param_count))
+        calls = []
+        forward = MLPField._forward
+
+        def counted(net, t, z):
+            calls.append(net)
+            return forward(net, t, z)
+
+        monkeypatch.setattr(MLPField, "_forward", counted)
+        revheun_step_backward(nxt, cot, 0.1, dw, field)
+        assert sum(net is field.drift_net for net in calls) == 2
+        assert sum(net is field.diffusion_net for net in calls) == 2
 
 
 class TestRevHeunSolve:
@@ -526,57 +560,18 @@ class TestUnrolledBackprop:
                 down[0, i] -= h
                 fd = (terminal(up) - terminal(down)) / (2.0 * h)
                 assert abs(g0[0, i] - fd) <= 1e-5 * max(1.0, abs(fd))
-
-
-class TestItoCorrection:
-    def geometric(self, a=0.05, b=0.2):
-        return AnalyticField(
-            1, 1,
-            drift=lambda t, z: a * z,
-            diffusion=lambda t, z: (b * z)[:, :, None],
-            drift_vjp_z=lambda t, z, c: a * c,
-            diffusion_vjp_z=lambda t, z, c: b * c[:, :, 0],
-            diagonal_noise=True,
-        )
-
-    def test_constant_diffusion_unchanged(self):
-        field = AnalyticField(
-            2, 2,
-            drift=lambda t, z: np.sin(z),
-            diffusion=lambda t, z: np.broadcast_to(
-                np.eye(2) * 0.3, (z.shape[0], 2, 2)).copy(),
-            drift_vjp_z=lambda t, z, c: np.cos(z) * c,
-            diffusion_vjp_z=lambda t, z, c: np.zeros_like(z),
-            diagonal_noise=True,
-        )
-        corrected = ito_correction_diagonal(field)
-        z = np.random.default_rng(0).standard_normal((3, 2))
-        np.testing.assert_array_equal(corrected.eval_drift(0.0, z),
-                                      np.sin(z))
-
-    def test_scalar_geometric_correction(self):
-        corrected = ito_correction_diagonal(self.geometric(a=0.05, b=1.0))
-        z = np.array([[3.0]])
-        # mu - z/2 at b = 1.
-        assert abs(corrected.eval_drift(0.0, z)[0, 0] - (0.15 - 1.5)) < 1e-14
-
-    def test_nondiagonal_rejected(self):
-        with pytest.raises(ValueError):
-            ito_correction_diagonal(zero_field(2, 1))
-
-    def test_euler_ito_matches_corrected_reversible_heun(self):
-        a, b = 0.05, 0.2
-        batch = 20_000
-        z0 = np.ones((batch, 1))
-        tree = BrownianInterval(1.0, 77, dims=1, batch=batch)
-        cfg = SolveConfig("euler_maruyama", 1.0 / 64, 1.0, tree)
-        em, _ = baseline_solve("euler_maruyama", self.geometric(a, b), z0, cfg)
-        tree2 = BrownianInterval(1.0, 77, dims=1, batch=batch)
-        cfg2 = SolveConfig("reversible_heun", 1.0 / 64, 1.0, tree2)
-        corrected = ito_correction_diagonal(self.geometric(a, b))
-        rh, _ = revheun_solve(corrected, z0, cfg2)
-        assert abs(em.z.mean() - rh.z.mean()) < 2e-3
-        assert abs(em.z.mean() - math.exp(a)) < 5e-3
+            params = field.get_params()
+            for j in range(0, field.param_count, 9):
+                p = params.copy()
+                p[j] += h
+                field.set_params(p)
+                up = terminal(z0)
+                p[j] -= 2 * h
+                field.set_params(p)
+                down = terminal(z0)
+                field.set_params(params)
+                fd = (up - down) / (2.0 * h)
+                assert abs(gp[j] - fd) <= 1e-5 * max(1.0, abs(fd))
 
 
 class TestStabilityProbe:
@@ -596,19 +591,3 @@ class TestStabilityProbe:
     def test_rejects_zero_steps(self):
         with pytest.raises(ValueError):
             stability_probe(0.5j, 0)
-
-
-class TestTrajectoryExport:
-    def test_csv_round_trips(self, tmp_path):
-        tree = BrownianInterval(1.0, 2, dims=1, batch=2)
-        cfg = SolveConfig("reversible_heun", 0.25, 1.0, tree,
-                          store_trajectory=True)
-        term, traj = revheun_solve(linear_field(0.2), np.ones((2, 1)), cfg)
-        path = tmp_path / "traj.csv"
-        export_trajectory(path, cfg.grid(), traj)
-        rows = path.read_text().strip().split("\n")
-        assert rows[0] == "t,z0_0,z1_0"
-        assert len(rows) == 6
-        last = rows[-1].split(",")
-        assert float(last[0]) == 1.0
-        assert float(last[1]) == term.z[0, 0]
