@@ -180,11 +180,11 @@ class BrownianInterval:
             total = total + self._sample(node)
         return total
 
-    def prebuild_dyadic(self, step_estimate: float, cache_size: int | None = None):
+    def prebuild_dyadic(self, step_estimate: float):
         """Pre-split the tree dyadically before user queries arrive.
 
         Issues internal queries [0, t1/2], [t1/2, t1], [0, t1/4], ... until
-        leaf width is at most (4/5) * step_estimate * cache_size. A later
+        leaf width is at most (4/5) * step_estimate * cache_capacity. A later
         backward sweep then recomputes chains bounded by one leaf's worth
         of steps plus the dyadic depth, instead of chains that grow with
         the total step count. Degenerate targets (>= t1) are a no-op.
@@ -193,10 +193,7 @@ class BrownianInterval:
         """
         if step_estimate <= 0:
             raise ValueError(f"step estimate must be positive, got {step_estimate}")
-        size = self._cache.capacity if cache_size is None else int(cache_size)
-        if size < 1:
-            raise ValueError(f"cache size must be >= 1, got {size}")
-        target = 0.8 * step_estimate * size
+        target = 0.8 * step_estimate * self._cache.capacity
         if target >= self.t1:
             return
         depth = math.ceil(math.log2(self.t1 / target))

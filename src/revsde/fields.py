@@ -8,7 +8,8 @@ against central finite differences by `fd_check`.
 
 `VectorField.linearize(t, z)` returns (mu, sigma, pullback): the field's
 values at (t, z) and one function pulling a (d_mu, d_sigma) cotangent back
-to (d_z, d_params). The reversible adjoint and the unrolled oracle pull
+to (d_z, d_params), the parameter gradient summed over the batch. The
+reversible adjoint, the unrolled oracle and the continuous adjoint pull
 back only through this; a `NeuralField` keeps each network's forward tape
 for the pullback instead of re-running the forward pass per VJP.
 
@@ -98,17 +99,17 @@ class MLPField:
         y, _ = self._forward(t, np.asarray(z))
         return y
 
-    def vjp(self, t, z, cotangent, per_sample=False):
+    def vjp(self, t, z, cotangent):
         """Pull an output cotangent back to (state, parameters).
 
         Returns (cot_z, cot_params) where cot_params is the flat gradient
-        of <cotangent, eval(t, z)>, summed over the batch, or per-sample
-        with shape (batch, n_params) when `per_sample` is set.
+        of <cotangent, eval(t, z)>, summed over the batch. Runs one forward
+        pass to record the tape, then the reverse pass over it.
         """
         _, tape = self._forward(t, np.asarray(z))
-        return self._backward(tape, cotangent, per_sample)
+        return self._backward(tape, cotangent)
 
-    def _backward(self, tape, cotangent, per_sample=False):
+    def _backward(self, tape, cotangent):
         """Reverse pass of `vjp` over the tape of one `_forward` call."""
         pre, inputs = tape
         batch = inputs[0].shape[0]
@@ -122,24 +123,15 @@ class MLPField:
         grads_b = [None] * n_layers
         g = cot * self._final_grad(pre[-1])
         for i in reversed(range(n_layers)):
-            if per_sample:
-                grads_w[i] = np.einsum("bo,bi->boi", g, inputs[i])
-                grads_b[i] = g
-            else:
-                grads_w[i] = g.T @ inputs[i]
-                grads_b[i] = g.sum(axis=0)
+            grads_w[i] = g.T @ inputs[i]
+            grads_b[i] = g.sum(axis=0)
             g = g @ self.weights[i]
             if i > 0:
                 g = g * self._act_grad(pre[i - 1])
         cot_z = g[:, :self.state_dim]  # drop the time column
-        if per_sample:
-            flat = np.concatenate(
-                [np.concatenate([w.reshape(batch, -1), b], axis=1)
-                 for w, b in zip(grads_w, grads_b)], axis=1)
-        else:
-            flat = np.concatenate(
-                [np.concatenate([w.ravel(), b])
-                 for w, b in zip(grads_w, grads_b)])
+        flat = np.concatenate(
+            [np.concatenate([w.ravel(), b])
+             for w, b in zip(grads_w, grads_b)])
         return cot_z, flat
 
     def _forward(self, t, z):
@@ -218,13 +210,13 @@ class VectorField:
         self.diffusion_evals += 1
         return self._diffusion(t, z)
 
-    def vjp_drift(self, t, z, cotangent, per_sample=False):
+    def vjp_drift(self, t, z, cotangent):
         self.drift_vjp_calls += 1
-        return self._drift_vjp(t, z, cotangent, per_sample)
+        return self._drift_vjp(t, z, cotangent)
 
-    def vjp_diffusion(self, t, z, cotangent, per_sample=False):
+    def vjp_diffusion(self, t, z, cotangent):
         self.diffusion_vjp_calls += 1
-        return self._diffusion_vjp(t, z, cotangent, per_sample)
+        return self._diffusion_vjp(t, z, cotangent)
 
     def linearize(self, t, z):
         """Evaluate (mu, sigma) at (t, z) and return their joint pullback.
@@ -248,11 +240,6 @@ class VectorField:
     def set_params(self, flat):
         if len(np.asarray(flat)) != 0:
             raise ValueError("field has no parameters")
-
-    def _zero_param_grad(self, batch, per_sample):
-        if per_sample:
-            return np.zeros((batch, self.param_count))
-        return np.zeros(self.param_count)
 
 
 class NeuralField(VectorField):
@@ -284,20 +271,15 @@ class NeuralField(VectorField):
         out = self.diffusion_net.eval(t, z)
         return out.reshape(z.shape[0], self.state_dim, self.noise_dim)
 
-    def _drift_vjp(self, t, z, cotangent, per_sample):
-        cot_z, g = self.drift_net.vjp(t, z, cotangent, per_sample=per_sample)
-        pad_shape = ((z.shape[0], self.diffusion_net.n_params)
-                     if per_sample else (self.diffusion_net.n_params,))
-        params = np.concatenate([g, np.zeros(pad_shape)], axis=-1)
-        return cot_z, params
+    def _drift_vjp(self, t, z, cotangent):
+        cot_z, g = self.drift_net.vjp(t, z, cotangent)
+        return cot_z, np.concatenate(
+            [g, np.zeros(self.diffusion_net.n_params)])
 
-    def _diffusion_vjp(self, t, z, cotangent, per_sample):
+    def _diffusion_vjp(self, t, z, cotangent):
         cot = np.asarray(cotangent).reshape(z.shape[0], -1)
-        cot_z, g = self.diffusion_net.vjp(t, z, cot, per_sample=per_sample)
-        pad_shape = ((z.shape[0], self.drift_net.n_params)
-                     if per_sample else (self.drift_net.n_params,))
-        params = np.concatenate([np.zeros(pad_shape), g], axis=-1)
-        return cot_z, params
+        cot_z, g = self.diffusion_net.vjp(t, z, cot)
+        return cot_z, np.concatenate([np.zeros(self.drift_net.n_params), g])
 
     def linearize(self, t, z):
         """As VectorField.linearize, pulling back through each MLP's tape.
@@ -362,17 +344,15 @@ class AnalyticField(VectorField):
     def _diffusion(self, t, z):
         return self._diffusion_fn(t, z)
 
-    def _drift_vjp(self, t, z, cotangent, per_sample):
+    def _drift_vjp(self, t, z, cotangent):
         if self._drift_vjp_fn is None:
             raise NotImplementedError("no drift derivative supplied")
-        return (self._drift_vjp_fn(t, z, cotangent),
-                self._zero_param_grad(z.shape[0], per_sample))
+        return self._drift_vjp_fn(t, z, cotangent), np.zeros(0)
 
-    def _diffusion_vjp(self, t, z, cotangent, per_sample):
+    def _diffusion_vjp(self, t, z, cotangent):
         if self._diffusion_vjp_fn is None:
             raise NotImplementedError("no diffusion derivative supplied")
-        return (self._diffusion_vjp_fn(t, z, cotangent),
-                self._zero_param_grad(z.shape[0], per_sample))
+        return self._diffusion_vjp_fn(t, z, cotangent), np.zeros(0)
 
 
 @dataclass

@@ -77,6 +77,11 @@ class ExperimentConfig:
                      "patterns"):
             if not getattr(self, name):
                 raise ValueError(f"{name} must be non-empty")
+        for name in ("iters", "repeats", "batch", "paths", "weak_paths",
+                     "dims"):
+            if getattr(self, name) < 1:
+                raise ValueError(
+                    f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 def _tree_seed(config_seed, run_index):
@@ -334,7 +339,7 @@ def run_brownian_bench(config: ExperimentConfig):
                             1.0, _tree_seed(config.seed, n), dims=config.dims,
                             batch=config.batch,
                             cache_capacity=config.cache_capacity)
-                        store.prebuild_dyadic(1.0 / n, config.cache_capacity)
+                        store.prebuild_dyadic(1.0 / n)
                         store.reset_stats()
                     else:
                         store = VirtualBrownianTree(
@@ -719,8 +724,6 @@ def main(argv=None):
     failures = []
 
     if command == "gradient-error":
-        if "step_sizes" not in explicit:
-            cfg.step_sizes = [2.0 ** 0, 2.0 ** -2, 2.0 ** -4, 2.0 ** -6]
         rows = run_gradient_error(cfg)
         write_csv(out, *_dict_rows(rows))
         if args.check:

@@ -19,8 +19,13 @@ floating-point reconstruction error, with O(1) storage.
 Also here: midpoint / Heun / Euler-Maruyama baseline steps, the continuous
 (backward-SDE) adjoint for the baselines, the O(N)-memory unrolled
 backpropagation used as the gradient oracle, and a linear stability probe.
-Each scheme's step algebra and its pullback are written once and shared by
-the forward solves, the reversible adjoint and the oracle.
+Each scheme's step algebra and its pullback are written once. The baseline
+schemes are written in increment form, seeing the field only through the
+step's increment mu dt + sigma dW, so one scheme serves the forward solve,
+the oracle and the continuous adjoint, which integrates the flat (state,
+adjoint, parameter-gradient) vector backward with it. Every gradient path,
+the continuous adjoint included, differentiates the field through
+`field.linearize`.
 
 Noise is always queried on the solve's time grid (i*dt, end pinned to t1)
 so forward and backward passes hit bitwise-identical tree intervals.
@@ -95,6 +100,12 @@ class SolveConfig:
     def grid(self):
         """Query times: i*dt with the endpoint pinned to t1 exactly."""
         return [i * self.dt for i in range(self.n_steps)] + [self.t1]
+
+
+def _require_method(method, config):
+    if config.method != method:
+        raise ValueError(f"method {method!r} disagrees with the config's "
+                         f"method {config.method!r}")
 
 
 def _sdw(sigma: np.ndarray, dw: np.ndarray) -> np.ndarray:
@@ -202,6 +213,7 @@ def revheun_solve(field: VectorField, z0: np.ndarray, config: SolveConfig):
     the list of all states if config.store_trajectory else None. Memory is
     O(1) in the step count when the trajectory is not stored.
     """
+    _require_method("reversible_heun", config)
     ts = config.grid()
     state = initial_state(field, z0, t0=ts[0])
     trajectory = [state] if config.store_trajectory else None
@@ -264,59 +276,82 @@ def _revheun_gradients(field, first: RevHeunState, cot: CotangentState):
     return cot.d_z + cot.d_zhat + gz, cot.d_params + gp
 
 
-# Baseline schemes. Each is written once as scheme(lin, t, z, dt, dw) ->
-# (z_next, pullback), where lin(t, z) -> (mu, sigma, field_pullback) is
-# either `field.linearize` or the forward-only `_evaluator(field)`, and
-# pullback(d_z_next) -> (d_z, d_params) is valid only with `field.linearize`.
+# Baseline schemes. Each is written once in increment form as
+# scheme(inc, t, z, dt) -> (z_next, pullback) and sees the field only
+# through inc(t, z) -> (delta, inc_pullback), delta = mu dt + sigma dW for
+# the step's fixed dt and dW. baseline_step passes the forward-only
+# `_increment`; the oracle passes `_linearized_increment`, whose pullback
+# the scheme's pullback(d_z_next) -> (d_z, d_params) needs; the continuous
+# adjoint passes `_adjoint_increment` on its flat [z, a, g] vector.
 
-def _midpoint(lin, t, z, dt, dw):
-    mu0, sigma0, pull0 = lin(t, z)
-    z_mid = z + 0.5 * (mu0 * dt + _sdw(sigma0, dw))
-    mu1, sigma1, pull1 = lin(t + 0.5 * dt, z_mid)
-    z_next = z + mu1 * dt + _sdw(sigma1, dw)
+def _midpoint(inc, t, z, dt):
+    d0, pull0 = inc(t, z)
+    d1, pull1 = inc(t + 0.5 * dt, z + 0.5 * d0)
 
     def pullback(a):
-        g_mid, gp1 = pull1(dt * a, _outer(a, dw))
-        gz0, gp0 = pull0(0.5 * dt * g_mid, 0.5 * _outer(g_mid, dw))
+        g_mid, gp1 = pull1(a)
+        gz0, gp0 = pull0(0.5 * g_mid)
         return a + g_mid + gz0, gp1 + gp0
 
-    return z_next, pullback
+    return z + d1, pullback
 
 
-def _heun(lin, t, z, dt, dw):
-    mu0, sigma0, pull0 = lin(t, z)
-    z_pred = z + mu0 * dt + _sdw(sigma0, dw)
-    mu1, sigma1, pull1 = lin(t + dt, z_pred)
-    z_next = z + 0.5 * dt * (mu0 + mu1) + 0.5 * _sdw(sigma0 + sigma1, dw)
+def _heun(inc, t, z, dt):
+    d0, pull0 = inc(t, z)
+    d1, pull1 = inc(t + dt, z + d0)
 
     def pullback(a):
-        g_pred, gp1 = pull1(0.5 * dt * a, 0.5 * _outer(a, dw))
-        gz0, gp0 = pull0(dt * g_pred + 0.5 * dt * a,
-                         _outer(g_pred, dw) + 0.5 * _outer(a, dw))
+        g_pred, gp1 = pull1(0.5 * a)
+        gz0, gp0 = pull0(g_pred + 0.5 * a)
         return a + g_pred + gz0, gp1 + gp0
 
-    return z_next, pullback
+    return z + 0.5 * (d0 + d1), pullback
 
 
-def _euler_maruyama(lin, t, z, dt, dw):
-    mu, sigma, pull = lin(t, z)
-    z_next = z + mu * dt + _sdw(sigma, dw)
+def _euler_maruyama(inc, t, z, dt):
+    d, pull = inc(t, z)
 
     def pullback(a):
-        gz, gp = pull(dt * a, _outer(a, dw))
+        gz, gp = pull(a)
         return a + gz, gp
 
-    return z_next, pullback
+    return z + d, pullback
 
 
 _BASELINE_SCHEMES = {"midpoint": _midpoint, "heun": _heun,
                      "euler_maruyama": _euler_maruyama}
 
 
-def _evaluator(field):
-    """Forward-only stand-in for `field.linearize`: values, no pullback."""
-    return lambda t, z: (field.eval_drift(t, z), field.eval_diffusion(t, z),
-                         None)
+def _increment(field, dt, dw):
+    """Forward-only increment mu dt + sigma dW; no pullback."""
+    def inc(t, z):
+        mu = field.eval_drift(t, z)
+        return mu * dt + _sdw(field.eval_diffusion(t, z), dw), None
+
+    return inc
+
+
+def _linearized_increment(field, dt, dw):
+    """Increment mu dt + sigma dW with the pullback of a cotangent on it."""
+    def inc(t, z):
+        mu, sigma, pull = field.linearize(t, z)
+        return (mu * dt + _sdw(sigma, dw),
+                lambda c: pull(dt * c, _outer(c, dw)))
+
+    return inc
+
+
+def _adjoint_increment(field, dt, dw, shape):
+    """Increment of the continuous adjoint's flat [z, a, g] vector."""
+    state_inc = _linearized_increment(field, dt, dw)
+    n = shape[0] * shape[1]
+
+    def inc(t, y):
+        delta, pull = state_inc(t, y[:n].reshape(shape))
+        gz, gp = pull(y[n:2 * n].reshape(shape))
+        return np.concatenate([delta.ravel(), -gz.ravel(), -gp]), None
+
+    return inc
 
 
 def baseline_step(method: str, state: PathState, dt: float, dw: np.ndarray,
@@ -325,13 +360,12 @@ def baseline_step(method: str, state: PathState, dt: float, dw: np.ndarray,
 
     midpoint and Heun are two-evaluation Stratonovich schemes (half-step
     state and predictor-corrector respectively); Euler-Maruyama is the
-    one-evaluation Ito scheme. dt may be negative for backward-in-time
-    integration provided dw is the matching reversed increment.
+    one-evaluation Ito scheme.
     """
     scheme = _BASELINE_SCHEMES.get(method)
     if scheme is None:
         raise ValueError(f"unknown baseline method {method!r}")
-    z_next, _ = scheme(_evaluator(field), state.t, state.z, dt, dw)
+    z_next, _ = scheme(_increment(field, dt, dw), state.t, state.z, dt)
     _check_finite(z_next, f"state after {method} step")
     return PathState(state.t + dt, z_next)
 
@@ -339,6 +373,7 @@ def baseline_step(method: str, state: PathState, dt: float, dw: np.ndarray,
 def baseline_solve(method: str, field: VectorField, z0: np.ndarray,
                    config: SolveConfig):
     """Iterate a baseline step over the grid; mirrors revheun_solve."""
+    _require_method(method, config)
     ts = config.grid()
     z0 = np.atleast_2d(np.asarray(z0, dtype=float))
     state = PathState(ts[0], z0)
@@ -354,86 +389,39 @@ def baseline_solve(method: str, field: VectorField, z0: np.ndarray,
     return state, trajectory
 
 
-class _AdjointSystemField(VectorField):
-    """Augmented field for the continuous adjoint of a baseline solver.
-
-    State layout per path: [z (x) | a (x) | g (p)] where a carries dL/dz(t)
-    and g accumulates parameter gradients. The a and g dynamics are the
-    negated drift/diffusion VJPs contracted with a, channel by channel for
-    the diffusion. Evaluation only; this field has no VJPs of its own.
-    """
-
-    def __init__(self, base: VectorField):
-        self.base = base
-        self.state_dim = 2 * base.state_dim + base.param_count
-        self.noise_dim = base.noise_dim
-        self.param_count = 0
-        super().__init__()
-
-    def _split(self, y):
-        x = self.base.state_dim
-        return y[:, :x], y[:, x:2 * x]
-
-    def _drift(self, t, y):
-        z, a = self._split(y)
-        mu = self.base.eval_drift(t, z)
-        az, ap = self.base.vjp_drift(t, z, a, per_sample=True)
-        return np.concatenate([mu, -az, -ap], axis=1)
-
-    def _diffusion(self, t, y):
-        z, a = self._split(y)
-        batch = y.shape[0]
-        x, w, p = self.base.state_dim, self.base.noise_dim, self.base.param_count
-        sigma = self.base.eval_diffusion(t, z)
-        out = np.empty((batch, self.state_dim, w))
-        out[:, :x, :] = sigma
-        cot = np.zeros((batch, x, w))
-        for k in range(w):
-            cot[:, :, k] = a
-            az, ap = self.base.vjp_diffusion(t, z, cot, per_sample=True)
-            cot[:, :, k] = 0.0
-            out[:, x:2 * x, k] = -az
-            out[:, 2 * x:, k] = -ap
-        return out
-
-    def _drift_vjp(self, t, z, cotangent, per_sample):
-        raise NotImplementedError("adjoint system field is evaluation-only")
-
-    _diffusion_vjp = _drift_vjp
-
-
 def continuous_adjoint_solve(method: str, field: VectorField, z0: np.ndarray,
                              config: SolveConfig, loss_cotangent):
     """Optimise-then-discretise gradients with a baseline scheme.
 
-    Solves forward with `method`, then integrates the joint (state,
-    adjoint, parameter-gradient) system backward in time with the same
-    method and the same Brownian increments, re-integrating the state
-    rather than storing it. The state mismatch between the two passes is
-    what puts truncation error into these gradients; it vanishes as dt
-    shrinks. Returns (grad_z0, grad_params).
+    Solves forward with `method`, then integrates the flat vector
+    [z, a, g] backward in time with the same scheme, -dt and the negated
+    Brownian increments, re-integrating the state rather than storing it.
+    a carries dL/dz(t) and g the batch-summed parameter gradient; their
+    increment is minus the pullback of a through the state's increment,
+    taken from `field.linearize` at each stage. The state mismatch between
+    the two passes is what puts truncation error into these gradients; it
+    vanishes as dt shrinks. Returns (grad_z0, grad_params).
     """
     if method not in ("midpoint", "heun"):
         raise ValueError(f"continuous adjoint supports midpoint/heun, got {method!r}")
     terminal, _ = baseline_solve(method, field, z0, config)
     batch, x = terminal.z.shape
+    n = batch * x
     ts = config.grid()
-    aug_field = _AdjointSystemField(field)
+    scheme = _BASELINE_SCHEMES[method]
     y = np.concatenate([
-        terminal.z,
-        np.array(loss_cotangent, dtype=float).reshape(batch, x),
-        np.zeros((batch, field.param_count)),
-    ], axis=1)
-    state = PathState(ts[-1], y)
+        terminal.z.ravel(),
+        np.array(loss_cotangent, dtype=float).reshape(n),
+        np.zeros(field.param_count),
+    ])
+    t = ts[-1]
     for i in reversed(range(config.n_steps)):
         dw = config.noise.query(ts[i], ts[i + 1])
-        try:
-            state = baseline_step(method, state, -config.dt, -dw, aug_field)
-        except SolverDivergence as exc:
-            raise SolverDivergence(f"{exc} at backward step {i}") from None
-    grad_z0 = state.z[:, x:2 * x].copy()
-    grad_params = state.z[:, 2 * x:].sum(axis=0)
-    return grad_z0, grad_params
+        inc = _adjoint_increment(field, -config.dt, -dw, terminal.z.shape)
+        y, _ = scheme(inc, t, y, -config.dt)
+        t = t - config.dt
+        _check_finite(y, f"adjoint state at backward step {i}")
+    return y[n:2 * n].reshape(batch, x), y[2 * n:]
 
 
 def _estimate_unrolled_bytes(method, config, batch, x, w):
@@ -454,6 +442,7 @@ def unrolled_backprop(method: str, field: VectorField, z0: np.ndarray,
     share. Raises MemoryError up front if the stored trajectory would
     exceed `memory_limit_bytes`. Returns (grad_z0, grad_params).
     """
+    _require_method(method, config)
     z0 = np.atleast_2d(np.asarray(z0, dtype=float))
     batch, x = z0.shape
     w = field.noise_dim
@@ -479,8 +468,6 @@ def unrolled_backprop(method: str, field: VectorField, z0: np.ndarray,
             if i in cps:
                 cot.d_z = cot.d_z + np.asarray(cps[i], dtype=float)
         return _revheun_gradients(field, states[0], cot)
-    if method not in BASELINE_METHODS:
-        raise ValueError(f"unknown method {method!r}")
     states = [PathState(ts[0], z0)]
     for i in range(config.n_steps):
         dw = config.noise.query(ts[i], ts[i + 1])
@@ -490,8 +477,8 @@ def unrolled_backprop(method: str, field: VectorField, z0: np.ndarray,
     a = np.array(loss_cotangent, dtype=float).reshape(batch, x)
     gp = np.zeros(field.param_count)
     for i in reversed(range(config.n_steps)):
-        _, pullback = scheme(field.linearize, states[i].t, states[i].z, dt,
-                             increments[i])
+        inc = _linearized_increment(field, dt, increments[i])
+        _, pullback = scheme(inc, states[i].t, states[i].z, dt)
         a, g = pullback(a)
         gp = gp + g
         if i in cps:

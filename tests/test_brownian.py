@@ -179,7 +179,7 @@ class TestPrebuildDyadic:
     def test_depth_matches_safety_factor_target(self):
         # step 0.01, cache 20 -> target 0.16 -> leaf width 1/8, depth 3.
         tree = BrownianInterval(1.0, 5, cache_capacity=20)
-        tree.prebuild_dyadic(0.01, 20)
+        tree.prebuild_dyadic(0.01)
         node, depth = tree._root, 0
         while node.left is not None:
             node = node.left
@@ -189,7 +189,7 @@ class TestPrebuildDyadic:
 
     def test_degenerate_target_is_noop(self):
         tree = BrownianInterval(1.0, 5)
-        tree.prebuild_dyadic(2.0, 128)
+        tree.prebuild_dyadic(2.0)
         assert tree.stats().node_count == 1
 
     def test_prebuild_bounds_backward_chains(self):
@@ -199,7 +199,7 @@ class TestPrebuildDyadic:
         def doubly(prebuild):
             tree = BrownianInterval(1.0, 11, cache_capacity=20)
             if prebuild:
-                tree.prebuild_dyadic(0.01, 20)
+                tree.prebuild_dyadic(0.01)
             tree.reset_stats()
             n = 100
             for k in range(n):
@@ -217,8 +217,8 @@ class TestPrebuildDyadic:
 
     def test_prebuild_then_queries_bitwise_stable(self):
         def run():
-            tree = BrownianInterval(1.0, 9, batch=2)
-            tree.prebuild_dyadic(0.02, 16)
+            tree = BrownianInterval(1.0, 9, batch=2, cache_capacity=16)
+            tree.prebuild_dyadic(0.02)
             return np.stack([tree.query(k / 50, (k + 1) / 50)
                              for k in range(50)])
 

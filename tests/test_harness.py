@@ -29,6 +29,17 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(methods=[])
 
+    @pytest.mark.parametrize(
+        "name", ["iters", "repeats", "batch", "paths", "weak_paths", "dims"])
+    def test_nonpositive_counts_rejected(self, name):
+        with pytest.raises(ValueError, match=f"^{name} must be >= 1"):
+            ExperimentConfig(**{name: 0})
+
+    def test_cli_rejects_zero_iters(self, tmp_path):
+        with pytest.raises(ValueError, match="^iters must be >= 1"):
+            main(["fit-toy", "--iters", "0", "--out",
+                  str(tmp_path / "fit.csv")])
+
     def test_config_file_parsing(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text(

@@ -95,6 +95,25 @@ class TestSolveConfig:
         assert grid[0] == 0.0
         assert grid[-1] == 1.0
 
+    def test_solvers_reject_a_config_naming_another_method(self):
+        field, z0, cot = zero_field(), np.zeros((1, 1)), np.ones((1, 1))
+        cfg = SolveConfig("heun", 0.25, 1.0,
+                          BrownianInterval(1.0, 1, dims=1, batch=1))
+        for method, solve in (
+                ("midpoint", lambda: baseline_solve(
+                    "midpoint", field, z0, cfg)),
+                ("midpoint", lambda: continuous_adjoint_solve(
+                    "midpoint", field, z0, cfg, cot)),
+                ("midpoint", lambda: unrolled_backprop(
+                    "midpoint", field, z0, cfg, cot)),
+                ("reversible_heun", lambda: revheun_solve(field, z0, cfg)),
+                ("reversible_heun", lambda: revheun_adjoint_solve(
+                    field, z0, cfg, cot)),
+                ("reversible_heun", lambda: unrolled_backprop(
+                    "reversible_heun", field, z0, cfg, cot))):
+            with pytest.raises(ValueError, match=f"'{method}'.*'heun'"):
+                solve()
+
 
 class TestRevHeunForwardStep:
     def test_pure_noise_step(self):
@@ -458,6 +477,35 @@ class TestContinuousAdjoint:
                                             np.ones((1, 1)))
             errs.append(abs(g[0, 0] - math.exp(lam)))
         assert errs[1] < errs[0] / 8.0
+
+    def test_one_forward_pass_per_network_per_backward_stage(self,
+                                                             monkeypatch):
+        # Each backward stage linearizes the field once and its pullback
+        # reuses that tape, whatever the noise dimension.
+        field = reduced_neural_field(seed=9, x=3, w=2)
+        z0 = np.random.default_rng(4).standard_normal((2, 3))
+        n = 4
+        calls = []
+        forward = MLPField._forward
+
+        def counted(net, t, z):
+            calls.append(net)
+            return forward(net, t, z)
+
+        monkeypatch.setattr(MLPField, "_forward", counted)
+        for method in ("midpoint", "heun"):
+            tree = BrownianInterval(1.0, 6, dims=2, batch=2)
+            calls.clear()
+            field.reset_counters()
+            continuous_adjoint_solve(method, field, z0,
+                                     SolveConfig(method, 1.0 / n, 1.0, tree),
+                                     np.ones((2, 3)))
+            # Two per forward step (one evaluation per stage) and two per
+            # backward step (one linearization per stage).
+            assert sum(net is field.drift_net for net in calls) == 4 * n
+            assert sum(net is field.diffusion_net for net in calls) == 4 * n
+            assert field.drift_vjp_calls == 2 * n
+            assert field.diffusion_vjp_calls == 2 * n
 
     def test_error_vs_oracle_decreases_with_dt(self):
         field = reduced_neural_field(seed=0)
