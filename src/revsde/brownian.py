@@ -92,6 +92,10 @@ class _LRUCache:
         self.hits += 1
         return value
 
+    def peek(self, node):
+        """The cached value or None; recency and counters untouched."""
+        return self._data.get(node)
+
     def put(self, node, value):
         data = self._data
         if node in data:
@@ -130,10 +134,16 @@ class BrownianInterval:
     children by bridge conditioning (normals drawn from the left child's
     seed), right children by subtracting the left sibling's value. Repeated
     queries of the same interval return bitwise-identical values regardless
-    of cache evictions or intervening queries, and a query that spans
-    already-materialized nodes returns exactly their left-to-right
-    floating-point sum, so summing consecutive sub-queries reproduces the
-    spanning query bitwise.
+    of cache evictions or intervening queries.
+
+    A query is answered by the nodes that partition it. When no existing
+    node is exactly [s, t], the answer is exactly the left-to-right
+    floating-point sum of those nodes, so summing the consecutive
+    sub-queries that materialized them reproduces the spanning query
+    bitwise. When [s, t] coincides with an existing node -- an internal
+    node created by bisection, e.g. [0, t1] itself or a right-spine node
+    [s, t1] -- the answer is that node's own value, which equals the sum
+    of its descendants' values only to rounding.
 
     Queries mutate the tree, cache, and hint: a given instance needs
     exclusive access during `query`, but distinct instances are fully
@@ -285,7 +295,9 @@ class BrownianInterval:
         Walks up to the nearest cached ancestor (or the root, whose value
         is N(0, t1 I) drawn from its own seed), then back down: left
         children by bridge, right children by subtracting the left
-        sibling's bridge value, recomputed from the same seed either way.
+        sibling's value. A cached left sibling is bitwise its bridge value,
+        so it is read with `peek` (no recency or counter change) instead of
+        redrawn; otherwise the bridge is recomputed from the same seed.
         """
         cache = self._cache
         chain = []
@@ -308,7 +320,10 @@ class BrownianInterval:
         for child in reversed(chain):
             parent = child.parent
             left = parent.left
-            w_left = bridge_sample(parent.a, parent.b, left.b, value, left.seed)
+            w_left = None if child is left else cache.peek(left)
+            if w_left is None:
+                w_left = bridge_sample(parent.a, parent.b, left.b, value,
+                                       left.seed)
             value = w_left if child is left else value - w_left
             cache.put(child, value)
         return value

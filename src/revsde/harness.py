@@ -17,8 +17,9 @@ columns excepted):
                    spot-checks.
 
 CSV files use full round-trip float precision (`repr`). The CLI exposes
-one subcommand per experiment; values in a `key = value` config file
-override command-line flags, which override defaults.
+one subcommand per experiment, offering only the settings its experiment
+reads; values in a `key = value` config file override command-line flags,
+which override defaults.
 """
 
 from __future__ import annotations
@@ -629,57 +630,71 @@ def load_config_file(path):
     return values
 
 
-_LIST_PARSERS = {
-    "step_sizes": _parse_floats,
-    "weak_step_sizes": _parse_floats,
-    "methods": _parse_names,
-    "cases": _parse_names,
-    "subintervals": _parse_ints,
-    "patterns": _parse_names,
+# Every config key: its command-line flag (None: config file only), the
+# parser of its text value (shared by the flag and the config file), and
+# the flag's help.
+_KEYS = {
+    "seed": ("--seed", int, None),
+    "out": ("--out", str, None),
+    "batch": ("--batch", int, None),
+    "paths": ("--paths", int, None),
+    "step_sizes": ("--steps", _parse_floats, "comma-separated step sizes"),
+    "weak_step_sizes": (None, _parse_floats, None),
+    "weak_paths": ("--weak-paths", int, None),
+    "methods": ("--methods", _parse_names, None),
+    "cases": ("--cases", _parse_names, None),
+    "subintervals": ("--subintervals", _parse_ints, None),
+    "patterns": ("--patterns", _parse_names, None),
+    "repeats": ("--repeats", int, None),
+    "dims": ("--dims", int, None),
+    "cache_capacity": ("--cache-capacity", int, None),
+    "vbt_eps": ("--vbt-eps", float, None),
+    "iters": ("--iters", int, None),
+    "lr": ("--lr", float, None),
+}
+
+# Subcommand -> (help, the config keys its experiment reads). Each parser
+# offers exactly these flags plus --out, --config and --check, and a config
+# file may set only these keys and `out`.
+_COMMANDS = {
+    "gradient-error": ("adjoint-vs-oracle gradient gap",
+                       ("seed", "step_sizes", "methods", "cache_capacity")),
+    "convergence": ("strong/weak order estimation",
+                    ("seed", "step_sizes", "paths", "cases", "weak_paths",
+                     "weak_step_sizes")),
+    "brownian-bench": ("noise-store speed benchmark",
+                       ("seed", "batch", "subintervals", "patterns",
+                        "repeats", "dims", "cache_capacity", "vbt_eps")),
+    "stability": ("linear stability sweep", ()),
+    "fit-toy": ("neural SDE moment-matching fit",
+                ("seed", "batch", "cache_capacity", "iters", "lr")),
 }
 
 
 def build_experiment_config(args):
-    """Merge defaults < flags < config file; returns (config, set keys)."""
+    """Merge defaults < flags < config file; returns (config, set keys).
+
+    A config-file key the subcommand does not read raises ValueError.
+    """
+    keys = ("out",) + _COMMANDS[args.command][1]
     cfg = ExperimentConfig()
     overrides = {}
-    for key in vars(cfg):
+    for key in keys:
         val = getattr(args, key, None)
         if val is not None:
             overrides[key] = val
     if getattr(args, "config", None):
         for key, raw in load_config_file(args.config).items():
-            if key in _LIST_PARSERS:
-                overrides[key] = _LIST_PARSERS[key](raw)
-            elif key in ("seed", "batch", "paths", "weak_paths",
-                         "cache_capacity", "repeats", "dims", "iters"):
-                overrides[key] = int(raw)
-            elif key in ("vbt_eps", "lr"):
-                overrides[key] = float(raw)
-            elif key == "out":
-                overrides[key] = raw
-            else:
+            if key not in _KEYS:
                 raise ValueError(f"unknown config key {key!r}")
+            if key not in keys:
+                raise ValueError(
+                    f"config key {key!r} is not read by {args.command}")
+            overrides[key] = _KEYS[key][1](raw)
     for key, val in overrides.items():
         setattr(cfg, key, val)
     cfg.__post_init__()
     return cfg, set(overrides)
-
-
-def _add_common_flags(parser):
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--out", type=str, default=None)
-    parser.add_argument("--batch", type=int, default=None)
-    parser.add_argument("--steps", dest="step_sizes", type=_parse_floats,
-                        default=None, help="comma-separated step sizes")
-    parser.add_argument("--paths", type=int, default=None)
-    parser.add_argument("--cache-capacity", dest="cache_capacity", type=int,
-                        default=None)
-    parser.add_argument("--vbt-eps", dest="vbt_eps", type=float, default=None)
-    parser.add_argument("--config", type=str, default=None,
-                        help="key=value file; overrides flags")
-    parser.add_argument("--check", action="store_true",
-                        help="exit nonzero if the acceptance band fails")
 
 
 def _dict_rows(rows):
@@ -692,30 +707,17 @@ def main(argv=None):
         prog="revsde",
         description="Reversible-solver SDE experiments (CSV output)")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gradient-error", help="adjoint-vs-oracle gradient gap")
-    _add_common_flags(p)
-    p.add_argument("--methods", type=_parse_names, default=None)
-
-    p = sub.add_parser("convergence", help="strong/weak order estimation")
-    _add_common_flags(p)
-    p.add_argument("--cases", type=_parse_names, default=None)
-    p.add_argument("--weak-paths", dest="weak_paths", type=int, default=None)
-
-    p = sub.add_parser("brownian-bench", help="noise-store speed benchmark")
-    _add_common_flags(p)
-    p.add_argument("--subintervals", type=_parse_ints, default=None)
-    p.add_argument("--patterns", type=_parse_names, default=None)
-    p.add_argument("--repeats", type=int, default=None)
-    p.add_argument("--dims", type=int, default=None)
-
-    p = sub.add_parser("stability", help="linear stability sweep")
-    _add_common_flags(p)
-
-    p = sub.add_parser("fit-toy", help="neural SDE moment-matching fit")
-    _add_common_flags(p)
-    p.add_argument("--iters", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
+    for command, (help_text, keys) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for key in ("out",) + keys:
+            flag, parse, help_flag = _KEYS[key]
+            if flag is not None:
+                p.add_argument(flag, dest=key, type=parse, default=None,
+                               help=help_flag)
+        p.add_argument("--config", type=str, default=None,
+                       help="key=value file; overrides flags")
+        p.add_argument("--check", action="store_true",
+                       help="exit nonzero if the acceptance band fails")
 
     args = parser.parse_args(argv)
     cfg, explicit = build_experiment_config(args)

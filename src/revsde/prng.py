@@ -9,15 +9,21 @@ recomputed bitwise at any time.
 Construction: normal streams come from numpy's Philox counter-based
 generator keyed by the 128-bit state (block j of the output is a fixed
 mixing of (key, j), which gives prefix stability: the first n draws of a
-longer request equal an n-draw request). Child states are derived with the
-splitmix64 finalizer under two fixed tags, documented below so that the
-mapping is stable across versions of this package. No attempt is made at
-cryptographic strength, nor at bitstream compatibility with any other
-library.
+longer request equal an n-draw request). Each thread keeps one Philox and
+re-keys it per draw, setting its state to exactly the one a freshly
+constructed `Philox(key=[hi, lo])` starts from (zero counter, empty
+buffer): the stream is bitwise the constructor's, but a draw builds no
+generator and reads no OS entropy, and since no two threads share a
+generator, distinct noise stores stay safe to use in parallel. Child
+states are derived with the splitmix64 finalizer under two fixed tags,
+documented below so that the mapping is stable across versions of this
+package. No attempt is made at cryptographic strength, nor at bitstream
+compatibility with any other library.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,6 +82,32 @@ def split(seed: SeedState) -> tuple[SeedState, SeedState]:
     return SeedState(lh, ll), SeedState(rh, rl)
 
 
+class _ThreadPhilox(threading.local):
+    """One re-keyable Philox generator per thread.
+
+    `state` is the state dict of a fresh `Philox(key=key)`; the setter
+    copies it into the generator, so `key` is rewritten in place per draw.
+    """
+
+    def __init__(self):
+        self.gen = np.random.Generator(np.random.Philox(key=0))
+        # An explicit uint64 key: a word >= 2**63 must not pass through
+        # float64, which would round the key to 53 bits.
+        self.key = np.zeros(2, dtype=np.uint64)
+        self.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": np.zeros(4, dtype=np.uint64),
+                      "key": self.key},
+            "buffer": np.zeros(4, dtype=np.uint64),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+
+
+_philox = _ThreadPhilox()
+
+
 def standard_normals(seed: SeedState, count: int) -> np.ndarray:
     """Draw `count` i.i.d. standard normals determined by (seed, count).
 
@@ -84,8 +116,11 @@ def standard_normals(seed: SeedState, count: int) -> np.ndarray:
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    # An explicit uint64 key: numpy would turn a list holding a word
-    # >= 2**63 into float64 and round the key to 53 bits.
-    key = np.array([seed.hi, seed.lo], dtype=np.uint64)
-    gen = np.random.Generator(np.random.Philox(key=key))
+    # Bitwise Generator(Philox(key=[hi, lo] as uint64)).standard_normal,
+    # without constructing a generator: re-key this thread's one.
+    local = _philox
+    local.key[0] = seed.hi
+    local.key[1] = seed.lo
+    gen = local.gen
+    gen.bit_generator.state = local.state
     return gen.standard_normal(count)

@@ -1,14 +1,17 @@
 """Tree topology, determinism, additivity, and distribution checks."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
+from revsde import brownian
 from revsde.brownian import (
     BrownianInterval,
     VirtualBrownianTree,
     bridge_sample,
 )
-from revsde.prng import new_seed, standard_normals
+from revsde.prng import new_seed, split, standard_normals
 
 
 class TestBridgeSample:
@@ -106,6 +109,26 @@ class TestBrownianIntervalQueries:
             whole = tree.query(0.2, 0.9)
             assert np.array_equal(a + b, whole)
 
+    def test_spanning_query_coinciding_with_a_node_is_its_own_value(self):
+        # [0.2, 1] is an internal node after the two sub-queries: it
+        # returns its own value (root minus its left sibling's bridge),
+        # which matches the sub-query sum only to rounding, whereas the
+        # non-coincident span [0.2, 0.9] is bitwise the sum.
+        rounding_differs = False
+        for seed in range(20):
+            tree = BrownianInterval(1.0, seed, dims=4, batch=8)
+            a = tree.query(0.2, 0.55)
+            b = tree.query(0.55, 0.9)
+            c = tree.query(0.9, 1.0)
+            assert np.array_equal(tree.query(0.2, 0.9), a + b)
+            root = standard_normals(new_seed(seed), 32).reshape(8, 4)
+            left = bridge_sample(0.0, 1.0, 0.2, root, split(new_seed(seed))[0])
+            node = tree.query(0.2, 1.0)
+            assert np.array_equal(node, root - left)
+            assert np.abs(node - (a + b + c)).max() <= 1e-12
+            rounding_differs |= not np.array_equal(node, a + b + c)
+        assert rounding_differs
+
     def test_coarse_query_equals_sum_of_prior_fine_queries(self):
         tree = BrownianInterval(1.0, 123, dims=1, batch=16)
         fine = [tree.query(0.2 + k * 0.05, 0.2 + (k + 1) * 0.05)
@@ -164,6 +187,44 @@ class TestBrownianIntervalQueries:
             tree.query(k / n, (k + 1) / n)
         stats = tree.stats()
         assert stats.mean_traverse_edges < 4.0
+
+    def _sweeps(self, monkeypatch, capacity, n):
+        """Forward then reverse sweep of n steps; (values, stats, draws)."""
+        draws = []
+        counted = standard_normals
+
+        def counting(seed, count):
+            draws.append(count)
+            return counted(seed, count)
+
+        monkeypatch.setattr(brownian, "standard_normals", counting)
+        tree = BrownianInterval(1.0, 9, dims=2, batch=3,
+                                cache_capacity=capacity)
+        steps = [(k / n, (k + 1) / n if k + 1 < n else 1.0) for k in range(n)]
+        values = [tree.query(s, t) for s, t in steps]
+        forward_draws = len(draws)
+        values += [tree.query(s, t) for s, t in reversed(steps)]
+        return np.stack(values), asdict(tree.stats()), forward_draws
+
+    def test_forward_sweep_draws_each_left_sibling_once(self, monkeypatch):
+        # A right child reads its cached left sibling instead of redrawing
+        # its bridge: about one draw per step, not two.
+        n = 300
+        _, _, draws = self._sweeps(monkeypatch, 128, n)
+        assert draws <= n + 2
+
+    @pytest.mark.parametrize("capacity", [1, 128, 10_000])
+    def test_left_sibling_reuse_changes_no_value_or_stat(self, monkeypatch,
+                                                         capacity):
+        # Reference: every left sibling redrawn. Values, cache hits and
+        # misses (hence eviction order) and recomputes must all agree.
+        values, stats, _ = self._sweeps(monkeypatch, capacity, 300)
+        monkeypatch.setattr(brownian._LRUCache, "peek", lambda self, node: None)
+        ref_values, ref_stats, _ = self._sweeps(monkeypatch, capacity, 300)
+        assert np.array_equal(values, ref_values)
+        assert stats == ref_stats
+        wide, _, _ = self._sweeps(monkeypatch, 10_000, 300)
+        assert np.array_equal(values, wide)
 
     def test_stats_record_fields(self):
         tree = BrownianInterval(1.0, 1, cache_capacity=4)

@@ -60,13 +60,45 @@ class TestConfig:
             load_config_file(path)
 
     def test_config_file_overrides_flags(self, tmp_path):
+        # fit-toy reads the seed (OU moments and initial weights), so the
+        # CSV shows which seed won.
+        def run(name, *extra):
+            out = tmp_path / f"{name}.csv"
+            code = main(["fit-toy", "--batch", "4", "--iters", "1",
+                         "--out", str(out), *extra])
+            assert code == 0
+            return out.read_text()
+
         path = tmp_path / "run.cfg"
-        path.write_text("seed = 99\n")
-        out = tmp_path / "stab.csv"
-        code = main(["stability", "--seed", "1", "--out", str(out),
-                     "--config", str(path)])
-        assert code == 0
-        assert out.exists()
+        path.write_text("seed = 2\n")
+        merged = run("merged", "--seed", "1", "--config", str(path))
+        assert merged == run("config_seed", "--seed", "2")
+        assert merged != run("flag_seed", "--seed", "1")
+
+    def test_config_key_not_read_by_subcommand_rejected(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("seed = 1\n")
+        with pytest.raises(ValueError,
+                           match="'seed' is not read by stability"):
+            main(["stability", "--out", str(tmp_path / "stab.csv"),
+                  "--config", str(path)])
+
+    def test_unknown_config_key_rejected(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("sede = 1\n")
+        with pytest.raises(ValueError, match="unknown config key 'sede'"):
+            main(["stability", "--out", str(tmp_path / "stab.csv"),
+                  "--config", str(path)])
+
+    @pytest.mark.parametrize("command, flag", [
+        ("stability", "--seed"), ("stability", "--batch"),
+        ("gradient-error", "--paths"), ("convergence", "--batch"),
+        ("brownian-bench", "--steps"), ("fit-toy", "--vbt-eps"),
+    ])
+    def test_flag_not_read_by_subcommand_rejected(self, command, flag,
+                                                  tmp_path):
+        with pytest.raises(SystemExit):
+            main([command, flag, "1", "--out", str(tmp_path / "x.csv")])
 
 
 class TestGradientError:

@@ -1,5 +1,8 @@
 """Determinism, splitting, and distribution checks for the noise streams."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -112,3 +115,58 @@ class TestStandardNormals:
             SeedState(-1, 0)
         with pytest.raises(ValueError):
             SeedState(0, 1 << 64)
+
+    def test_matches_a_freshly_constructed_philox(self):
+        # The per-thread re-keyed generator must reproduce a new
+        # Philox(key=[hi, lo]) bitwise. Counts rotate per seed, so a draw
+        # always follows one of another length from another key: any
+        # counter or buffer state left over from the previous draw shows.
+        def constructed(s, count):
+            key = np.array([s.hi, s.lo], dtype=np.uint64)
+            gen = np.random.Generator(np.random.Philox(key=key))
+            return gen.standard_normal(count)
+
+        seeds = [new_seed(k) for k in range(1000)]
+        seeds += [SeedState(2**64 - 1, 2**63), SeedState(2**63, 0),
+                  SeedState(0, 2**64 - 1)]
+        assert sum(s.hi >= 2**63 or s.lo >= 2**63 for s in seeds) > 500
+        counts = (1, 3, 2560)
+        for k, s in enumerate(seeds):
+            for count in counts[k % 3:] + counts[:k % 3]:
+                assert np.array_equal(standard_normals(s, count),
+                                      constructed(s, count))
+
+    def test_concurrent_threads_draw_their_own_streams(self):
+        # Each thread re-keys its own generator; a shared one would let a
+        # thread draw under another's key between re-key and draw. More
+        # threads than cores and a short switch interval force interleaving.
+        names = range(4)
+        seeds = {name: [new_seed(1000 * name + k) for k in range(200)]
+                 for name in names}
+        counts = (1, 2560, 3)
+        expected = {name: [standard_normals(s, counts[k % 3])
+                           for k, s in enumerate(ss)]
+                    for name, ss in seeds.items()}
+        got = {}
+        barrier = threading.Barrier(len(names))
+
+        def draw(name):
+            barrier.wait()
+            got[name] = [standard_normals(s, counts[k % 3])
+                         for k, s in enumerate(seeds[name])]
+
+        threads = [threading.Thread(target=draw, args=(name,))
+                   for name in names]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for name in names:
+            assert all(np.array_equal(a, b)
+                       for a, b in zip(got[name], expected[name], strict=True))
