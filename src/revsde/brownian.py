@@ -104,9 +104,6 @@ class _LRUCache:
             del data[next(iter(data))]
         data[node] = value
 
-    def __len__(self):
-        return len(self._data)
-
 
 @dataclass
 class TreeStats:
@@ -156,8 +153,8 @@ class BrownianInterval:
 
     def __init__(self, t1: float, seed, dims: int = 1, batch: int = 1,
                  cache_capacity: int = 128):
-        if not (t1 > 0.0):
-            raise ValueError(f"horizon must be positive, got {t1}")
+        if not 0.0 < t1 < math.inf:
+            raise ValueError(f"horizon must be positive and finite, got {t1}")
         if dims < 1 or batch < 1:
             raise ValueError("dims and batch must be positive")
         self.t1 = float(t1)
@@ -341,8 +338,8 @@ class VirtualBrownianTree:
 
     def __init__(self, t1: float, seed, dims: int = 1, batch: int = 1,
                  tol: float | None = None):
-        if not (t1 > 0.0):
-            raise ValueError(f"horizon must be positive, got {t1}")
+        if not 0.0 < t1 < math.inf:
+            raise ValueError(f"horizon must be positive and finite, got {t1}")
         if dims < 1 or batch < 1:
             raise ValueError("dims and batch must be positive")
         self.t1 = float(t1)

@@ -6,12 +6,12 @@ diffusion with respect to the state and the (flat) parameter vector, and
 those are small, fixed computations that are written out here and verified
 against central finite differences by `fd_check`.
 
-`VectorField.linearize(t, z)` returns (mu, sigma, pullback): the field's
-values at (t, z) and one function pulling a (d_mu, d_sigma) cotangent back
-to (d_z, d_params), the parameter gradient summed over the batch. The
-reversible adjoint, the unrolled oracle and the continuous adjoint pull
-back only through this; a `NeuralField` keeps each network's forward tape
-for the pullback instead of re-running the forward pass per VJP.
+Each field writes its derivative once, as `_linearize(t, z)` -> (mu,
+sigma, pullback), pullback(d_mu, d_sigma) -> (d_z, d_params) with the
+parameter gradient summed over the batch. Every solver differentiates
+through its counted form `VectorField.linearize`; `vjp_drift` and
+`vjp_diffusion` are that pullback with the other cotangent zero, so
+`fd_check` checks the derivative the solvers run.
 
 Conventions, shared with the solvers:
   * states are batch-major arrays of shape (batch, state_dim);
@@ -181,12 +181,12 @@ def clip_weights(net: MLPField):
 
 
 class VectorField:
-    """Drift/diffusion pair with VJPs and evaluation counters.
+    """Drift/diffusion pair with one derivative and evaluation counters.
 
-    Subclasses provide _drift, _diffusion, _drift_vjp, _diffusion_vjp; the
-    public wrappers count calls so solvers can assert their per-step
-    evaluation budgets. Evaluation is pure; parameter mutation (set_params,
-    clipping) requires exclusive access.
+    Subclasses implement `_drift`, `_diffusion` and `_linearize` (see the
+    module docstring); the public methods count calls so solvers can
+    assert their per-step evaluation budgets. Evaluation is pure;
+    parameter mutation (set_params, clipping) requires exclusive access.
     """
 
     state_dim: int
@@ -210,29 +210,34 @@ class VectorField:
         self.diffusion_evals += 1
         return self._diffusion(t, z)
 
-    def vjp_drift(self, t, z, cotangent):
-        self.drift_vjp_calls += 1
-        return self._drift_vjp(t, z, cotangent)
-
-    def vjp_diffusion(self, t, z, cotangent):
-        self.diffusion_vjp_calls += 1
-        return self._diffusion_vjp(t, z, cotangent)
-
     def linearize(self, t, z):
         """Evaluate (mu, sigma) at (t, z) and return their joint pullback.
 
         pullback(d_mu, d_sigma) returns (d_z, d_params), the gradient of
         <d_mu, mu> + <d_sigma, sigma>, and counts one VJP of each kind.
         """
-        mu = self.eval_drift(t, z)
-        sigma = self.eval_diffusion(t, z)
+        self.drift_evals += 1
+        self.diffusion_evals += 1
+        mu, sigma, pull = self._linearize(t, z)
 
         def pullback(d_mu, d_sigma):
-            gz_mu, gp_mu = self.vjp_drift(t, z, d_mu)
-            gz_sigma, gp_sigma = self.vjp_diffusion(t, z, d_sigma)
-            return gz_mu + gz_sigma, gp_mu + gp_sigma
+            self.drift_vjp_calls += 1
+            self.diffusion_vjp_calls += 1
+            return pull(d_mu, d_sigma)
 
         return mu, sigma, pullback
+
+    def vjp_drift(self, t, z, cotangent):
+        """Gradient of <cotangent, mu>: the pullback of (cotangent, 0)."""
+        self.drift_vjp_calls += 1
+        _, sigma, pull = self._linearize(t, z)
+        return pull(cotangent, np.zeros_like(sigma))
+
+    def vjp_diffusion(self, t, z, cotangent):
+        """Gradient of <cotangent, sigma>: the pullback of (0, cotangent)."""
+        self.diffusion_vjp_calls += 1
+        mu, _, pull = self._linearize(t, z)
+        return pull(np.zeros_like(mu), cotangent)
 
     def get_params(self):
         return np.zeros(0)
@@ -271,31 +276,15 @@ class NeuralField(VectorField):
         out = self.diffusion_net.eval(t, z)
         return out.reshape(z.shape[0], self.state_dim, self.noise_dim)
 
-    def _drift_vjp(self, t, z, cotangent):
-        cot_z, g = self.drift_net.vjp(t, z, cotangent)
-        return cot_z, np.concatenate(
-            [g, np.zeros(self.diffusion_net.n_params)])
-
-    def _diffusion_vjp(self, t, z, cotangent):
-        cot = np.asarray(cotangent).reshape(z.shape[0], -1)
-        cot_z, g = self.diffusion_net.vjp(t, z, cot)
-        return cot_z, np.concatenate([np.zeros(self.drift_net.n_params), g])
-
-    def linearize(self, t, z):
-        """As VectorField.linearize, pulling back through each MLP's tape.
-
-        One forward pass per network serves both the values and the
-        pullback, and the parameter gradient needs no zero padding.
-        """
-        self.drift_evals += 1
-        self.diffusion_evals += 1
+    def _linearize(self, t, z):
+        # One forward pass per network serves both the values and the
+        # pullback, which writes the drift block then the diffusion block.
+        z = np.asarray(z)
         mu, drift_tape = self.drift_net._forward(t, z)
         flat_sigma, diffusion_tape = self.diffusion_net._forward(t, z)
         batch = z.shape[0]
 
         def pullback(d_mu, d_sigma):
-            self.drift_vjp_calls += 1
-            self.diffusion_vjp_calls += 1
             gz_mu, gp_mu = self.drift_net._backward(drift_tape, d_mu)
             gz_sigma, gp_sigma = self.diffusion_net._backward(
                 diffusion_tape, np.asarray(d_sigma).reshape(batch, -1))
@@ -344,15 +333,16 @@ class AnalyticField(VectorField):
     def _diffusion(self, t, z):
         return self._diffusion_fn(t, z)
 
-    def _drift_vjp(self, t, z, cotangent):
-        if self._drift_vjp_fn is None:
-            raise NotImplementedError("no drift derivative supplied")
-        return self._drift_vjp_fn(t, z, cotangent), np.zeros(0)
+    def _linearize(self, t, z):
+        def pullback(d_mu, d_sigma):
+            if self._drift_vjp_fn is None:
+                raise NotImplementedError("no drift_vjp_z closure")
+            if self._diffusion_vjp_fn is None:
+                raise NotImplementedError("no diffusion_vjp_z closure")
+            return (self._drift_vjp_fn(t, z, d_mu)
+                    + self._diffusion_vjp_fn(t, z, d_sigma)), np.zeros(0)
 
-    def _diffusion_vjp(self, t, z, cotangent):
-        if self._diffusion_vjp_fn is None:
-            raise NotImplementedError("no diffusion derivative supplied")
-        return self._diffusion_vjp_fn(t, z, cotangent), np.zeros(0)
+        return self._drift(t, z), self._diffusion(t, z), pullback
 
 
 @dataclass

@@ -33,6 +33,7 @@ so forward and backward passes hit bitwise-identical tree intervals.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -41,6 +42,7 @@ from .fields import VectorField
 
 BASELINE_METHODS = ("midpoint", "heun", "euler_maruyama")
 METHODS = ("reversible_heun",) + BASELINE_METHODS
+ROUNDTRIP_TOL = 1e-9
 
 
 class SolverDivergence(RuntimeError):
@@ -89,8 +91,10 @@ class SolveConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; pick from {METHODS}")
-        if self.dt <= 0 or self.t1 <= 0:
-            raise ValueError("dt and t1 must be positive")
+        for name, value in (("dt", self.dt), ("t1", self.t1)):
+            if not 0.0 < value < np.inf:
+                raise ValueError(
+                    f"{name} must be positive and finite, got {value}")
         n = round(self.t1 / self.dt)
         if n < 1 or abs(n * self.dt - self.t1) > 1e-9 * self.t1:
             raise ValueError(
@@ -123,12 +127,29 @@ def _check_finite(arr: np.ndarray, what: str):
         raise SolverDivergence(f"non-finite {what}")
 
 
-def initial_state(field: VectorField, z0: np.ndarray, t0: float = 0.0) -> RevHeunState:
-    """Start tuple (t0, z0, z0, field(t0, z0)); one eval of each kind."""
+def _step(i, step, *args):
+    """step(*args), naming step i in any SolverDivergence it raises."""
+    try:
+        return step(*args)
+    except SolverDivergence as exc:
+        raise SolverDivergence(f"{exc} at step {i}") from None
+
+
+def _checkpoint_cotangents(checkpoint_cotangents, n_steps):
+    """The checkpoint map, once its keys are checked to be steps 0..n-1."""
+    cps = checkpoint_cotangents or {}
+    for key in cps:
+        if not (isinstance(key, numbers.Integral) and 0 <= key < n_steps):
+            raise ValueError(f"checkpoint key {key!r} is not a step index "
+                             f"0 <= i < n = {n_steps}")
+    return cps
+
+
+def initial_state(field: VectorField, z0: np.ndarray) -> RevHeunState:
+    """Start tuple (0, z0, z0, field(0, z0)); one eval of each kind."""
     z0 = np.atleast_2d(np.asarray(z0, dtype=float))
-    return RevHeunState(t=t0, z=z0, zhat=z0.copy(),
-                        mu=field.eval_drift(t0, z0),
-                        sigma=field.eval_diffusion(t0, z0))
+    return RevHeunState(0.0, z0, z0.copy(), field.eval_drift(0.0, z0),
+                        field.eval_diffusion(0.0, z0))
 
 
 def revheun_step_forward(state: RevHeunState, dt: float, dw: np.ndarray,
@@ -171,13 +192,12 @@ def _revheun_pullback(pullback, cot: CotangentState, dt: float,
 
 def revheun_step_backward(next_state: RevHeunState, cot_next: CotangentState,
                           dt: float, dw: np.ndarray, field: VectorField,
-                          roundtrip_tol: float = 1e-9,
                           ) -> tuple[RevHeunState, CotangentState]:
     """Invert one forward step and pull cotangents through it.
 
     In order: linearizes the field at the stored (t', zhat'); raises
     SolverDivergence if the values differ from the tuple's (mu', sigma')
-    by more than `roundtrip_tol` (relative), since then the tuple did not
+    by more than ROUNDTRIP_TOL (relative), since then the tuple did not
     come from a forward step with this field; pulls (d_z, d_zhat, d_mu,
     d_sigma) back through the step map, accumulating parameter gradients;
     and reconstructs (t, z, zhat, mu, sigma) in closed form with one drift
@@ -187,10 +207,10 @@ def revheun_step_backward(next_state: RevHeunState, cot_next: CotangentState,
                                                   next_state.zhat)
     err = max(_mismatch(mu_lin, next_state.mu),
               _mismatch(sigma_lin, next_state.sigma))
-    if err > roundtrip_tol:
+    if err > ROUNDTRIP_TOL:
         raise SolverDivergence(
             f"reverse-step round trip error {err:.3e} exceeds "
-            f"{roundtrip_tol:.1e}")
+            f"{ROUNDTRIP_TOL:.1e}")
     cot_prev = _revheun_pullback(pullback, cot_next, dt, dw)
     del pullback  # frees the field's tapes before the reconstruction
 
@@ -215,14 +235,11 @@ def revheun_solve(field: VectorField, z0: np.ndarray, config: SolveConfig):
     """
     _require_method("reversible_heun", config)
     ts = config.grid()
-    state = initial_state(field, z0, t0=ts[0])
+    state = initial_state(field, z0)
     trajectory = [state] if config.store_trajectory else None
     for i in range(config.n_steps):
         dw = config.noise.query(ts[i], ts[i + 1])
-        try:
-            state = revheun_step_forward(state, config.dt, dw, field)
-        except SolverDivergence as exc:
-            raise SolverDivergence(f"{exc} at step {i}") from None
+        state = _step(i, revheun_step_forward, state, config.dt, dw, field)
         if trajectory is not None:
             trajectory.append(state)
     return state, trajectory
@@ -242,17 +259,15 @@ def revheun_adjoint_solve(field: VectorField, z0: np.ndarray,
 
     Returns (grad_z0, grad_params).
     """
+    cps = _checkpoint_cotangents(checkpoint_cotangents, config.n_steps)
     terminal, _ = revheun_solve(field, z0, config)
     ts = config.grid()
-    cps = checkpoint_cotangents or {}
     state = terminal
     cot = _terminal_cotangent(field, terminal.z, loss_cotangent)
     for i in reversed(range(config.n_steps)):
         dw = config.noise.query(ts[i], ts[i + 1])
-        try:
-            state, cot = revheun_step_backward(state, cot, config.dt, dw, field)
-        except SolverDivergence as exc:
-            raise SolverDivergence(f"{exc} at step {i}") from None
+        state, cot = _step(i, revheun_step_backward, state, cot, config.dt,
+                           dw, field)
         if i in cps:
             cot.d_z = cot.d_z + np.asarray(cps[i], dtype=float)
     return _revheun_gradients(field, state, cot)
@@ -380,10 +395,7 @@ def baseline_solve(method: str, field: VectorField, z0: np.ndarray,
     trajectory = [state] if config.store_trajectory else None
     for i in range(config.n_steps):
         dw = config.noise.query(ts[i], ts[i + 1])
-        try:
-            state = baseline_step(method, state, config.dt, dw, field)
-        except SolverDivergence as exc:
-            raise SolverDivergence(f"{exc} at step {i}") from None
+        state = _step(i, baseline_step, method, state, config.dt, dw, field)
         if trajectory is not None:
             trajectory.append(state)
     return state, trajectory
@@ -443,6 +455,7 @@ def unrolled_backprop(method: str, field: VectorField, z0: np.ndarray,
     exceed `memory_limit_bytes`. Returns (grad_z0, grad_params).
     """
     _require_method(method, config)
+    cps = _checkpoint_cotangents(checkpoint_cotangents, config.n_steps)
     z0 = np.atleast_2d(np.asarray(z0, dtype=float))
     batch, x = z0.shape
     w = field.noise_dim
@@ -452,14 +465,14 @@ def unrolled_backprop(method: str, field: VectorField, z0: np.ndarray,
             f"unrolled trajectory needs {need} bytes > limit {memory_limit_bytes}")
     ts = config.grid()
     dt = config.dt
-    cps = checkpoint_cotangents or {}
     increments = []
     if method == "reversible_heun":
-        states = [initial_state(field, z0, t0=ts[0])]
+        states = [initial_state(field, z0)]
         for i in range(config.n_steps):
             dw = config.noise.query(ts[i], ts[i + 1])
             increments.append(dw)
-            states.append(revheun_step_forward(states[-1], dt, dw, field))
+            states.append(_step(i, revheun_step_forward, states[-1], dt, dw,
+                                field))
         cot = _terminal_cotangent(field, states[-1].z, loss_cotangent)
         for i in reversed(range(config.n_steps)):
             nxt = states[i + 1]
@@ -472,7 +485,8 @@ def unrolled_backprop(method: str, field: VectorField, z0: np.ndarray,
     for i in range(config.n_steps):
         dw = config.noise.query(ts[i], ts[i + 1])
         increments.append(dw)
-        states.append(baseline_step(method, states[-1], dt, dw, field))
+        states.append(_step(i, baseline_step, method, states[-1], dt, dw,
+                            field))
     scheme = _BASELINE_SCHEMES[method]
     a = np.array(loss_cotangent, dtype=float).reshape(batch, x)
     gp = np.zeros(field.param_count)
@@ -493,14 +507,13 @@ class StabilityResult:
     bounded: bool
 
 
-def stability_probe(lam_h: complex, n_steps: int,
-                    growth_cap: float = 1e12) -> StabilityResult:
+def stability_probe(lam_h: complex, n_steps: int) -> StabilityResult:
     """Drive the reversible Heun step on y' = lam*y with unit step and y0=1.
 
     Complex arithmetic is realized as a real 2-vector rotation-scaling so
     the numeric core stays real. Reports the maximum moduli of both state
     components over the run; `bounded` means neither ever exceeded 10x the
-    initial modulus. Stops early once growth passes `growth_cap`.
+    initial modulus. Stops early once growth passes 1e12.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
@@ -511,8 +524,6 @@ def stability_probe(lam_h: complex, n_steps: int,
         2, 1,
         drift=lambda t, z: z @ rot.T,
         diffusion=lambda t, z: np.zeros((z.shape[0], 2, 1)),
-        drift_vjp_z=lambda t, z, c: c @ rot,
-        diffusion_vjp_z=lambda t, z, c: np.zeros_like(z),
     )
     state = initial_state(field, np.array([[1.0, 0.0]]))
     dw = np.zeros((1, 1))
@@ -526,7 +537,7 @@ def stability_probe(lam_h: complex, n_steps: int,
         mod_zhat = float(np.hypot(state.zhat[0, 0], state.zhat[0, 1]))
         max_z = max(max_z, mod_z)
         max_zhat = max(max_zhat, mod_zhat)
-        if max(max_z, max_zhat) > growth_cap:
+        if max(max_z, max_zhat) > 1e12:
             break
     return StabilityResult(max_z, max_zhat,
                            bounded=max(max_z, max_zhat) <= 10.0)

@@ -4,6 +4,7 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from revsde import brownian
 from revsde.brownian import (
@@ -94,6 +95,33 @@ class TestBrownianIntervalQueries:
         w = tree.query(0.0, 4.0)
         ref = 2.0 * standard_normals(new_seed(42), 6).reshape(3, 2)
         assert np.array_equal(w, ref)
+
+    @pytest.mark.parametrize("t1", [np.inf, np.nan, 0.0, -1.0])
+    def test_nonfinite_or_nonpositive_horizon_rejected(self, t1):
+        with pytest.raises(ValueError,
+                           match=f"positive and finite, got {t1}"):
+            BrownianInterval(t1, 0)
+
+    @settings(max_examples=50, deadline=None)
+    @given(capacity=st.integers(1, 8), seed=st.integers(0, 2 ** 63 - 1),
+           ends=st.lists(st.lists(st.integers(0, 100), min_size=2,
+                                  max_size=2, unique=True),
+                         min_size=1, max_size=12))
+    def test_random_queries_bitwise_stable_across_repeats(self, capacity,
+                                                          seed, ends):
+        queries = [(min(e) / 100, max(e) / 100) for e in ends]
+
+        def run(cap):
+            tree = BrownianInterval(1.0, seed, dims=2, batch=3,
+                                    cache_capacity=cap)
+            first = [tree.query(s, t) for s, t in queries]
+            again = [tree.query(s, t) for s, t in reversed(queries)]
+            return first, again[::-1]
+
+        first, again = run(capacity)
+        assert all(np.array_equal(a, b) for a, b in zip(first, again))
+        wide, _ = run(10_000)
+        assert all(np.array_equal(a, b) for a, b in zip(first, wide))
 
     def test_invalid_queries_rejected(self):
         tree = BrownianInterval(1.0, 0)
@@ -304,6 +332,12 @@ class TestVirtualBrownianTree:
         a = vbt.query(0.5, 0.75)
         b = vbt.query(0.5 + 2.0 ** -14, 0.75 + 2.0 ** -14)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("t1", [np.inf, np.nan, 0.0, -1.0])
+    def test_nonfinite_or_nonpositive_horizon_rejected(self, t1):
+        with pytest.raises(ValueError,
+                           match=f"positive and finite, got {t1}"):
+            VirtualBrownianTree(t1, 8)
 
     def test_invalid_queries_rejected(self):
         vbt = VirtualBrownianTree(1.0, 8)

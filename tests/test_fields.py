@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from revsde.fields import (
     AnalyticField,
@@ -226,6 +227,11 @@ class TestNeuralField:
         assert np.array_equal(field.eval_drift(0.3, z), before)
 
 
+def _counters(field):
+    return (field.drift_evals, field.diffusion_evals, field.drift_vjp_calls,
+            field.diffusion_vjp_calls)
+
+
 def _assert_linearize_matches_counted_calls(field, t, z, d_mu, d_sigma):
     """linearize and its pullback reproduce eval_* and vjp_* bitwise."""
     field.reset_counters()
@@ -237,8 +243,11 @@ def _assert_linearize_matches_counted_calls(field, t, z, d_mu, d_sigma):
 
     assert np.array_equal(mu, field.eval_drift(t, z))
     assert np.array_equal(sigma, field.eval_diffusion(t, z))
+    field.reset_counters()
     gz_mu, gp_mu = field.vjp_drift(t, z, d_mu)
+    assert _counters(field) == (0, 0, 1, 0)
     gz_sigma, gp_sigma = field.vjp_diffusion(t, z, d_sigma)
+    assert _counters(field) == (0, 0, 1, 1)
     assert np.array_equal(d_z, gz_mu + gz_sigma)
     assert d_params.shape == (field.param_count,)
     assert np.array_equal(d_params, gp_mu + gp_sigma)
@@ -254,6 +263,39 @@ class TestLinearize:
         _assert_linearize_matches_counted_calls(
             field, 0.4, z, rng.standard_normal((3, 4)),
             rng.standard_normal((3, 4, 2)))
+
+    @settings(max_examples=30, deadline=None)
+    @given(x=st.integers(1, 4), w=st.integers(1, 3), batch=st.integers(1, 4),
+           hidden=st.lists(st.integers(1, 6), min_size=1, max_size=2),
+           activations=st.tuples(*[st.sampled_from(
+               ["lipswish", "tanh", "sigmoid", "identity"])] * 3),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_random_neural_fields_match_eval_and_vjp_bitwise(
+            self, x, w, batch, hidden, activations, seed):
+        act, drift_head, diffusion_head = activations
+        rng = np.random.default_rng(seed)
+        field = NeuralField(
+            MLPField(x, hidden, x, activation=act,
+                     final_activation=drift_head, rng=rng),
+            MLPField(x, hidden, x * w, activation=act,
+                     final_activation=diffusion_head, rng=rng))
+        _assert_linearize_matches_counted_calls(
+            field, float(rng.uniform(-1.0, 1.0)),
+            rng.standard_normal((batch, x)), rng.standard_normal((batch, x)),
+            rng.standard_normal((batch, x, w)))
+
+    def test_analytic_field_names_a_missing_vjp_closure(self):
+        def field(**vjps):
+            return AnalyticField(
+                1, 1, drift=lambda t, z: np.sin(z),
+                diffusion=lambda t, z: np.ones((z.shape[0], 1, 1)), **vjps)
+
+        z, c = np.ones((1, 1)), np.ones((1, 1))
+        with pytest.raises(NotImplementedError, match="drift_vjp_z"):
+            field().vjp_drift(0.0, z, c)
+        with pytest.raises(NotImplementedError, match="diffusion_vjp_z"):
+            field(drift_vjp_z=lambda t, z, c: np.cos(z) * c).vjp_drift(
+                0.0, z, c)
 
     def test_base_class_version_on_analytic_field(self):
         a = np.array([[0.5, -0.2], [0.1, 0.4]])
@@ -306,6 +348,27 @@ class TestFdCheck:
         z = np.ones((1, 1))
         rep = fd_check(field, 0.0, z)
         assert not rep.ok
+
+    def test_corrupted_linearize_pullback_is_flagged(self, monkeypatch):
+        # fd_check reaches the pullback the solvers differentiate through.
+        rng = np.random.default_rng(17)
+        field = NeuralField(MLPField(4, [8], 4, rng=rng),
+                            MLPField(4, [8], 8, rng=rng))
+        z = rng.standard_normal((2, 4))
+        linearize = NeuralField._linearize
+
+        def corrupted(self, t, z):
+            mu, sigma, pull = linearize(self, t, z)
+
+            def pullback(d_mu, d_sigma):
+                d_z, d_params = pull(d_mu, d_sigma)
+                return 1.01 * d_z, d_params
+
+            return mu, sigma, pullback
+
+        assert fd_check(field, 0.4, z).ok
+        monkeypatch.setattr(NeuralField, "_linearize", corrupted)
+        assert not fd_check(field, 0.4, z).ok
 
     def test_vjp_directional_consistency(self):
         rng = np.random.default_rng(18)

@@ -88,6 +88,15 @@ class TestSolveConfig:
         with pytest.raises(ValueError):
             SolveConfig("heun", 0.3, 1.0, None)
 
+    @pytest.mark.parametrize("name, dt, t1", [
+        ("dt", math.nan, 1.0), ("dt", math.inf, 1.0), ("dt", 0.0, 1.0),
+        ("t1", 0.25, math.inf), ("t1", 0.25, math.nan), ("t1", 0.25, -1.0)])
+    def test_rejects_nonfinite_or_nonpositive_steps(self, name, dt, t1):
+        value = dt if name == "dt" else t1
+        with pytest.raises(ValueError, match=f"{name} must be positive and "
+                                             f"finite, got {value}"):
+            SolveConfig("heun", dt, t1, None)
+
     def test_grid_endpoint_pinned(self):
         cfg = SolveConfig("heun", 0.1, 1.0, None)
         grid = cfg.grid()
@@ -379,6 +388,29 @@ class TestAdjointGradients:
                                     checkpoint_cotangents=cps)
         assert rel_l1(ga, gpa, gu, gpu) <= 1e-12
 
+    @pytest.mark.parametrize("key", [4, -1, 2.5])
+    def test_checkpoint_keys_outside_the_grid_rejected(self, key):
+        field, z0, cot = zero_field(), np.zeros((1, 1)), np.ones((1, 1))
+        cps = {key: np.ones((1, 1))}
+
+        def config(method):
+            return SolveConfig(method, 0.25, 1.0,
+                               BrownianInterval(1.0, 1, dims=1, batch=1))
+
+        for solve in (
+                lambda: revheun_adjoint_solve(
+                    field, z0, config("reversible_heun"), cot,
+                    checkpoint_cotangents=cps),
+                lambda: unrolled_backprop(
+                    "reversible_heun", field, z0, config("reversible_heun"),
+                    cot, checkpoint_cotangents=cps),
+                lambda: unrolled_backprop(
+                    "heun", field, z0, config("heun"), cot,
+                    checkpoint_cotangents=cps)):
+            with pytest.raises(ValueError,
+                               match=f"checkpoint key {key!r} .* n = 4"):
+                solve()
+
 
 class TestBaselineSteps:
     def test_zero_field_identity(self):
@@ -578,6 +610,20 @@ class TestUnrolledBackprop:
                                   cfg, np.ones((1, 1)))
         m_pow = np.linalg.matrix_power(linear_step_matrix(lam, dt), n)
         assert abs(g0[0, 0] - (m_pow @ np.ones(2))[0]) < 1e-13
+
+    @pytest.mark.parametrize("method", ["reversible_heun", "heun"])
+    def test_divergence_reports_step_index(self, method):
+        blow = AnalyticField(
+            1, 1,
+            drift=lambda t, z: z * z * 1e200,
+            diffusion=lambda t, z: np.zeros((z.shape[0], 1, 1)),
+        )
+        cfg = SolveConfig(method, 0.25, 1.0,
+                          BrownianInterval(1.0, 3, dims=1, batch=1))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                SolverDivergence, match="at step 0$"):
+            unrolled_backprop(method, blow, np.array([[1e200]]), cfg,
+                              np.ones((1, 1)))
 
     def test_memory_ceiling_raises(self):
         tree = BrownianInterval(1.0, 31, dims=1, batch=4)
