@@ -194,14 +194,18 @@ class BrownianInterval:
         leaf width is at most (4/5) * step_estimate * cache_capacity. A later
         backward sweep then recomputes chains bounded by one leaf's worth
         of steps plus the dyadic depth, instead of chains that grow with
-        the total step count. Degenerate targets (>= t1) are a no-op.
-        Changes the tree topology, and therefore the realized path, for a
-        given seed.
+        the total step count. Every solver that sweeps its grid backward
+        calls this with its step size before its forward pass.
+
+        A no-op on a tree that queries have already split (the root has
+        children), so it never reshapes a path that has been drawn, and on
+        degenerate targets (>= t1). Otherwise it changes the tree topology,
+        and therefore the realized path, for a given seed.
         """
         if step_estimate <= 0:
             raise ValueError(f"step estimate must be positive, got {step_estimate}")
         target = 0.8 * step_estimate * self._cache.capacity
-        if target >= self.t1:
+        if target >= self.t1 or self._root.left is not None:
             return
         depth = math.ceil(math.log2(self.t1 / target))
         for level in range(1, depth + 1):

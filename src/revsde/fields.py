@@ -44,21 +44,21 @@ def lipswish_grad(x):
     return LIPSWISH_SCALE * s * (1.0 + x * (1.0 - s))
 
 
-def _tanh_grad(x):
-    t = np.tanh(x)
-    return 1.0 - t * t
-
-
-def _sigmoid_grad(x):
-    s = sigmoid(x)
-    return s * (1.0 - s)
+# Each activation as (forward, derivative): forward(h) -> (y, memo) and
+# derivative(y, memo) -> dy/dh, from what the forward pass already
+# computed, so a pullback never re-evaluates a nonlinearity. LipSwish's
+# memo is its sigmoid: dy/dh = 0.909 s + y (1 - s).
+def _lipswish_forward(h):
+    s = sigmoid(h)
+    return LIPSWISH_SCALE * h * s, s
 
 
 _ACTIVATIONS = {
-    "lipswish": (lipswish, lipswish_grad),
-    "tanh": (np.tanh, _tanh_grad),
-    "sigmoid": (sigmoid, _sigmoid_grad),
-    "identity": (lambda x: x, lambda x: np.ones_like(x)),
+    "lipswish": (_lipswish_forward,
+                 lambda y, s: LIPSWISH_SCALE * s + y * (1.0 - s)),
+    "tanh": (lambda h: (np.tanh(h), None), lambda y, _: 1.0 - y * y),
+    "sigmoid": (lambda h: (sigmoid(h), None), lambda y, _: y * (1.0 - y)),
+    "identity": (lambda h: (h, None), lambda y, _: 1.0),
 }
 
 
@@ -111,7 +111,7 @@ class MLPField:
 
     def _backward(self, tape, cotangent):
         """Reverse pass of `vjp` over the tape of one `_forward` call."""
-        pre, inputs = tape
+        memos, inputs = tape
         batch = inputs[0].shape[0]
         cot = np.asarray(cotangent)
         if cot.shape != (batch, self.out_dim):
@@ -121,13 +121,13 @@ class MLPField:
         n_layers = len(self.weights)
         grads_w = [None] * n_layers
         grads_b = [None] * n_layers
-        g = cot * self._final_grad(pre[-1])
+        g = cot * self._final_grad(inputs[-1], memos[-1])
         for i in reversed(range(n_layers)):
             grads_w[i] = g.T @ inputs[i]
             grads_b[i] = g.sum(axis=0)
             g = g @ self.weights[i]
             if i > 0:
-                g = g * self._act_grad(pre[i - 1])
+                g = g * self._act_grad(inputs[i], memos[i - 1])
         cot_z = g[:, :self.state_dim]  # drop the time column
         flat = np.concatenate(
             [np.concatenate([w.ravel(), b])
@@ -139,17 +139,15 @@ class MLPField:
             raise ValueError(
                 f"state must be (batch, {self.state_dim}), got {z.shape}")
         x = np.concatenate([z, np.full((z.shape[0], 1), float(t))], axis=1)
-        pre = []
+        memos = []
         inputs = [x]
         n_layers = len(self.weights)
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = inputs[-1] @ w.T + b
-            pre.append(h)
-            if i == n_layers - 1:
-                inputs.append(self._final(h))
-            else:
-                inputs.append(self._act(h))
-        return inputs[-1], (pre, inputs)
+            act = self._final if i == n_layers - 1 else self._act
+            y, memo = act(inputs[-1] @ w.T + b)
+            memos.append(memo)
+            inputs.append(y)
+        return inputs[-1], (memos, inputs)
 
     def get_params(self):
         """Flatten all parameters, weights-then-bias per layer."""

@@ -83,6 +83,12 @@ class ExperimentConfig:
             if getattr(self, name) < 1:
                 raise ValueError(
                     f"{name} must be >= 1, got {getattr(self, name)}")
+        if min(self.subintervals) < 1:
+            raise ValueError(
+                f"subintervals must all be >= 1, got {self.subintervals}")
+        if not 0.0 <= self.lr < math.inf:
+            raise ValueError(
+                f"lr must be non-negative and finite, got {self.lr}")
 
 
 def _tree_seed(config_seed, run_index):

@@ -8,13 +8,17 @@ a single drift and a single diffusion evaluation per step:
     z' = z + (mu + mu') dt / 2 + (sigma + sigma') dW / 2
 
 The update is algebraically invertible, so the backward pass needs no
-stored trajectory. Each backward step linearizes the field at the stored
-(t', zhat'), checks that the values reproduce the tuple's (mu', sigma'),
-pulls the cotangents back through the step map, and reconstructs the
-previous tuple in closed form with one drift and one diffusion
-evaluation. Iterating that from the terminal state gives gradients that
-match exact reverse-mode differentiation of the forward recurrence to
-floating-point reconstruction error, with O(1) storage.
+stored trajectory. Each backward step pulls the cotangents back through
+the step map with the field's linearization at (t', zhat'), then
+reconstructs the previous tuple in closed form with one `linearize` at
+(t, zhat): one drift and one diffusion evaluation, whose tape the tuple
+carries into the next backward step. A tuple that arrives without a tape
+(the forward solve's terminal tuple, or a caller's own) is linearized
+first, and its values are checked against its (mu', sigma'). Iterating
+from the terminal state gives gradients that match exact reverse-mode
+differentiation of the forward recurrence to floating-point
+reconstruction error, with O(1) storage: one evaluation pair and one
+pullback per step, and one tape set alive at a time.
 
 Also here: midpoint / Heun / Euler-Maruyama baseline steps, the continuous
 (backward-SDE) adjoint for the baselines, the O(N)-memory unrolled
@@ -28,7 +32,11 @@ the continuous adjoint included, differentiates the field through
 `field.linearize`.
 
 Noise is always queried on the solve's time grid (i*dt, end pinned to t1)
-so forward and backward passes hit bitwise-identical tree intervals.
+so forward and backward passes hit bitwise-identical tree intervals. Every
+solve that sweeps the grid backward first asks its noise to split itself
+dyadically at the step size (`prebuild_dyadic`), so the reverse sweep's
+tree work stays O(1) amortized per query; forward-only solves leave the
+tree shape to their queries.
 """
 
 from __future__ import annotations
@@ -51,13 +59,21 @@ class SolverDivergence(RuntimeError):
 
 @dataclass
 class RevHeunState:
-    """Solver 5-tuple; mu/sigma are the field evaluated at (t, zhat)."""
+    """Solver 5-tuple; mu/sigma are the field evaluated at (t, zhat).
+
+    `pullback`, when set, is the pullback of the field's linearization at
+    (t, zhat) that produced mu/sigma. A backward-step reconstruction sets
+    it and the next backward step takes it (leaving None behind), so that
+    step pulls back without evaluating the field again.
+    """
 
     t: float
     z: np.ndarray      # (batch, x)
     zhat: np.ndarray   # (batch, x)
     mu: np.ndarray     # (batch, x)
     sigma: np.ndarray  # (batch, x, w)
+    pullback: object = dataclass_field(default=None, repr=False,
+                                       compare=False)
 
 
 @dataclass
@@ -135,6 +151,14 @@ def _step(i, step, *args):
         raise SolverDivergence(f"{exc} at step {i}") from None
 
 
+def _prebuild(config):
+    """Split the noise dyadically at dt, if it can (a VirtualBrownianTree
+    cannot), before a solve that sweeps its grid backward."""
+    prebuild = getattr(config.noise, "prebuild_dyadic", None)
+    if prebuild is not None:
+        prebuild(config.dt)
+
+
 def _checkpoint_cotangents(checkpoint_cotangents, n_steps):
     """The checkpoint map, once its keys are checked to be steps 0..n-1."""
     cps = checkpoint_cotangents or {}
@@ -195,22 +219,26 @@ def revheun_step_backward(next_state: RevHeunState, cot_next: CotangentState,
                           ) -> tuple[RevHeunState, CotangentState]:
     """Invert one forward step and pull cotangents through it.
 
-    In order: linearizes the field at the stored (t', zhat'); raises
-    SolverDivergence if the values differ from the tuple's (mu', sigma')
-    by more than ROUNDTRIP_TOL (relative), since then the tuple did not
-    come from a forward step with this field; pulls (d_z, d_zhat, d_mu,
-    d_sigma) back through the step map, accumulating parameter gradients;
-    and reconstructs (t, z, zhat, mu, sigma) in closed form with one drift
-    and one diffusion evaluation.
+    Takes the tuple's carried pullback, leaving `next_state.pullback`
+    None. A tuple without one is linearized at (t', zhat') and raises
+    SolverDivergence if the values differ from its (mu', sigma') by more
+    than ROUNDTRIP_TOL (relative), since then it did not come from a
+    forward step with this field. Pulls (d_z, d_zhat, d_mu, d_sigma) back
+    through the step map, accumulating parameter gradients, then
+    reconstructs (t, z, zhat, mu, sigma) in closed form with one
+    `linearize` at (t, zhat) -- one drift and one diffusion evaluation --
+    whose pullback the returned tuple carries.
     """
-    mu_lin, sigma_lin, pullback = field.linearize(next_state.t,
-                                                  next_state.zhat)
-    err = max(_mismatch(mu_lin, next_state.mu),
-              _mismatch(sigma_lin, next_state.sigma))
-    if err > ROUNDTRIP_TOL:
-        raise SolverDivergence(
-            f"reverse-step round trip error {err:.3e} exceeds "
-            f"{ROUNDTRIP_TOL:.1e}")
+    pullback, next_state.pullback = next_state.pullback, None
+    if pullback is None:
+        mu_lin, sigma_lin, pullback = field.linearize(next_state.t,
+                                                      next_state.zhat)
+        err = max(_mismatch(mu_lin, next_state.mu),
+                  _mismatch(sigma_lin, next_state.sigma))
+        if err > ROUNDTRIP_TOL:
+            raise SolverDivergence(
+                f"reverse-step round trip error {err:.3e} exceeds "
+                f"{ROUNDTRIP_TOL:.1e}")
     cot_prev = _revheun_pullback(pullback, cot_next, dt, dw)
     del pullback  # frees the field's tapes before the reconstruction
 
@@ -218,12 +246,12 @@ def revheun_step_backward(next_state: RevHeunState, cot_next: CotangentState,
     sig_dw_next = _sdw(next_state.sigma, dw)
     zhat_prev = (2.0 * next_state.z - next_state.zhat
                  - next_state.mu * dt - sig_dw_next)
-    mu_prev = field.eval_drift(t_prev, zhat_prev)
-    sigma_prev = field.eval_diffusion(t_prev, zhat_prev)
+    mu_prev, sigma_prev, pullback_prev = field.linearize(t_prev, zhat_prev)
     z_prev = (next_state.z - 0.5 * dt * (mu_prev + next_state.mu)
               - 0.5 * _sdw(sigma_prev + next_state.sigma, dw))
     _check_finite(z_prev, "reconstructed state")
-    return RevHeunState(t_prev, z_prev, zhat_prev, mu_prev, sigma_prev), cot_prev
+    return RevHeunState(t_prev, z_prev, zhat_prev, mu_prev, sigma_prev,
+                        pullback_prev), cot_prev
 
 
 def revheun_solve(field: VectorField, z0: np.ndarray, config: SolveConfig):
@@ -255,11 +283,14 @@ def revheun_adjoint_solve(field: VectorField, z0: np.ndarray,
     the forward and backward increment queries, which return identical
     values by construction. Optional `checkpoint_cotangents` maps a step
     index i (0 <= i < n) to an extra cotangent on z at time i*dt, for
-    losses that also read interior states.
+    losses that also read interior states. The noise is prebuilt
+    dyadically at dt first (see `_prebuild`).
 
     Returns (grad_z0, grad_params).
     """
     cps = _checkpoint_cotangents(checkpoint_cotangents, config.n_steps)
+    _require_method("reversible_heun", config)
+    _prebuild(config)
     terminal, _ = revheun_solve(field, z0, config)
     ts = config.grid()
     state = terminal
@@ -285,8 +316,13 @@ def _terminal_cotangent(field, z, loss_cotangent) -> CotangentState:
 
 
 def _revheun_gradients(field, first: RevHeunState, cot: CotangentState):
-    """(grad_z0, grad_params), folding in the initial (mu, sigma) evaluation."""
-    _, _, pullback = field.linearize(first.t, first.z)
+    """(grad_z0, grad_params), folding in the initial (mu, sigma) evaluation.
+
+    Pulls back through the tape `first` carries, else linearizes at z0.
+    """
+    pullback = first.pullback
+    if pullback is None:
+        _, _, pullback = field.linearize(first.t, first.z)
     gz, gp = pullback(cot.d_mu, cot.d_sigma)
     return cot.d_z + cot.d_zhat + gz, cot.d_params + gp
 
@@ -416,6 +452,8 @@ def continuous_adjoint_solve(method: str, field: VectorField, z0: np.ndarray,
     """
     if method not in ("midpoint", "heun"):
         raise ValueError(f"continuous adjoint supports midpoint/heun, got {method!r}")
+    _require_method(method, config)
+    _prebuild(config)
     terminal, _ = baseline_solve(method, field, z0, config)
     batch, x = terminal.z.shape
     n = batch * x
@@ -452,7 +490,9 @@ def unrolled_backprop(method: str, field: VectorField, z0: np.ndarray,
     then applies the exact reverse-mode chain rule through each step with
     the step pullbacks the reversible adjoint and the baseline schemes
     share. Raises MemoryError up front if the stored trajectory would
-    exceed `memory_limit_bytes`. Returns (grad_z0, grad_params).
+    exceed `memory_limit_bytes`. Prebuilds the noise like the adjoints, so
+    on a fresh tree of the same seed it sees their noise. Returns
+    (grad_z0, grad_params).
     """
     _require_method(method, config)
     cps = _checkpoint_cotangents(checkpoint_cotangents, config.n_steps)
@@ -463,6 +503,7 @@ def unrolled_backprop(method: str, field: VectorField, z0: np.ndarray,
     if need > memory_limit_bytes:
         raise MemoryError(
             f"unrolled trajectory needs {need} bytes > limit {memory_limit_bytes}")
+    _prebuild(config)
     ts = config.grid()
     dt = config.dt
     increments = []

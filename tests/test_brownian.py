@@ -313,6 +313,32 @@ class TestPrebuildDyadic:
 
         assert np.array_equal(run(), run())
 
+    def test_second_prebuild_is_a_noop(self):
+        tree = BrownianInterval(1.0, 4, batch=2, cache_capacity=8)
+        tree.prebuild_dyadic(0.01)
+        grid = [(k / 100, (k + 1) / 100) for k in range(100)]
+        first = np.stack([tree.query(s, t) for s, t in grid])
+        nodes, queries = tree.stats().node_count, tree.stats().queries
+        tree.prebuild_dyadic(0.01)
+        assert (tree.stats().node_count, tree.stats().queries) == (nodes,
+                                                                  queries)
+        assert np.array_equal(np.stack([tree.query(s, t) for s, t in grid]),
+                              first)
+
+    def test_prebuild_after_a_sequential_sweep_makes_no_nodes(self):
+        # A tree that queries have split keeps its shape: the prebuild
+        # neither reshapes the drawn path nor sums whole halves of it.
+        tree = BrownianInterval(1.0, 9, cache_capacity=8)
+        grid = [(k / 100, (k + 1) / 100) for k in range(100)]
+        first = np.stack([tree.query(s, t) for s, t in grid])
+        before = tree.stats()
+        tree.prebuild_dyadic(0.01)
+        after = tree.stats()
+        assert after.node_count == before.node_count
+        assert after.queries == before.queries
+        assert np.array_equal(np.stack([tree.query(s, t) for s, t in grid]),
+                              first)
+
 
 class TestVirtualBrownianTree:
     def test_full_span_is_root_draw(self):

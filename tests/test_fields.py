@@ -337,6 +337,20 @@ class TestFdCheck:
         assert rep.ok
         assert rep.max_rel_error <= 1e-5
 
+    @pytest.mark.parametrize("activation",
+                             ["lipswish", "tanh", "sigmoid", "identity"])
+    def test_every_activation_as_hidden_layer_and_head(self, activation):
+        # The pullback reads each derivative from the forward pass's tape.
+        rng = np.random.default_rng(19)
+        field = NeuralField(
+            MLPField(3, [6], 3, activation=activation,
+                     final_activation=activation, rng=rng),
+            MLPField(3, [6], 6, activation=activation,
+                     final_activation=activation, rng=rng))
+        rep = fd_check(field, 0.3, rng.standard_normal((2, 3)))
+        assert rep.ok
+        assert rep.max_rel_error <= 1e-5
+
     def test_corrupted_vjp_is_flagged(self):
         field = AnalyticField(
             1, 1,

@@ -40,6 +40,22 @@ class TestConfig:
             main(["fit-toy", "--iters", "0", "--out",
                   str(tmp_path / "fit.csv")])
 
+    def test_cli_rejects_zero_subintervals(self, tmp_path):
+        # Before: ZeroDivisionError deep inside the query-order builder.
+        with pytest.raises(ValueError,
+                           match=r"^subintervals must all be >= 1, got \[10, 0\]"):
+            main(["brownian-bench", "--subintervals", "10,0", "--out",
+                  str(tmp_path / "bench.csv")])
+
+    @pytest.mark.parametrize("lr", ["-0.02", "nan", "inf"])
+    def test_cli_rejects_negative_or_nonfinite_lr(self, lr, tmp_path):
+        # Before: exit 0 with a bitwise-flat loss, every update skipped.
+        with pytest.raises(ValueError,
+                           match=f"^lr must be non-negative and finite, "
+                                 f"got {float(lr)}"):
+            main(["fit-toy", "--lr", lr, "--iters", "1", "--out",
+                  str(tmp_path / "fit.csv")])
+
     def test_config_file_parsing(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text(

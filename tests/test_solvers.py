@@ -4,12 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from revsde.brownian import BrownianInterval
 from revsde.fields import AnalyticField, MLPField, NeuralField
 from revsde.solvers import (
     CotangentState,
     PathState,
+    RevHeunState,
     SolveConfig,
     SolverDivergence,
     baseline_solve,
@@ -218,13 +220,17 @@ class TestRevHeunBackwardStep:
         with pytest.raises(SolverDivergence, match="round trip"):
             revheun_step_backward(corrupted, cot, 0.1, dw, field)
 
-    def test_two_forward_passes_per_network(self, monkeypatch):
-        # One for the linearization at (t', zhat'), one for the
-        # reconstruction at (t, zhat); the pullback reuses the first tape.
+    def test_one_forward_pass_per_network_on_a_carried_tuple(self,
+                                                             monkeypatch):
+        # A tuple from a backward step carries its reconstruction's tape:
+        # the next step pulls back through it and runs one forward pass
+        # per network, for its own reconstruction. A tuple without a tape
+        # is linearized first, so it costs two.
         field = reduced_neural_field(seed=6, x=3, w=2)
         state = initial_state(field, np.zeros((2, 3)))
         dw = np.full((2, 2), 0.1)
-        nxt = revheun_step_forward(state, 0.1, dw, field)
+        s1 = revheun_step_forward(state, 0.1, dw, field)
+        s2 = revheun_step_forward(s1, 0.1, dw, field)
         cot = CotangentState(np.ones((2, 3)), np.zeros((2, 3)),
                              np.zeros((2, 3)), np.zeros((2, 3, 2)),
                              np.zeros(field.param_count))
@@ -235,10 +241,41 @@ class TestRevHeunBackwardStep:
             calls.append(net)
             return forward(net, t, z)
 
+        def passes():
+            counts = (sum(net is field.drift_net for net in calls),
+                      sum(net is field.diffusion_net for net in calls))
+            calls.clear()
+            return counts
+
         monkeypatch.setattr(MLPField, "_forward", counted)
-        revheun_step_backward(nxt, cot, 0.1, dw, field)
-        assert sum(net is field.drift_net for net in calls) == 2
-        assert sum(net is field.diffusion_net for net in calls) == 2
+        carried, cot1 = revheun_step_backward(s2, cot, 0.1, dw, field)
+        assert passes() == (2, 2)
+        assert carried.pullback is not None
+        revheun_step_backward(carried, cot1, 0.1, dw, field)
+        assert passes() == (1, 1)
+
+    def test_step_takes_the_input_tuples_tape(self):
+        # Only one tape set is alive at a time: the step leaves the input
+        # tuple without its pullback. The carried tape pulls back bitwise
+        # what a fresh linearization of the same tuple would.
+        field = reduced_neural_field(seed=7, x=3, w=2)
+        rng = np.random.default_rng(0)
+        state = initial_state(field, rng.standard_normal((2, 3)))
+        dws = [rng.standard_normal((2, 2)) * 0.3 for _ in range(2)]
+        s1 = revheun_step_forward(state, 0.1, dws[0], field)
+        s2 = revheun_step_forward(s1, 0.1, dws[1], field)
+        cot = CotangentState(*(rng.standard_normal(a.shape) for a in (
+            s2.z, s2.zhat, s2.mu, s2.sigma)), np.zeros(field.param_count))
+        carried, cot1 = revheun_step_backward(s2, cot, 0.1, dws[1], field)
+        fresh = RevHeunState(carried.t, carried.z, carried.zhat, carried.mu,
+                             carried.sigma)
+        assert s2.pullback is None
+        _, via_tape = revheun_step_backward(carried, cot1, 0.1, dws[0], field)
+        assert carried.pullback is None
+        _, via_fresh = revheun_step_backward(fresh, cot1, 0.1, dws[0], field)
+        for name in ("d_z", "d_zhat", "d_mu", "d_sigma", "d_params"):
+            np.testing.assert_array_equal(getattr(via_tape, name),
+                                          getattr(via_fresh, name))
 
 
 class TestRevHeunSolve:
@@ -387,6 +424,52 @@ class TestAdjointGradients:
                                     np.ones((2, 3)),
                                     checkpoint_cotangents=cps)
         assert rel_l1(ga, gpa, gu, gpu) <= 1e-12
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), x=st.integers(1, 3),
+           w=st.integers(1, 3), width=st.integers(1, 6),
+           batch=st.integers(1, 4), n=st.integers(1, 24),
+           capacity=st.integers(1, 8))
+    def test_random_problems_match_oracle_on_fresh_trees(
+            self, seed, x, w, width, batch, n, capacity):
+        # Capacities 1-8 make the dyadic prebuild split the tree at these
+        # small n; each solve gets its own tree, so the two agree only if
+        # both prebuild it the same way.
+        rng = np.random.default_rng(seed)
+        field = NeuralField(
+            MLPField(x, [width], x, final_activation="tanh", rng=rng),
+            MLPField(x, [width], x * w, final_activation="sigmoid", rng=rng))
+        z0 = rng.standard_normal((batch, x))
+        cot = rng.standard_normal((batch, x))
+
+        def config():
+            return SolveConfig(
+                "reversible_heun", 1.0 / n, 1.0,
+                BrownianInterval(1.0, seed, dims=w, batch=batch,
+                                 cache_capacity=capacity))
+
+        ga, gpa = revheun_adjoint_solve(field, z0, config(), cot)
+        gu, gpu = unrolled_backprop("reversible_heun", field, z0, config(),
+                                    cot)
+        assert rel_l1(ga, gpa, gu, gpu) <= 1e-12
+
+    def test_reverse_sweep_tree_work_bounded(self):
+        # 2^14 steps, 128 times the LRU: the dyadic prebuild bounds each
+        # recompute chain by one leaf's worth of steps plus the dyadic
+        # depth, and keeps the recomputes per query O(1). A tree built by
+        # the forward sweep alone recomputes chains as deep as n.
+        n = 1 << 14
+        field = AnalyticField(
+            1, 1, drift=lambda t, z: 0.3 * z,
+            diffusion=lambda t, z: np.full((z.shape[0], 1, 1), 0.5),
+            drift_vjp_z=lambda t, z, c: 0.3 * c,
+            diffusion_vjp_z=lambda t, z, c: np.zeros_like(z))
+        tree = BrownianInterval(1.0, 3, dims=1, batch=1)
+        cfg = SolveConfig("reversible_heun", 1.0 / n, 1.0, tree)
+        revheun_adjoint_solve(field, np.ones((1, 1)), cfg, np.ones((1, 1)))
+        stats = tree.stats()
+        assert stats.max_sample_depth <= tree.cache_capacity + math.log2(n)
+        assert stats.sample_recomputes / stats.queries <= 4
 
     @pytest.mark.parametrize("key", [4, -1, 2.5])
     def test_checkpoint_keys_outside_the_grid_rejected(self, key):
