@@ -114,7 +114,6 @@ class TreeStats:
     cache_misses: int
     queries: int
     traverse_edges: int
-    max_traverse_edges: int
     sample_recomputes: int
     max_sample_depth: int
 
@@ -166,7 +165,6 @@ class BrownianInterval:
         self._node_count = 1
         self._queries = 0
         self._traverse_edges = 0
-        self._max_traverse_edges = 0
         self._sample_recomputes = 0
         self._max_sample_depth = 0
 
@@ -202,8 +200,9 @@ class BrownianInterval:
         degenerate targets (>= t1). Otherwise it changes the tree topology,
         and therefore the realized path, for a given seed.
         """
-        if step_estimate <= 0:
-            raise ValueError(f"step estimate must be positive, got {step_estimate}")
+        if not 0.0 < step_estimate < math.inf:
+            raise ValueError(f"step estimate must be positive and finite, "
+                             f"got {step_estimate}")
         target = 0.8 * step_estimate * self._cache.capacity
         if target >= self.t1 or self._root.left is not None:
             return
@@ -222,7 +221,6 @@ class BrownianInterval:
             cache_misses=self._cache.misses,
             queries=self._queries,
             traverse_edges=self._traverse_edges,
-            max_traverse_edges=self._max_traverse_edges,
             sample_recomputes=self._sample_recomputes,
             max_sample_depth=self._max_sample_depth,
         )
@@ -233,7 +231,6 @@ class BrownianInterval:
         self._cache.misses = 0
         self._queries = 0
         self._traverse_edges = 0
-        self._max_traverse_edges = 0
         self._sample_recomputes = 0
         self._max_sample_depth = 0
 
@@ -286,8 +283,6 @@ class BrownianInterval:
                     stack.append((nd.right, m, qb))
                     stack.append((nd.left, qa, m))
         self._traverse_edges += edges
-        if edges > self._max_traverse_edges:
-            self._max_traverse_edges = edges
         return out
 
     def _sample(self, node: _Node) -> np.ndarray:

@@ -75,7 +75,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for name in ("step_sizes", "methods", "cases", "subintervals",
-                     "patterns"):
+                     "patterns", "weak_step_sizes"):
             if not getattr(self, name):
                 raise ValueError(f"{name} must be non-empty")
         for name in ("iters", "repeats", "batch", "paths", "weak_paths",
@@ -267,7 +267,17 @@ def run_convergence(config: ExperimentConfig):
     the first-moment signal clears the coupled Monte Carlo noise floor
     (at desk-scale path counts it does not for very small steps).
     Returns (rows, slopes); slopes carry OLS fits with residual sums.
+    Raises ValueError before any solve if a sweep that runs has fewer than
+    two distinct step sizes, since a slope needs two points.
     """
+    sweeps = [("strong", "step_sizes", config.step_sizes)]
+    if "additive" in config.cases:
+        sweeps.append(("weak", "weak_step_sizes", config.weak_step_sizes))
+    for sweep, name, sizes in sweeps:
+        if len(set(sizes)) < 2:
+            raise ValueError(f"the {sweep} sweep needs at least two "
+                             f"distinct step sizes to fit a slope, got "
+                             f"{name} = {sizes}")
     if config.paths < 1000:
         print("warning: fewer than 1000 paths; estimators will be noisy",
               file=sys.stderr)

@@ -7,50 +7,55 @@ a single drift and a single diffusion evaluation per step:
     mu', sigma' = field(t + dt, zhat')
     z' = z + (mu + mu') dt / 2 + (sigma + sigma') dW / 2
 
-The update is algebraically invertible, so the backward pass needs no
-stored trajectory. Each backward step pulls the cotangents back through
-the step map with the field's linearization at (t', zhat'), then
-reconstructs the previous tuple in closed form with one `linearize` at
-(t, zhat): one drift and one diffusion evaluation, whose tape the tuple
-carries into the next backward step. A tuple that arrives without a tape
-(the forward solve's terminal tuple, or a caller's own) is linearized
-first, and its values are checked against its (mu', sigma'). Iterating
-from the terminal state gives gradients that match exact reverse-mode
-differentiation of the forward recurrence to floating-point
-reconstruction error, with O(1) storage: one evaluation pair and one
-pullback per step, and one tape set alive at a time.
+The update is algebraically reversible: its inverse is the same update,
+`_revheun_update`, run from the tuple after a step with (-dt, -dW), so the
+backward pass needs no stored trajectory. Each backward step pulls the
+cotangents back through the step map with the field's linearization at
+(t', zhat'), then reconstructs the previous tuple by that negated update,
+whose evaluation at (t, zhat) is one `linearize`: one drift and one
+diffusion evaluation, whose tape the tuple carries into the next step. A
+tuple that arrives without a tape (the forward solve's terminal tuple, or
+a caller's own) is linearized first, and its values are checked against
+its (mu', sigma'). Iterating from the terminal state gives gradients that
+match exact reverse-mode differentiation of the forward recurrence to
+floating-point reconstruction error, with O(1) storage: one evaluation
+pair and one pullback per step, and one tape set alive at a time.
 
-Also here: midpoint / Heun / Euler-Maruyama baseline steps, the continuous
-(backward-SDE) adjoint for the baselines, the O(N)-memory unrolled
-backpropagation used as the gradient oracle, and a linear stability probe.
-Each scheme's step algebra and its pullback are written once. The baseline
-schemes are written in increment form, seeing the field only through the
-step's increment mu dt + sigma dW, so one scheme serves the forward solve,
-the oracle and the continuous adjoint, which integrates the flat (state,
+Also here: midpoint / Heun baseline steps, the continuous (backward-SDE)
+adjoint for the baselines, the O(N)-memory unrolled backpropagation used
+as the gradient oracle, and a linear stability probe. Each scheme's step
+algebra and its pullback are written once. The baseline schemes are
+written in increment form, seeing the field only through the step's
+increment mu dt + sigma dW, so one scheme serves the forward solve, the
+oracle and the continuous adjoint, which integrates the flat (state,
 adjoint, parameter-gradient) vector backward with it. Every gradient path,
 the continuous adjoint included, differentiates the field through
 `field.linearize`.
 
-Noise is always queried on the solve's time grid (i*dt, end pinned to t1)
-so forward and backward passes hit bitwise-identical tree intervals. Every
-solve that sweeps the grid backward first asks its noise to split itself
-dyadically at the step size (`prebuild_dyadic`), so the reverse sweep's
-tree work stays O(1) amortized per query; forward-only solves leave the
-tree shape to their queries.
+One grid walk, `_sweep`, queries the noise on the solve's time grid
+(i*dt, end pinned to t1) for every pass, so forward and backward passes
+hit bitwise-identical tree intervals; the oracle differentiates the public
+forward solves themselves. Every solve that sweeps the grid backward first
+asks its noise to split itself dyadically at the step size
+(`prebuild_dyadic`), so the reverse sweep's tree work stays O(1) amortized
+per query; forward-only solves leave the tree shape to their queries.
 """
 
 from __future__ import annotations
 
+import functools
 import numbers
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, replace
 
 import numpy as np
 
 from .fields import VectorField
 
-BASELINE_METHODS = ("midpoint", "heun", "euler_maruyama")
+BASELINE_METHODS = ("midpoint", "heun")
 METHODS = ("reversible_heun",) + BASELINE_METHODS
 ROUNDTRIP_TOL = 1e-9
+# Ceiling on the unrolled oracle's stored trajectory and increments.
+UNROLLED_MEMORY_LIMIT = 2 << 30
 
 
 class SolverDivergence(RuntimeError):
@@ -151,6 +156,24 @@ def _step(i, step, *args):
         raise SolverDivergence(f"{exc} at step {i}") from None
 
 
+def _sweep(config, reverse):
+    """Yield (i, dW over step i) along the grid, last step first if reverse."""
+    ts = config.grid()
+    steps = range(config.n_steps)
+    for i in reversed(steps) if reverse else steps:
+        yield i, config.noise.query(ts[i], ts[i + 1])
+
+
+def _march(step, state, config):
+    """(terminal, trajectory or None): step(state, dt, dW) over the grid."""
+    trajectory = [state] if config.store_trajectory else None
+    for i, dw in _sweep(config, reverse=False):
+        state = _step(i, step, state, config.dt, dw)
+        if trajectory is not None:
+            trajectory.append(state)
+    return state, trajectory
+
+
 def _prebuild(config):
     """Split the noise dyadically at dt, if it can (a VirtualBrownianTree
     cannot), before a solve that sweeps its grid backward."""
@@ -160,13 +183,13 @@ def _prebuild(config):
 
 
 def _checkpoint_cotangents(checkpoint_cotangents, n_steps):
-    """The checkpoint map, once its keys are checked to be steps 0..n-1."""
+    """The checkpoint map as float arrays, its keys checked to be 0..n-1."""
     cps = checkpoint_cotangents or {}
     for key in cps:
         if not (isinstance(key, numbers.Integral) and 0 <= key < n_steps):
             raise ValueError(f"checkpoint key {key!r} is not a step index "
                              f"0 <= i < n = {n_steps}")
-    return cps
+    return {key: np.asarray(cot, dtype=float) for key, cot in cps.items()}
 
 
 def initial_state(field: VectorField, z0: np.ndarray) -> RevHeunState:
@@ -176,17 +199,28 @@ def initial_state(field: VectorField, z0: np.ndarray) -> RevHeunState:
                         field.eval_diffusion(0.0, z0))
 
 
+def _revheun_update(state: RevHeunState, dt: float, dw: np.ndarray,
+                    evaluate) -> RevHeunState:
+    """The reversible Heun update; evaluate(t, zhat) -> (mu, sigma, pullback).
+
+    With (-dt, -dW) from the tuple after a step it inverts that step.
+    """
+    t_next = state.t + dt
+    zhat_next = 2.0 * state.z - state.zhat + state.mu * dt + _sdw(state.sigma, dw)
+    mu_next, sigma_next, pullback = evaluate(t_next, zhat_next)
+    z_next = (state.z + 0.5 * dt * (state.mu + mu_next)
+              + 0.5 * _sdw(state.sigma + sigma_next, dw))
+    return RevHeunState(t_next, z_next, zhat_next, mu_next, sigma_next,
+                        pullback)
+
+
 def revheun_step_forward(state: RevHeunState, dt: float, dw: np.ndarray,
                          field: VectorField) -> RevHeunState:
     """One reversible Heun step; exactly one drift + one diffusion eval."""
-    t_next = state.t + dt
-    zhat_next = 2.0 * state.z - state.zhat + state.mu * dt + _sdw(state.sigma, dw)
-    mu_next = field.eval_drift(t_next, zhat_next)
-    sigma_next = field.eval_diffusion(t_next, zhat_next)
-    z_next = (state.z + 0.5 * dt * (state.mu + mu_next)
-              + 0.5 * _sdw(state.sigma + sigma_next, dw))
-    _check_finite(z_next, "state after forward step")
-    return RevHeunState(t_next, z_next, zhat_next, mu_next, sigma_next)
+    state = _revheun_update(state, dt, dw, lambda t, z: (
+        field.eval_drift(t, z), field.eval_diffusion(t, z), None))
+    _check_finite(state.z, "state after forward step")
+    return state
 
 
 def _mismatch(got, want):
@@ -225,9 +259,9 @@ def revheun_step_backward(next_state: RevHeunState, cot_next: CotangentState,
     than ROUNDTRIP_TOL (relative), since then it did not come from a
     forward step with this field. Pulls (d_z, d_zhat, d_mu, d_sigma) back
     through the step map, accumulating parameter gradients, then
-    reconstructs (t, z, zhat, mu, sigma) in closed form with one
-    `linearize` at (t, zhat) -- one drift and one diffusion evaluation --
-    whose pullback the returned tuple carries.
+    reconstructs (t, z, zhat, mu, sigma) by the update with (-dt, -dW),
+    whose evaluation is one `linearize` at (t, zhat) -- one drift and one
+    diffusion evaluation -- with a pullback the returned tuple carries.
     """
     pullback, next_state.pullback = next_state.pullback, None
     if pullback is None:
@@ -241,17 +275,9 @@ def revheun_step_backward(next_state: RevHeunState, cot_next: CotangentState,
                 f"{ROUNDTRIP_TOL:.1e}")
     cot_prev = _revheun_pullback(pullback, cot_next, dt, dw)
     del pullback  # frees the field's tapes before the reconstruction
-
-    t_prev = next_state.t - dt
-    sig_dw_next = _sdw(next_state.sigma, dw)
-    zhat_prev = (2.0 * next_state.z - next_state.zhat
-                 - next_state.mu * dt - sig_dw_next)
-    mu_prev, sigma_prev, pullback_prev = field.linearize(t_prev, zhat_prev)
-    z_prev = (next_state.z - 0.5 * dt * (mu_prev + next_state.mu)
-              - 0.5 * _sdw(sigma_prev + next_state.sigma, dw))
-    _check_finite(z_prev, "reconstructed state")
-    return RevHeunState(t_prev, z_prev, zhat_prev, mu_prev, sigma_prev,
-                        pullback_prev), cot_prev
+    state = _revheun_update(next_state, -dt, -dw, field.linearize)
+    _check_finite(state.z, "reconstructed state")
+    return state, cot_prev
 
 
 def revheun_solve(field: VectorField, z0: np.ndarray, config: SolveConfig):
@@ -262,15 +288,9 @@ def revheun_solve(field: VectorField, z0: np.ndarray, config: SolveConfig):
     O(1) in the step count when the trajectory is not stored.
     """
     _require_method("reversible_heun", config)
-    ts = config.grid()
-    state = initial_state(field, z0)
-    trajectory = [state] if config.store_trajectory else None
-    for i in range(config.n_steps):
-        dw = config.noise.query(ts[i], ts[i + 1])
-        state = _step(i, revheun_step_forward, state, config.dt, dw, field)
-        if trajectory is not None:
-            trajectory.append(state)
-    return state, trajectory
+    return _march(
+        lambda state, dt, dw: revheun_step_forward(state, dt, dw, field),
+        initial_state(field, z0), config)
 
 
 def revheun_adjoint_solve(field: VectorField, z0: np.ndarray,
@@ -291,16 +311,13 @@ def revheun_adjoint_solve(field: VectorField, z0: np.ndarray,
     cps = _checkpoint_cotangents(checkpoint_cotangents, config.n_steps)
     _require_method("reversible_heun", config)
     _prebuild(config)
-    terminal, _ = revheun_solve(field, z0, config)
-    ts = config.grid()
-    state = terminal
-    cot = _terminal_cotangent(field, terminal.z, loss_cotangent)
-    for i in reversed(range(config.n_steps)):
-        dw = config.noise.query(ts[i], ts[i + 1])
+    state, _ = revheun_solve(field, z0, config)
+    cot = _terminal_cotangent(field, state.z, loss_cotangent)
+    for i, dw in _sweep(config, reverse=True):
         state, cot = _step(i, revheun_step_backward, state, cot, config.dt,
                            dw, field)
         if i in cps:
-            cot.d_z = cot.d_z + np.asarray(cps[i], dtype=float)
+            cot.d_z = cot.d_z + cps[i]
     return _revheun_gradients(field, state, cot)
 
 
@@ -359,18 +376,7 @@ def _heun(inc, t, z, dt):
     return z + 0.5 * (d0 + d1), pullback
 
 
-def _euler_maruyama(inc, t, z, dt):
-    d, pull = inc(t, z)
-
-    def pullback(a):
-        gz, gp = pull(a)
-        return a + gz, gp
-
-    return z + d, pullback
-
-
-_BASELINE_SCHEMES = {"midpoint": _midpoint, "heun": _heun,
-                     "euler_maruyama": _euler_maruyama}
+_BASELINE_SCHEMES = {"midpoint": _midpoint, "heun": _heun}
 
 
 def _increment(field, dt, dw):
@@ -410,8 +416,7 @@ def baseline_step(method: str, state: PathState, dt: float, dw: np.ndarray,
     """One step of a baseline scheme.
 
     midpoint and Heun are two-evaluation Stratonovich schemes (half-step
-    state and predictor-corrector respectively); Euler-Maruyama is the
-    one-evaluation Ito scheme.
+    state and predictor-corrector respectively).
     """
     scheme = _BASELINE_SCHEMES.get(method)
     if scheme is None:
@@ -425,16 +430,10 @@ def baseline_solve(method: str, field: VectorField, z0: np.ndarray,
                    config: SolveConfig):
     """Iterate a baseline step over the grid; mirrors revheun_solve."""
     _require_method(method, config)
-    ts = config.grid()
     z0 = np.atleast_2d(np.asarray(z0, dtype=float))
-    state = PathState(ts[0], z0)
-    trajectory = [state] if config.store_trajectory else None
-    for i in range(config.n_steps):
-        dw = config.noise.query(ts[i], ts[i + 1])
-        state = _step(i, baseline_step, method, state, config.dt, dw, field)
-        if trajectory is not None:
-            trajectory.append(state)
-    return state, trajectory
+    return _march(
+        lambda state, dt, dw: baseline_step(method, state, dt, dw, field),
+        PathState(0.0, z0), config)
 
 
 def continuous_adjoint_solve(method: str, field: VectorField, z0: np.ndarray,
@@ -450,23 +449,22 @@ def continuous_adjoint_solve(method: str, field: VectorField, z0: np.ndarray,
     the two passes is what puts truncation error into these gradients; it
     vanishes as dt shrinks. Returns (grad_z0, grad_params).
     """
-    if method not in ("midpoint", "heun"):
-        raise ValueError(f"continuous adjoint supports midpoint/heun, got {method!r}")
+    if method not in BASELINE_METHODS:
+        raise ValueError(f"continuous adjoint supports {BASELINE_METHODS}, "
+                         f"got {method!r}")
     _require_method(method, config)
     _prebuild(config)
     terminal, _ = baseline_solve(method, field, z0, config)
     batch, x = terminal.z.shape
     n = batch * x
-    ts = config.grid()
     scheme = _BASELINE_SCHEMES[method]
     y = np.concatenate([
         terminal.z.ravel(),
         np.array(loss_cotangent, dtype=float).reshape(n),
         np.zeros(field.param_count),
     ])
-    t = ts[-1]
-    for i in reversed(range(config.n_steps)):
-        dw = config.noise.query(ts[i], ts[i + 1])
+    t = config.t1
+    for i, dw in _sweep(config, reverse=True):
         inc = _adjoint_increment(field, -config.dt, -dw, terminal.z.shape)
         y, _ = scheme(inc, t, y, -config.dt)
         t = t - config.dt
@@ -474,70 +472,61 @@ def continuous_adjoint_solve(method: str, field: VectorField, z0: np.ndarray,
     return y[n:2 * n].reshape(batch, x), y[2 * n:]
 
 
-def _estimate_unrolled_bytes(method, config, batch, x, w):
-    per_state = x * (3 + w) if method == "reversible_heun" else x
-    n = config.n_steps
-    return 8 * batch * ((n + 1) * per_state + n * w)
+class _Recorder:
+    """Noise that queries its source once per interval, then replays it."""
+
+    def __init__(self, noise):
+        self.query = functools.cache(noise.query)
 
 
 def unrolled_backprop(method: str, field: VectorField, z0: np.ndarray,
                       config: SolveConfig, loss_cotangent,
-                      checkpoint_cotangents: dict | None = None,
-                      memory_limit_bytes: int = 2 << 30):
+                      checkpoint_cotangents: dict | None = None):
     """Discretise-then-optimise gradients: the O(N)-memory oracle.
 
-    Stores every intermediate state (and increment) on the forward pass,
-    then applies the exact reverse-mode chain rule through each step with
-    the step pullbacks the reversible adjoint and the baseline schemes
-    share. Raises MemoryError up front if the stored trajectory would
-    exceed `memory_limit_bytes`. Prebuilds the noise like the adjoints, so
-    on a fresh tree of the same seed it sees their noise. Returns
-    (grad_z0, grad_params).
+    Runs the public forward solve with every state stored and its
+    increments recorded, then applies the exact reverse-mode chain rule
+    through each step, replaying the recorded increments, with the step
+    pullbacks the reversible adjoint and the baseline schemes share. The
+    noise is queried once per step. Raises MemoryError up front if the
+    stored trajectory would exceed UNROLLED_MEMORY_LIMIT bytes. Prebuilds
+    the noise like the adjoints, so on a fresh tree of the same seed it
+    sees their noise. Returns (grad_z0, grad_params).
     """
     _require_method(method, config)
     cps = _checkpoint_cotangents(checkpoint_cotangents, config.n_steps)
     z0 = np.atleast_2d(np.asarray(z0, dtype=float))
-    batch, x = z0.shape
-    w = field.noise_dim
-    need = _estimate_unrolled_bytes(method, config, batch, x, w)
-    if need > memory_limit_bytes:
-        raise MemoryError(
-            f"unrolled trajectory needs {need} bytes > limit {memory_limit_bytes}")
+    (batch, x), w, n = z0.shape, field.noise_dim, config.n_steps
+    per_state = x * (3 + w) if method == "reversible_heun" else x
+    need = 8 * batch * ((n + 1) * per_state + n * w)
+    if need > UNROLLED_MEMORY_LIMIT:
+        raise MemoryError(f"unrolled trajectory needs {need} bytes > limit "
+                          f"{UNROLLED_MEMORY_LIMIT}")
     _prebuild(config)
-    ts = config.grid()
+    config = replace(config, store_trajectory=True,
+                     noise=_Recorder(config.noise))
     dt = config.dt
-    increments = []
     if method == "reversible_heun":
-        states = [initial_state(field, z0)]
-        for i in range(config.n_steps):
-            dw = config.noise.query(ts[i], ts[i + 1])
-            increments.append(dw)
-            states.append(_step(i, revheun_step_forward, states[-1], dt, dw,
-                                field))
+        _, states = revheun_solve(field, z0, config)
         cot = _terminal_cotangent(field, states[-1].z, loss_cotangent)
-        for i in reversed(range(config.n_steps)):
+        for i, dw in _sweep(config, reverse=True):
             nxt = states[i + 1]
             _, _, pullback = field.linearize(nxt.t, nxt.zhat)
-            cot = _revheun_pullback(pullback, cot, dt, increments[i])
+            cot = _revheun_pullback(pullback, cot, dt, dw)
             if i in cps:
-                cot.d_z = cot.d_z + np.asarray(cps[i], dtype=float)
+                cot.d_z = cot.d_z + cps[i]
         return _revheun_gradients(field, states[0], cot)
-    states = [PathState(ts[0], z0)]
-    for i in range(config.n_steps):
-        dw = config.noise.query(ts[i], ts[i + 1])
-        increments.append(dw)
-        states.append(_step(i, baseline_step, method, states[-1], dt, dw,
-                            field))
+    _, states = baseline_solve(method, field, z0, config)
     scheme = _BASELINE_SCHEMES[method]
     a = np.array(loss_cotangent, dtype=float).reshape(batch, x)
     gp = np.zeros(field.param_count)
-    for i in reversed(range(config.n_steps)):
-        inc = _linearized_increment(field, dt, increments[i])
+    for i, dw in _sweep(config, reverse=True):
+        inc = _linearized_increment(field, dt, dw)
         _, pullback = scheme(inc, states[i].t, states[i].z, dt)
         a, g = pullback(a)
         gp = gp + g
         if i in cps:
-            a = a + np.asarray(cps[i], dtype=float)
+            a = a + cps[i]
     return a, gp
 
 

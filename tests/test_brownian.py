@@ -281,6 +281,15 @@ class TestPrebuildDyadic:
         tree.prebuild_dyadic(2.0)
         assert tree.stats().node_count == 1
 
+    @pytest.mark.parametrize("step", [np.nan, np.inf, 0.0, -1.0])
+    def test_nonfinite_or_nonpositive_step_rejected(self, step):
+        # Before: inf was a silent no-op and NaN died converting to int.
+        tree = BrownianInterval(1.0, 5)
+        with pytest.raises(ValueError,
+                           match=f"positive and finite, got {step}"):
+            tree.prebuild_dyadic(step)
+        assert tree.stats().node_count == 1
+
     def test_prebuild_bounds_backward_chains(self):
         # Doubly-sequential pass: recompute chains stay bounded by the
         # per-leaf spine length plus the dyadic depth, instead of growing

@@ -29,6 +29,15 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(methods=[])
 
+    def test_config_file_rejects_empty_weak_step_sizes(self, tmp_path):
+        # Before: numpy's "expected non-empty vector for x" from the fit.
+        path = tmp_path / "run.cfg"
+        path.write_text("weak_step_sizes =\n")
+        with pytest.raises(ValueError,
+                           match="^weak_step_sizes must be non-empty"):
+            main(["convergence", "--config", str(path), "--out",
+                  str(tmp_path / "conv.csv")])
+
     @pytest.mark.parametrize(
         "name", ["iters", "repeats", "batch", "paths", "weak_paths", "dims"])
     def test_nonpositive_counts_rejected(self, name):
@@ -180,9 +189,30 @@ class TestConvergence:
     def test_warns_on_few_paths(self, capsys):
         cfg = ExperimentConfig(seed=1, paths=200, weak_paths=200,
                                step_sizes=[0.125, 0.0625],
-                               weak_step_sizes=[0.25], cases=["additive"])
+                               weak_step_sizes=[0.25, 0.125],
+                               cases=["additive"])
         run_convergence(cfg)
         assert "warning" in capsys.readouterr().err
+
+    def test_cli_rejects_a_single_step_size(self, tmp_path):
+        # Before: a minimum-norm fit through one point wrote slope 0.493,
+        # inside the multiplicative band, and --check exited 0.
+        out = tmp_path / "conv.csv"
+        with pytest.raises(ValueError, match=r"^the strong sweep needs at "
+                           r"least two distinct step sizes .* step_sizes = "
+                           r"\[0.125\]"):
+            main(["convergence", "--steps", "0.125", "--cases",
+                  "multiplicative", "--check", "--out", str(out)])
+        assert not out.exists()
+
+    def test_weak_sweep_needs_two_distinct_step_sizes(self):
+        cfg = ExperimentConfig(seed=1, paths=200, weak_paths=200,
+                               step_sizes=[0.125, 0.0625],
+                               weak_step_sizes=[0.25, 0.25],
+                               cases=["additive"])
+        with pytest.raises(ValueError, match=r"^the weak sweep .* "
+                           r"weak_step_sizes = \[0.25, 0.25\]"):
+            run_convergence(cfg)
 
     def test_check_bands(self):
         slopes = [{"case": "additive", "metric": "strong", "slope": 1.0},

@@ -14,6 +14,7 @@ from revsde.solvers import (
     RevHeunState,
     SolveConfig,
     SolverDivergence,
+    UNROLLED_MEMORY_LIMIT,
     baseline_solve,
     baseline_step,
     continuous_adjoint_solve,
@@ -278,6 +279,42 @@ class TestRevHeunBackwardStep:
                                           getattr(via_fresh, name))
 
 
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), dt=st.floats(2.0 ** -12, 1.0),
+           dw_scale=st.floats(0.0, 3.0))
+    def test_reconstruction_is_the_inverse_formulas_bitwise(self, seed, dt,
+                                                           dw_scale):
+        rng = np.random.default_rng(seed)
+        batch, x, w, width = (int(v) for v in rng.integers(1, 6, size=4))
+        field = reduced_neural_field(seed=seed, x=x, w=w, width=width)
+        t = float(rng.uniform(dt, 2.0))
+        z, zhat = rng.standard_normal((2, batch, x))
+        nxt = RevHeunState(t, z, zhat, field.eval_drift(t, zhat),
+                           field.eval_diffusion(t, zhat))
+        dw = dw_scale * math.sqrt(dt) * rng.standard_normal((batch, w))
+        cot = CotangentState(np.zeros((batch, x)), np.zeros((batch, x)),
+                             np.zeros((batch, x)), np.zeros((batch, x, w)),
+                             np.zeros(field.param_count))
+        prev, _ = revheun_step_backward(nxt, cot, dt, dw, field)
+
+        # The reconstruction is the forward update run with (-dt, -dW);
+        # pin it to the inverse written out, bit for bit:
+        #   zhat = 2 z' - zhat' - mu' dt - sigma' dW
+        #   z = z' - dt (mu + mu') / 2 - (sigma + sigma') dW / 2
+        def sdw(sigma):
+            return np.einsum("bxw,bw->bx", sigma, dw)
+
+        zhat_prev = 2.0 * nxt.z - nxt.zhat - nxt.mu * dt - sdw(nxt.sigma)
+        mu, sigma = (field.eval_drift(t - dt, zhat_prev),
+                     field.eval_diffusion(t - dt, zhat_prev))
+        z_prev = (nxt.z - 0.5 * dt * (mu + nxt.mu)
+                  - 0.5 * sdw(sigma + nxt.sigma))
+        assert prev.t == t - dt
+        for got, want in ((prev.z, z_prev), (prev.zhat, zhat_prev),
+                          (prev.mu, mu), (prev.sigma, sigma)):
+            np.testing.assert_array_equal(got, want)
+
+
 class TestRevHeunSolve:
     def test_zero_field_keeps_state(self):
         tree = BrownianInterval(1.0, 1, dims=1, batch=2)
@@ -499,7 +536,7 @@ class TestBaselineSteps:
     def test_zero_field_identity(self):
         z = np.array([[1.0, -2.0]])
         state = PathState(0.0, z)
-        for method in ("midpoint", "heun", "euler_maruyama"):
+        for method in ("midpoint", "heun"):
             nxt = baseline_step(method, state, 0.1, np.zeros((1, 2)),
                                 zero_field(2, 2))
             np.testing.assert_array_equal(nxt.z, z)
@@ -510,21 +547,18 @@ class TestBaselineSteps:
         state = PathState(0.0, z)
         dw = np.zeros((1, 1))
         heun = baseline_step("heun", state, 0.1, dw, field).z[0, 0]
-        euler = baseline_step("euler_maruyama", state, 0.1, dw, field).z[0, 0]
         mid = baseline_step("midpoint", state, 0.1, dw, field).z[0, 0]
         assert abs(heun - 3.0 * 1.105) < 1e-14
-        assert abs(euler - 3.0 * 1.1) < 1e-14
         assert abs(mid - 3.0 * 1.105) < 1e-14
 
     def test_two_evals_per_step(self):
         field = reduced_neural_field(seed=8, x=3, w=2)
         state = PathState(0.0, np.zeros((2, 3)))
-        for method, expect in (("midpoint", 2), ("heun", 2),
-                               ("euler_maruyama", 1)):
+        for method in ("midpoint", "heun"):
             field.reset_counters()
             baseline_step(method, state, 0.1, np.zeros((2, 2)), field)
-            assert field.drift_evals == expect
-            assert field.diffusion_evals == expect
+            assert field.drift_evals == 2
+            assert field.diffusion_evals == 2
 
     def test_midpoint_strong_order_half_on_noncommutative_noise(self):
         # Cross-coupled cosine diffusion; scalar noise would be commutative
@@ -576,9 +610,20 @@ class TestContinuousAdjoint:
         assert not gp.any()
 
     def test_rejects_euler(self):
-        with pytest.raises(ValueError):
-            continuous_adjoint_solve("euler_maruyama", zero_field(),
-                                     np.zeros((1, 1)), None, None)
+        # Euler-Maruyama is an Ito scheme and the fields are Stratonovich,
+        # so no solve offers it: no config can name it.
+        with pytest.raises(ValueError,
+                           match="unknown method 'euler_maruyama'"):
+            SolveConfig("euler_maruyama", 0.25, 1.0, None)
+        with pytest.raises(ValueError, match="unknown baseline method"):
+            baseline_step("euler_maruyama", PathState(0.0, np.zeros((1, 1))),
+                          0.25, np.zeros((1, 1)), zero_field())
+
+    def test_rejects_reversible_heun(self):
+        cfg = SolveConfig("reversible_heun", 0.25, 1.0, None)
+        with pytest.raises(ValueError, match="continuous adjoint supports"):
+            continuous_adjoint_solve("reversible_heun", zero_field(),
+                                     np.zeros((1, 1)), cfg, np.ones((1, 1)))
 
     def test_linear_ode_second_order_error(self):
         lam = 0.6
@@ -709,17 +754,41 @@ class TestUnrolledBackprop:
                               np.ones((1, 1)))
 
     def test_memory_ceiling_raises(self):
+        # 2^24 steps of a batch-4 scalar state: the stored tuples and
+        # increments would take about 2.7 GB. Raised before any tree work.
         tree = BrownianInterval(1.0, 31, dims=1, batch=4)
-        cfg = SolveConfig("reversible_heun", 2.0 ** -10, 1.0, tree)
-        with pytest.raises(MemoryError):
+        cfg = SolveConfig("reversible_heun", 2.0 ** -24, 1.0, tree)
+        with pytest.raises(MemoryError,
+                           match=f"> limit {UNROLLED_MEMORY_LIMIT}$"):
             unrolled_backprop("reversible_heun", zero_field(),
-                              np.zeros((4, 1)), cfg, np.zeros((4, 1)),
-                              memory_limit_bytes=1000)
+                              np.zeros((4, 1)), cfg, np.zeros((4, 1)))
+        assert tree.stats().node_count == 1
+
+    @pytest.mark.parametrize("method", ["reversible_heun", "midpoint", "heun"])
+    def test_queries_each_step_once(self, method):
+        # The oracle queries each step once and replays it backward, so an
+        # adjoint (two queries per step) checked against it still catches
+        # a tree whose repeated queries drift.
+        tree = BrownianInterval(1.0, 43, dims=2, batch=2)
+        queries = []
+
+        class CountingNoise:
+            def query(self, s, t):
+                queries.append((s, t))
+                return tree.query(s, t)
+
+        noise = CountingNoise()
+        cfg = SolveConfig(method, 0.125, 1.0, noise)
+        unrolled_backprop(method, reduced_neural_field(seed=2, x=3, w=2),
+                          np.zeros((2, 3)), cfg, np.ones((2, 3)))
+        grid = cfg.grid()
+        assert queries == list(zip(grid[:-1], grid[1:]))
+        assert cfg.noise is noise and not cfg.store_trajectory
 
     def test_baseline_backward_matches_finite_differences(self):
         field = reduced_neural_field(seed=37, x=2, w=2, width=4)
         z0 = np.array([[0.1, 0.2]])
-        for method in ("midpoint", "heun", "euler_maruyama"):
+        for method in ("midpoint", "heun"):
             def terminal(z):
                 tree = BrownianInterval(1.0, 41, dims=2, batch=1)
                 cfg = SolveConfig(method, 0.25, 1.0, tree)
