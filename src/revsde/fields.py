@@ -9,9 +9,11 @@ against central finite differences by `fd_check`.
 Each field writes its derivative once, as `_linearize(t, z)` -> (mu,
 sigma, pullback), pullback(d_mu, d_sigma) -> (d_z, d_params) with the
 parameter gradient summed over the batch. Every solver differentiates
-through its counted form `VectorField.linearize`; `vjp_drift` and
-`vjp_diffusion` are that pullback with the other cotangent zero, so
-`fd_check` checks the derivative the solvers run.
+through its counted form `VectorField.linearize`, and `fd_check` pulls
+its probes back through that same `linearize`, so it checks the
+derivative the solvers run. `vjp_drift` and `vjp_diffusion` are that
+pullback with the other cotangent zero; they stay for outside callers
+that time the drift and diffusion derivatives apart.
 
 Conventions, shared with the solvers:
   * states are batch-major arrays of shape (batch, state_dim);
@@ -33,17 +35,6 @@ from scipy.special import expit as sigmoid
 LIPSWISH_SCALE = 0.909
 
 
-def lipswish(x):
-    """Smooth activation with Lipschitz constant one: 0.909 x sigmoid(x)."""
-    return LIPSWISH_SCALE * x * sigmoid(x)
-
-
-def lipswish_grad(x):
-    """Analytic derivative of lipswish: 0.909 s(x) (1 + x (1 - s(x)))."""
-    s = sigmoid(x)
-    return LIPSWISH_SCALE * s * (1.0 + x * (1.0 - s))
-
-
 # Each activation as (forward, derivative): forward(h) -> (y, memo) and
 # derivative(y, memo) -> dy/dh, from what the forward pass already
 # computed, so a pullback never re-evaluates a nonlinearity. LipSwish's
@@ -60,6 +51,23 @@ _ACTIVATIONS = {
     "sigmoid": (lambda h: (sigmoid(h), None), lambda y, _: y * (1.0 - y)),
     "identity": (lambda h: (h, None), lambda y, _: 1.0),
 }
+
+
+def lipswish(x):
+    """Smooth activation with Lipschitz constant one: 0.909 x sigmoid(x)."""
+    return _lipswish_forward(x)[0]
+
+
+def lipswish_grad(x):
+    """0.909 s + y (1 - s), s = sigmoid(x): the MLP pullback's derivative."""
+    forward, derivative = _ACTIVATIONS["lipswish"]
+    return derivative(*forward(x))
+
+
+def _flatten(weights, biases):
+    """The flat parameter layout: weights-then-bias per layer."""
+    return np.concatenate(
+        [np.concatenate([w.ravel(), b]) for w, b in zip(weights, biases)])
 
 
 class MLPField:
@@ -99,18 +107,12 @@ class MLPField:
         y, _ = self._forward(t, np.asarray(z))
         return y
 
-    def vjp(self, t, z, cotangent):
-        """Pull an output cotangent back to (state, parameters).
+    def _backward(self, tape, cotangent):
+        """Pull an output cotangent back over the tape of one `_forward`.
 
         Returns (cot_z, cot_params) where cot_params is the flat gradient
-        of <cotangent, eval(t, z)>, summed over the batch. Runs one forward
-        pass to record the tape, then the reverse pass over it.
+        of <cotangent, output>, summed over the batch.
         """
-        _, tape = self._forward(t, np.asarray(z))
-        return self._backward(tape, cotangent)
-
-    def _backward(self, tape, cotangent):
-        """Reverse pass of `vjp` over the tape of one `_forward` call."""
         memos, inputs = tape
         batch = inputs[0].shape[0]
         cot = np.asarray(cotangent)
@@ -129,10 +131,7 @@ class MLPField:
             if i > 0:
                 g = g * self._act_grad(inputs[i], memos[i - 1])
         cot_z = g[:, :self.state_dim]  # drop the time column
-        flat = np.concatenate(
-            [np.concatenate([w.ravel(), b])
-             for w, b in zip(grads_w, grads_b)])
-        return cot_z, flat
+        return cot_z, _flatten(grads_w, grads_b)
 
     def _forward(self, t, z):
         if z.ndim != 2 or z.shape[1] != self.state_dim:
@@ -151,9 +150,7 @@ class MLPField:
 
     def get_params(self):
         """Flatten all parameters, weights-then-bias per layer."""
-        return np.concatenate(
-            [np.concatenate([w.ravel(), b])
-             for w, b in zip(self.weights, self.biases)])
+        return _flatten(self.weights, self.biases)
 
     def set_params(self, flat):
         flat = np.asarray(flat, dtype=float)
@@ -345,7 +342,7 @@ class AnalyticField(VectorField):
 
 @dataclass
 class FdReport:
-    """Worst relative discrepancy between VJPs and finite differences."""
+    """Worst relative discrepancy between pullback and finite differences."""
 
     max_rel_error: float
     tolerance: float
@@ -353,61 +350,41 @@ class FdReport:
 
 
 def fd_check(field: VectorField, t, z, tolerance=1e-5, step=1e-6):
-    """Compare the field's VJPs against central finite differences.
+    """Compare the field's pullback against central finite differences.
 
-    Probes every state coordinate and every parameter with a fixed random
-    cotangent, for both drift and diffusion. Relative errors use an
+    Pulls fixed random probes (c_mu, 0) and (0, c_sigma) back through
+    `field.linearize`, then bumps each flat coordinate of a copy of the
+    state and each parameter (written back through `set_params`); one
+    `linearize` per bump serves both probes. Relative errors use an
     absolute floor of 1e-8 so near-zero entries do not blow up the ratio.
     """
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
-    z = np.asarray(z, dtype=float)
-    batch = z.shape[0]
+    z = np.array(z, dtype=float, order="C")
     rng = np.random.default_rng(12345)
-    floor = 1e-8
-    worst = 0.0
-
-    probes = [
-        ("drift", field.eval_drift, field.vjp_drift,
-         rng.standard_normal((batch, field.state_dim))),
-        ("diffusion", field.eval_diffusion, field.vjp_diffusion,
-         rng.standard_normal((batch, field.state_dim, field.noise_dim))),
-    ]
+    c_mu = rng.standard_normal((z.shape[0], field.state_dim))
+    c_sigma = rng.standard_normal(c_mu.shape + (field.noise_dim,))
+    _, _, pullback = field.linearize(t, z)
+    grads = [pullback(c_mu, np.zeros_like(c_sigma)),
+             pullback(np.zeros_like(c_mu), c_sigma)]
     params = field.get_params()
-    for _, fwd, vjp, cot in probes:
-        cot_z, cot_p = vjp(t, z, cot)
-
-        def directional(perturb, restore):
-            perturb(step)
-            up = float(np.sum(cot * fwd(t, z)))
-            restore()
-            perturb(-step)
-            down = float(np.sum(cot * fwd(t, z)))
-            restore()
-            return (up - down) / (2.0 * step)
-
-        for b in range(batch):
-            for i in range(field.state_dim):
-                def bump(eps, b=b, i=i):
-                    z[b, i] += eps
-
-                def unbump(b=b, i=i, orig=z[b, i]):
-                    z[b, i] = orig
-
-                fd = directional(bump, unbump)
-                an = float(cot_z[b, i])
-                worst = max(worst, abs(an - fd) / max(abs(an), abs(fd), floor))
-        for j in range(field.param_count):
-            def bump(eps, j=j):
-                p = params.copy()
-                p[j] += eps
-                field.set_params(p)
-
-            def unbump():
-                field.set_params(params)
-
-            fd = directional(bump, unbump)
-            an = float(cot_p[j])
-            worst = max(worst, abs(an - fd) / max(abs(an), abs(fd), floor))
+    worst = 0.0
+    for block, (x, write_back) in enumerate(
+            [(z.reshape(-1), lambda x: None), (params, field.set_params)]):
+        for k in range(x.size):
+            orig = x[k]
+            sums = []
+            for eps in (step, -step):
+                x[k] = orig + eps
+                write_back(x)
+                mu, sigma, _ = field.linearize(t, z)
+                sums.append((float(np.sum(c_mu * mu)),
+                             float(np.sum(c_sigma * sigma))))
+            x[k] = orig
+            write_back(x)
+            for grad, (up, down) in zip(grads, zip(*sums)):
+                fd = (up - down) / (2.0 * step)
+                an = float(grad[block].reshape(-1)[k])
+                worst = max(worst, abs(an - fd) / max(abs(an), abs(fd), 1e-8))
     return FdReport(max_rel_error=worst, tolerance=tolerance,
                     ok=worst <= tolerance)

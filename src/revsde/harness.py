@@ -36,6 +36,7 @@ import numpy as np
 from .brownian import BrownianInterval, VirtualBrownianTree
 from .fields import AnalyticField, MLPField, NeuralField
 from .solvers import (
+    METHODS,
     SolveConfig,
     baseline_solve,
     continuous_adjoint_solve,
@@ -45,8 +46,7 @@ from .solvers import (
     unrolled_backprop,
 )
 
-DEFAULT_STEP_SIZES = [1.0, 0.25, 0.0625, 0.015625]
-DEFAULT_CONVERGENCE_STEPS = [2.0 ** -k for k in range(3, 8)]
+PATTERNS = ("sequential", "doubly_sequential", "random")
 
 
 @dataclass
@@ -54,14 +54,13 @@ class ExperimentConfig:
     seed: int = 0
     batch: int = 256
     paths: int = 10_000
-    step_sizes: list = dataclass_field(default_factory=lambda: list(DEFAULT_STEP_SIZES))
+    step_sizes: list = dataclass_field(
+        default_factory=lambda: [1.0, 0.25, 0.0625, 0.015625])
     methods: list = dataclass_field(
         default_factory=lambda: ["midpoint", "heun", "reversible_heun"])
-    cases: list = dataclass_field(
-        default_factory=lambda: ["additive", "multiplicative"])
+    cases: list = dataclass_field(default_factory=lambda: list(CASES))
     subintervals: list = dataclass_field(default_factory=lambda: [10, 100, 1000])
-    patterns: list = dataclass_field(
-        default_factory=lambda: ["sequential", "doubly_sequential", "random"])
+    patterns: list = dataclass_field(default_factory=lambda: list(PATTERNS))
     repeats: int = 32
     cache_capacity: int = 128
     vbt_eps: float = 2.0 ** -16
@@ -86,6 +85,16 @@ class ExperimentConfig:
         if min(self.subintervals) < 1:
             raise ValueError(
                 f"subintervals must all be >= 1, got {self.subintervals}")
+        for name in ("step_sizes", "weak_step_sizes"):
+            bad = [h for h in getattr(self, name) if not 0.0 < h < math.inf]
+            if bad:
+                raise ValueError(f"{name} must lie in 0 < h < inf, got {bad}")
+        for name, choices in (("methods", METHODS), ("cases", CASES),
+                              ("patterns", PATTERNS)):
+            bad = [v for v in getattr(self, name) if v not in choices]
+            if bad:
+                raise ValueError(
+                    f"{name} has unknown entries {bad}; pick from {list(choices)}")
         if not 0.0 <= self.lr < math.inf:
             raise ValueError(
                 f"lr must be non-negative and finite, got {self.lr}")
@@ -109,8 +118,9 @@ def write_csv(path, header, rows):
 # gradient-error
 # ----------------------------------------------------------------------
 
-def build_gradient_test_problem(seed, x=8, w=4, batch=8, width=8):
+def build_gradient_test_problem(seed):
     """Small neural SDE: tanh-headed drift, sigmoid-headed diffusion."""
+    x, w, batch, width = 8, 4, 8, 8  # state, noise, batch, hidden width
     rng = np.random.default_rng(seed)
     field = NeuralField(
         MLPField(x, [width], x, final_activation="tanh", rng=rng),
@@ -130,10 +140,6 @@ def relative_l1(grad_a, params_a, grad_b, params_b):
 
 def run_gradient_error(config: ExperimentConfig):
     """Rows of (method, step_size, rel_l1_error) on the fixed test problem."""
-    known = {"midpoint", "heun", "reversible_heun"}
-    bad = set(config.methods) - known
-    if bad:
-        raise ValueError(f"unknown methods for gradient-error: {sorted(bad)}")
     field, z0 = build_gradient_test_problem(config.seed)
     batch, x = z0.shape
     w = field.noise_dim
@@ -198,45 +204,46 @@ def cross_cosine_field():
     )
 
 
-def _check_coupling(tree, h, n_coarse, fine_per_coarse=10, tol=1e-12):
+FINE_PER_COARSE = 10  # fine reference steps per coarse step
+
+# Each convergence case: its field, with a scalar or 2-d state.
+CASES = {"additive": anharmonic_field, "multiplicative": cross_cosine_field}
+
+
+def _check_coupling(tree, h, n_coarse):
     """Coarse increments must telescope out of the fine queries.
 
     The fine grid was queried first, so every coarse query decomposes into
     its fine leaves and matches their ordered sum bitwise -- except the
     final step, whose interval coincides with an existing right-spine node
-    and is only equal to rounding.
+    and is only equal to rounding (within 1e-12).
     """
-    hf = h / fine_per_coarse
+    hf = h / FINE_PER_COARSE
     for k in range(n_coarse):
         coarse = tree.query(k * h, (k + 1) * h if k + 1 < n_coarse else tree.t1)
         total = None
-        for j in range(fine_per_coarse):
-            i = k * fine_per_coarse + j
+        for j in range(FINE_PER_COARSE):
+            i = k * FINE_PER_COARSE + j
             lo = i * hf
-            hi = (i + 1) * hf if i + 1 < n_coarse * fine_per_coarse else tree.t1
+            hi = (i + 1) * hf if i + 1 < n_coarse * FINE_PER_COARSE else tree.t1
             q = tree.query(lo, hi)
             total = q if total is None else total + q
         if k + 1 < n_coarse:
             if not np.array_equal(total, coarse):
                 raise RuntimeError(
                     f"fine increments do not telescope at coarse step {k}")
-        elif np.abs(total - coarse).max() > tol:
+        elif np.abs(total - coarse).max() > 1e-12:
             raise RuntimeError("final coarse step inconsistent beyond rounding")
 
 
 def _convergence_case(case, h, paths, seed):
-    if case == "additive":
-        field, z0 = anharmonic_field(), np.ones((paths, 1))
-    elif case == "multiplicative":
-        field, z0 = cross_cosine_field(), np.ones((paths, 2))
-    else:
-        raise ValueError(f"unknown convergence case {case!r}")
-    dims = field.noise_dim
-    tree = BrownianInterval(1.0, seed, dims=dims, batch=paths)
+    field = CASES[case]()
+    z0 = np.ones((paths, field.state_dim))
+    tree = BrownianInterval(1.0, seed, dims=field.noise_dim, batch=paths)
     # Fine reference first (ordinary Heun at h/10), coarse second: the
     # coarse queries then decompose exactly into the fine-grid nodes.
-    fine, _ = baseline_solve("heun", field, z0,
-                             SolveConfig("heun", h / 10.0, 1.0, tree))
+    fine, _ = baseline_solve(
+        "heun", field, z0, SolveConfig("heun", h / FINE_PER_COARSE, 1.0, tree))
     coarse, _ = revheun_solve(field, z0,
                               SolveConfig("reversible_heun", h, 1.0, tree))
     _check_coupling(tree, h, round(1.0 / h))
@@ -270,10 +277,13 @@ def run_convergence(config: ExperimentConfig):
     Raises ValueError before any solve if a sweep that runs has fewer than
     two distinct step sizes, since a slope needs two points.
     """
-    sweeps = [("strong", "step_sizes", config.step_sizes)]
+    # (sweep, its step sizes' setting, paths, tree-seed base, fitted metrics)
+    sweeps = [("strong", "step_sizes", config.paths, 7000, ("strong",))]
     if "additive" in config.cases:
-        sweeps.append(("weak", "weak_step_sizes", config.weak_step_sizes))
-    for sweep, name, sizes in sweeps:
+        sweeps.append(("weak", "weak_step_sizes", config.weak_paths, 9000,
+                       ("weak_mean", "weak_second")))
+    for sweep, name, *_ in sweeps:
+        sizes = getattr(config, name)
         if len(set(sizes)) < 2:
             raise ValueError(f"the {sweep} sweep needs at least two "
                              f"distinct step sizes to fit a slope, got "
@@ -281,39 +291,24 @@ def run_convergence(config: ExperimentConfig):
     if config.paths < 1000:
         print("warning: fewer than 1000 paths; estimators will be noisy",
               file=sys.stderr)
-    hs = sorted(config.step_sizes, reverse=True)
     rows, slopes = [], []
-    run = 0
     for case in config.cases:
-        strong_errs = []
-        for h in hs:
-            s, em, ev = _convergence_case(
-                case, h, config.paths, _tree_seed(config.seed, 7000 + run))
-            run += 1
-            rows.append({"case": case, "sweep": "strong", "h": h,
-                         "paths": config.paths, "strong_err": s,
-                         "weak_mean_err": em, "weak_second_err": ev})
-            strong_errs.append(s)
-        slope, resid = fit_slope(hs, strong_errs)
-        slopes.append({"case": case, "metric": "strong", "slope": slope,
-                       "residual": resid})
-        if case != "additive":
-            continue
-        weak_hs = sorted(config.weak_step_sizes, reverse=True)
-        weak = {"weak_mean": [], "weak_second": []}
-        for h in weak_hs:
-            s, em, ev = _convergence_case(
-                case, h, config.weak_paths, _tree_seed(config.seed, 9000 + run))
-            run += 1
-            rows.append({"case": case, "sweep": "weak", "h": h,
-                         "paths": config.weak_paths, "strong_err": s,
-                         "weak_mean_err": em, "weak_second_err": ev})
-            weak["weak_mean"].append(em)
-            weak["weak_second"].append(ev)
-        for metric, vals in weak.items():
-            slope, resid = fit_slope(weak_hs, vals)
-            slopes.append({"case": case, "metric": metric, "slope": slope,
-                           "residual": resid})
+        for sweep, name, paths, seed_base, metrics in sweeps:
+            if sweep == "weak" and case != "additive":
+                continue
+            hs = sorted(getattr(config, name), reverse=True)
+            for h in hs:
+                s, em, ev = _convergence_case(
+                    case, h, paths,
+                    _tree_seed(config.seed, seed_base + len(rows)))
+                rows.append({"case": case, "sweep": sweep, "h": h,
+                             "paths": paths, "strong_err": s,
+                             "weak_mean_err": em, "weak_second_err": ev})
+            for metric in metrics:
+                slope, resid = fit_slope(
+                    hs, [r[f"{metric}_err"] for r in rows[-len(hs):]])
+                slopes.append({"case": case, "metric": metric, "slope": slope,
+                               "residual": resid})
     return rows, slopes
 
 
@@ -327,12 +322,10 @@ def _bench_order(pattern, n, seed):
         return forward
     if pattern == "doubly_sequential":
         return forward + forward[::-1]
-    if pattern == "random":
-        rng = np.random.default_rng(seed)
-        order = np.arange(n)
-        rng.shuffle(order)
-        return order.tolist()
-    raise ValueError(f"unknown access pattern {pattern!r}")
+    rng = np.random.default_rng(seed)  # "random"
+    order = np.arange(n)
+    rng.shuffle(order)
+    return order.tolist()
 
 
 def run_brownian_bench(config: ExperimentConfig):
@@ -669,36 +662,40 @@ _KEYS = {
     "lr": ("--lr", float, None),
 }
 
-# Subcommand -> (help, the config keys its experiment reads). Each parser
-# offers exactly these flags plus --out, --config and --check, and a config
-# file may set only these keys and `out`.
+# Subcommand -> (help, the config keys its experiment reads, the defaults
+# it sets in place of ExperimentConfig's). Each parser offers exactly
+# these flags plus --out, --config and --check, and a config file may set
+# only these keys and `out`. The list defaults are copied for each run.
 _COMMANDS = {
     "gradient-error": ("adjoint-vs-oracle gradient gap",
-                       ("seed", "step_sizes", "methods", "cache_capacity")),
+                       ("seed", "step_sizes", "methods", "cache_capacity"),
+                       {}),
     "convergence": ("strong/weak order estimation",
                     ("seed", "step_sizes", "paths", "cases", "weak_paths",
-                     "weak_step_sizes")),
+                     "weak_step_sizes"),
+                    {"step_sizes": [2.0 ** -k for k in range(3, 8)]}),
     "brownian-bench": ("noise-store speed benchmark",
                        ("seed", "batch", "subintervals", "patterns",
-                        "repeats", "dims", "cache_capacity", "vbt_eps")),
-    "stability": ("linear stability sweep", ()),
+                        "repeats", "dims", "cache_capacity", "vbt_eps"),
+                       {}),
+    "stability": ("linear stability sweep", (), {}),
     "fit-toy": ("neural SDE moment-matching fit",
-                ("seed", "batch", "cache_capacity", "iters", "lr")),
+                ("seed", "batch", "cache_capacity", "iters", "lr"), {}),
 }
 
 
 def build_experiment_config(args):
-    """Merge defaults < flags < config file; returns (config, set keys).
+    """Merge the subcommand's defaults < flags < config file into a config.
 
     A config-file key the subcommand does not read raises ValueError.
     """
-    keys = ("out",) + _COMMANDS[args.command][1]
-    cfg = ExperimentConfig()
-    overrides = {}
+    _, keys, defaults = _COMMANDS[args.command]
+    keys = ("out",) + keys
+    values = {key: list(val) for key, val in defaults.items()}
     for key in keys:
         val = getattr(args, key, None)
         if val is not None:
-            overrides[key] = val
+            values[key] = val
     if getattr(args, "config", None):
         for key, raw in load_config_file(args.config).items():
             if key not in _KEYS:
@@ -706,11 +703,8 @@ def build_experiment_config(args):
             if key not in keys:
                 raise ValueError(
                     f"config key {key!r} is not read by {args.command}")
-            overrides[key] = _KEYS[key][1](raw)
-    for key, val in overrides.items():
-        setattr(cfg, key, val)
-    cfg.__post_init__()
-    return cfg, set(overrides)
+            values[key] = _KEYS[key][1](raw)
+    return ExperimentConfig(**values)
 
 
 def _dict_rows(rows):
@@ -723,7 +717,7 @@ def main(argv=None):
         prog="revsde",
         description="Reversible-solver SDE experiments (CSV output)")
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (help_text, keys) in _COMMANDS.items():
+    for command, (help_text, keys, _) in _COMMANDS.items():
         p = sub.add_parser(command, help=help_text)
         for key in ("out",) + keys:
             flag, parse, help_flag = _KEYS[key]
@@ -736,7 +730,7 @@ def main(argv=None):
                        help="exit nonzero if the acceptance band fails")
 
     args = parser.parse_args(argv)
-    cfg, explicit = build_experiment_config(args)
+    cfg = build_experiment_config(args)
     command = args.command
     out = cfg.out or f"{command.replace('-', '_')}.csv"
     failures = []
@@ -747,8 +741,6 @@ def main(argv=None):
         if args.check:
             failures = check_gradient_error(rows)
     elif command == "convergence":
-        if "step_sizes" not in explicit:
-            cfg.step_sizes = list(DEFAULT_CONVERGENCE_STEPS)
         rows, slopes = run_convergence(cfg)
         write_csv(out, *_dict_rows(rows))
         slope_out = out.rsplit(".", 1)[0] + "_slopes.csv"

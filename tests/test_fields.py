@@ -1,4 +1,4 @@
-"""Activation, MLP forward/VJP, clipping, and finite-difference checks."""
+"""Activation, MLP forward/pullback, clipping, and finite-difference checks."""
 
 import numpy as np
 import pytest
@@ -36,13 +36,29 @@ class TestLipswish:
         fd = (lipswish(x + h) - lipswish(x - h)) / (2.0 * h)
         np.testing.assert_allclose(lipswish_grad(x), fd, atol=1e-8)
 
+    def test_grad_is_the_derivative_the_pullback_runs_bitwise(self):
+        # A LipSwish head on [I | 0] pulls ones back to lipswish'(z).
+        z = np.linspace(-6.0, 6.0, 1000).reshape(250, 4)
+        d_z, _ = _drift_pullback(_identity_linear_mlp(4, "lipswish"), 0.3, z,
+                                 np.ones_like(z))
+        assert np.array_equal(d_z, lipswish_grad(z))
 
-def _identity_linear_mlp(dim):
+
+def _identity_linear_mlp(dim, final_activation="identity"):
     """Single linear layer passing the state through and ignoring time."""
-    net = MLPField(dim, [], dim, final_activation="identity")
+    net = MLPField(dim, [], dim, final_activation=final_activation)
     net.weights[0] = np.concatenate([np.eye(dim), np.zeros((dim, 1))], axis=1)
     net.biases[0] = np.zeros(dim)
     return net
+
+
+def _drift_pullback(drift_net, t, z, cot):
+    """The drift block of NeuralField.linearize's pullback of (cot, 0)."""
+    dim = drift_net.state_dim
+    field = NeuralField(drift_net, MLPField(dim, [4], dim))
+    _, sigma, pullback = field.linearize(t, z)
+    d_z, d_params = pullback(cot, np.zeros_like(sigma))
+    return d_z, d_params[:drift_net.n_params]
 
 
 class TestMLPForward:
@@ -92,10 +108,12 @@ class TestMLPForward:
 
 
 class TestMLPVjp:
+    """The MLP's VJP, as the drift block of NeuralField.linearize's pullback."""
+
     def test_zero_cotangent_gives_zero_gradients(self):
-        net = MLPField(3, [8], 4, rng=np.random.default_rng(4))
+        net = MLPField(3, [8], 3, rng=np.random.default_rng(4))
         z = np.random.default_rng(5).standard_normal((2, 3))
-        cot_z, cot_p = net.vjp(0.1, z, np.zeros((2, 4)))
+        cot_z, cot_p = _drift_pullback(net, 0.1, z, np.zeros((2, 3)))
         assert not cot_z.any()
         assert not cot_p.any()
 
@@ -106,15 +124,15 @@ class TestMLPVjp:
         net.weights[0][:, :3] = a
         z = rng.standard_normal((4, 3))
         cot = rng.standard_normal((4, 3))
-        cot_z, _ = net.vjp(0.0, z, cot)
+        cot_z, _ = _drift_pullback(net, 0.0, z, cot)
         np.testing.assert_allclose(cot_z, cot @ a, rtol=1e-14, atol=1e-14)
 
     def test_against_central_differences(self):
         rng = np.random.default_rng(8)
-        net = MLPField(4, [8], 3, rng=rng)
+        net = MLPField(4, [8], 4, rng=rng)
         z = rng.standard_normal((2, 4))
-        cot = rng.standard_normal((2, 3))
-        cot_z, cot_p = net.vjp(0.2, z, cot)
+        cot = rng.standard_normal((2, 4))
+        cot_z, cot_p = _drift_pullback(net, 0.2, z, cot)
         h = 1e-6
 
         def loss():
@@ -144,9 +162,9 @@ class TestMLPVjp:
             assert abs(cot_p[j] - fd) <= 1e-5 * max(1.0, abs(fd))
 
     def test_cotangent_shape_rejected(self):
-        net = MLPField(3, [4], 2)
-        with pytest.raises(ValueError):
-            net.vjp(0.0, np.zeros((2, 3)), np.zeros((2, 5)))
+        net = MLPField(3, [4], 3)
+        with pytest.raises(ValueError, match="cotangent shape"):
+            _drift_pullback(net, 0.0, np.zeros((2, 3)), np.zeros((2, 5)))
 
 
 class TestClipWeights:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from revsde import harness
 from revsde.harness import (
     ExperimentConfig,
     build_gradient_test_problem,
@@ -64,6 +65,32 @@ class TestConfig:
                                  f"got {float(lr)}"):
             main(["fit-toy", "--lr", lr, "--iters", "1", "--out",
                   str(tmp_path / "fit.csv")])
+
+    @pytest.mark.parametrize("argv, message", [
+        (["convergence", "--steps", "0.25,-0.125"],
+         "step_sizes must lie in 0 < h < inf, got [-0.125]"),
+        (["gradient-error", "--steps", "0.25,nan"],
+         "step_sizes must lie in 0 < h < inf, got [nan]"),
+        (["convergence", "--cases", "additive,bogus"],
+         "cases has unknown entries ['bogus']; pick from "
+         "['additive', 'multiplicative']"),
+        (["brownian-bench", "--patterns", "sequential,bogus"],
+         "patterns has unknown entries ['bogus']; pick from "
+         "['sequential', 'doubly_sequential', 'random']"),
+    ], ids=["negative-step", "nan-step", "unknown-case", "unknown-pattern"])
+    def test_cli_rejects_bad_entries_before_any_work(self, argv, message,
+                                                      tmp_path, monkeypatch):
+        # Before: the good entries' solves or timings ran first, and the
+        # error named an internal dt or came after the work.
+        built = []
+        monkeypatch.setattr(harness, "BrownianInterval",
+                            lambda *args, **kwargs: built.append(args))
+        out = tmp_path / "x.csv"
+        with pytest.raises(ValueError) as err:
+            main(argv + ["--out", str(out)])
+        assert str(err.value) == message
+        assert not out.exists()
+        assert not built
 
     def test_config_file_parsing(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -285,13 +312,16 @@ class TestFitToy:
 
 
 class TestCli:
-    def test_stability_end_to_end(self, tmp_path):
+    def test_stability_end_to_end(self, tmp_path, monkeypatch):
+        # Two short points test the plumbing; TestStability runs the sweep.
+        monkeypatch.setattr(harness, "STABILITY_POINTS",
+                            [(0.0, 0.5, 1000, True), (-0.5, 0.0, 1000, False)])
         out = tmp_path / "stability.csv"
         code = main(["stability", "--out", str(out), "--check"])
         assert code == 0
         text = out.read_text().splitlines()
         assert text[0].startswith("re_lambda_h,im_lambda_h")
-        assert len(text) > 5
+        assert len(text) == 3
 
     def test_gradient_error_csv_deterministic(self, tmp_path):
         args = ["gradient-error", "--seed", "4", "--methods", "midpoint",

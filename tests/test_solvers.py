@@ -827,8 +827,8 @@ class TestStabilityProbe:
         assert res.bounded
 
     def test_imaginary_axis_bounded(self):
-        for lam in (0.5j, -0.5j, 0.9j, 0.99j, -0.99j):
-            assert stability_probe(lam, 100_000).bounded
+        # Criterion 10 covers +-0.5i and +-0.99i at the same step count.
+        assert stability_probe(0.9j, 100_000).bounded
 
     def test_off_axis_unbounded(self):
         assert not stability_probe(-0.5 + 0j, 1000).bounded
