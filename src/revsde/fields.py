@@ -30,38 +30,68 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit as sigmoid
+from scipy.special import expit
 
 LIPSWISH_SCALE = 0.909
 
 
-# Each activation as (forward, derivative): forward(h) -> (y, memo) and
-# derivative(y, memo) -> dy/dh, from what the forward pass already
-# computed, so a pullback never re-evaluates a nonlinearity. LipSwish's
-# memo is its sigmoid: dy/dh = 0.909 s + y (1 - s).
+def sigmoid(h, out=None):
+    return expit(h, out=out)
+
+
+# Each activation as (forward, derivative): forward(h) -> (y, memo) may
+# write y into its pre-activation h and nothing else; derivative(y, memo)
+# -> dy/dh builds a new array from what the forward pass already computed,
+# so a pullback never re-evaluates a nonlinearity and never writes the
+# tape. LipSwish's memo is its sigmoid: dy/dh = 0.909 s + y (1 - s).
 def _lipswish_forward(h):
     s = sigmoid(h)
-    return LIPSWISH_SCALE * h * s, s
+    h *= LIPSWISH_SCALE
+    h *= s
+    return h, s
+
+
+def _lipswish_derivative(y, s):
+    d = 1.0 - s
+    d *= y
+    d += LIPSWISH_SCALE * s
+    return d
+
+
+def _tanh_derivative(y, _):
+    d = y * y
+    return np.subtract(1.0, d, out=d)
+
+
+def _sigmoid_derivative(y, _):
+    d = 1.0 - y
+    d *= y
+    return d
 
 
 _ACTIVATIONS = {
-    "lipswish": (_lipswish_forward,
-                 lambda y, s: LIPSWISH_SCALE * s + y * (1.0 - s)),
-    "tanh": (lambda h: (np.tanh(h), None), lambda y, _: 1.0 - y * y),
-    "sigmoid": (lambda h: (sigmoid(h), None), lambda y, _: y * (1.0 - y)),
+    "lipswish": (_lipswish_forward, _lipswish_derivative),
+    "tanh": (lambda h: (np.tanh(h, out=h), None), _tanh_derivative),
+    "sigmoid": (lambda h: (sigmoid(h, out=h), None), _sigmoid_derivative),
     "identity": (lambda h: (h, None), lambda y, _: 1.0),
 }
 
 
+def _on_copy(fn, x):
+    """fn on a float copy of x, so x is never written; a float for a float."""
+    y = fn(np.array(x, dtype=float, ndmin=1))
+    return y if np.ndim(x) else y[0]
+
+
 def lipswish(x):
     """Smooth activation with Lipschitz constant one: 0.909 x sigmoid(x)."""
-    return _lipswish_forward(x)[0]
+    return _on_copy(lambda h: _lipswish_forward(h)[0], x)
 
 
 def lipswish_grad(x):
     """0.909 s + y (1 - s), s = sigmoid(x): the MLP pullback's derivative."""
     forward, derivative = _ACTIVATIONS["lipswish"]
-    return derivative(*forward(x))
+    return _on_copy(lambda h: derivative(*forward(h)), x)
 
 
 def _flatten(weights, biases):
@@ -123,13 +153,14 @@ class MLPField:
         n_layers = len(self.weights)
         grads_w = [None] * n_layers
         grads_b = [None] * n_layers
-        g = cot * self._final_grad(inputs[-1], memos[-1])
+        g = self._final_grad(inputs[-1], memos[-1])
+        g *= cot  # a new array: cot and the tape are only read
         for i in reversed(range(n_layers)):
             grads_w[i] = g.T @ inputs[i]
             grads_b[i] = g.sum(axis=0)
             g = g @ self.weights[i]
             if i > 0:
-                g = g * self._act_grad(inputs[i], memos[i - 1])
+                g *= self._act_grad(inputs[i], memos[i - 1])
         cot_z = g[:, :self.state_dim]  # drop the time column
         return cot_z, _flatten(grads_w, grads_b)
 
@@ -143,7 +174,9 @@ class MLPField:
         n_layers = len(self.weights)
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             act = self._final if i == n_layers - 1 else self._act
-            y, memo = act(inputs[-1] @ w.T + b)
+            h = inputs[-1] @ w.T
+            h += b
+            y, memo = act(h)
             memos.append(memo)
             inputs.append(y)
         return inputs[-1], (memos, inputs)

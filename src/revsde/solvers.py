@@ -140,7 +140,7 @@ def _sdw(sigma: np.ndarray, dw: np.ndarray) -> np.ndarray:
 
 
 def _outer(vec: np.ndarray, dw: np.ndarray) -> np.ndarray:
-    return vec[:, :, None] * dw[:, None, :]
+    return np.einsum("bx,bw->bxw", vec, dw)
 
 
 def _check_finite(arr: np.ndarray, what: str):
@@ -235,7 +235,9 @@ def _revheun_pullback(pullback, cot: CotangentState, dt: float,
     (t', zhat').
     """
     d_mu_next = cot.d_mu + 0.5 * dt * cot.d_z
-    d_sigma_next = cot.d_sigma + 0.5 * _outer(cot.d_z, dw)
+    d_sigma_next = _outer(cot.d_z, dw)
+    d_sigma_next *= 0.5
+    d_sigma_next += cot.d_sigma
     gz, gp = pullback(d_mu_next, d_sigma_next)
     b_total = cot.d_zhat + gz
     tmp = 0.5 * cot.d_z + b_total
