@@ -15,6 +15,14 @@ derivative the solvers run. `vjp_drift` and `vjp_diffusion` are that
 pullback with the other cotangent zero; they stay for outside callers
 that time the drift and diffusion derivatives apart.
 
+The layers run on numpy alone. Each activation may overwrite its own
+pre-activation, and nothing else: a layer computes x @ W.T into a new
+buffer, adds the bias in place and hands the buffer to its activation,
+and no pullback ever writes an array that its tape, its caller or the
+returned (mu, sigma) holds. The sigmoid (the diffusion head and
+LipSwish's gate) is the tanh form 0.5 + 0.5 tanh(h / 2); see `sigmoid`
+for its accuracy.
+
 Conventions, shared with the solvers:
   * states are batch-major arrays of shape (batch, state_dim);
   * diffusion outputs have shape (batch, state_dim, noise_dim), row-major
@@ -30,13 +38,25 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 LIPSWISH_SCALE = 0.909
 
 
 def sigmoid(h, out=None):
-    return expit(h, out=out)
+    """The logistic function 1 / (1 + exp(-h)) as 0.5 + 0.5 tanh(h / 2).
+
+    Computed in one buffer: h / 2 is written into `out` (a new array if
+    None; `h` itself to overwrite the pre-activation), then tanh, *= 0.5
+    and += 0.5 run in place; returns that buffer. Values lie in [0, 1].
+    Against scipy's `expit` the absolute error is at most 2.3e-16; the
+    relative error is about 4e-9 where sigmoid(h) > 1e-8, and the value
+    is exactly 0 below h = -38 (`expit` keeps a tiny positive value).
+    """
+    s = np.multiply(h, 0.5, out=out)
+    np.tanh(s, out=s)
+    s *= 0.5
+    s += 0.5
+    return s
 
 
 # Each activation as (forward, derivative): forward(h) -> (y, memo) may
@@ -90,8 +110,7 @@ def lipswish(x):
 
 def lipswish_grad(x):
     """0.909 s + y (1 - s), s = sigmoid(x): the MLP pullback's derivative."""
-    forward, derivative = _ACTIVATIONS["lipswish"]
-    return _on_copy(lambda h: derivative(*forward(h)), x)
+    return _on_copy(lambda h: _lipswish_derivative(*_lipswish_forward(h)), x)
 
 
 def _flatten(weights, biases):
@@ -168,7 +187,9 @@ class MLPField:
         if z.ndim != 2 or z.shape[1] != self.state_dim:
             raise ValueError(
                 f"state must be (batch, {self.state_dim}), got {z.shape}")
-        x = np.concatenate([z, np.full((z.shape[0], 1), float(t))], axis=1)
+        x = np.empty((z.shape[0], self.state_dim + 1))
+        x[:, :-1] = z
+        x[:, -1] = float(t)
         memos = []
         inputs = [x]
         n_layers = len(self.weights)

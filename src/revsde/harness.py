@@ -78,7 +78,7 @@ class ExperimentConfig:
             if not getattr(self, name):
                 raise ValueError(f"{name} must be non-empty")
         for name in ("iters", "repeats", "batch", "paths", "weak_paths",
-                     "dims"):
+                     "dims", "cache_capacity"):
             if getattr(self, name) < 1:
                 raise ValueError(
                     f"{name} must be >= 1, got {getattr(self, name)}")
@@ -95,6 +95,9 @@ class ExperimentConfig:
             if bad:
                 raise ValueError(
                     f"{name} has unknown entries {bad}; pick from {list(choices)}")
+        if not 0.0 < self.vbt_eps < 1.0:  # the bench's horizon is 1
+            raise ValueError(
+                f"vbt_eps must lie in 0 < eps < 1, got {self.vbt_eps}")
         if not 0.0 <= self.lr < math.inf:
             raise ValueError(
                 f"lr must be non-negative and finite, got {self.lr}")

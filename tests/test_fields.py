@@ -1,9 +1,16 @@
 """Activation, MLP forward/pullback, clipping, and finite-difference checks."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import revsde
 from revsde.fields import (
     AnalyticField,
     MLPField,
@@ -12,7 +19,10 @@ from revsde.fields import (
     fd_check,
     lipswish,
     lipswish_grad,
+    sigmoid,
 )
+
+ACTIVATIONS = ["lipswish", "tanh", "sigmoid", "identity"]
 
 
 class TestLipswish:
@@ -42,6 +52,46 @@ class TestLipswish:
         d_z, _ = _drift_pullback(_identity_linear_mlp(4, "lipswish"), 0.3, z,
                                  np.ones_like(z))
         assert np.array_equal(d_z, lipswish_grad(z))
+
+    def test_caller_array_unchanged_and_float_for_float(self):
+        x = np.linspace(-6.0, 6.0, 101)
+        before = x.copy()
+        lipswish(x)
+        lipswish_grad(x)
+        assert x.tobytes() == before.tobytes()
+        assert isinstance(lipswish(0.3), float)
+        assert isinstance(lipswish_grad(0.3), float)
+        assert lipswish(0.3) == lipswish(np.array([0.3]))[0]
+
+
+class TestSigmoid:
+    GRID = np.linspace(-60.0, 60.0, 120_000).reshape(30_000, 4)
+
+    @staticmethod
+    def logistic(h):
+        with np.errstate(over="ignore"):
+            return 1.0 / (1.0 + np.exp(-h))
+
+    def test_function_head_and_lipswish_memo_match_logistic(self):
+        # The sigmoid head and LipSwish's gate are the same tanh form.
+        z = self.GRID
+        expect = self.logistic(z)
+        head = _identity_linear_mlp(4, "sigmoid").eval(0.3, z)
+        _, (memos, _) = _identity_linear_mlp(4, "lipswish")._forward(0.3, z)
+        for got in (sigmoid(z), head, memos[-1]):
+            assert np.abs(got - expect).max() <= 4.5e-16
+
+    def test_values_in_unit_interval(self):
+        h = np.concatenate([self.GRID.ravel(), [-1e300, 1e300]])
+        s = sigmoid(h)
+        assert s.min() == 0.0 and s.max() == 1.0
+
+    def test_writes_only_its_buffer(self):
+        h = self.GRID.copy()
+        s = sigmoid(h)
+        assert h.tobytes() == self.GRID.tobytes()
+        assert sigmoid(h, out=h) is h
+        assert h.tobytes() == s.tobytes()
 
 
 def _identity_linear_mlp(dim, final_activation="identity"):
@@ -285,8 +335,7 @@ class TestLinearize:
     @settings(max_examples=30, deadline=None)
     @given(x=st.integers(1, 4), w=st.integers(1, 3), batch=st.integers(1, 4),
            hidden=st.lists(st.integers(1, 6), min_size=1, max_size=2),
-           activations=st.tuples(*[st.sampled_from(
-               ["lipswish", "tanh", "sigmoid", "identity"])] * 3),
+           activations=st.tuples(*[st.sampled_from(ACTIVATIONS)] * 3),
            seed=st.integers(0, 2 ** 32 - 1))
     def test_random_neural_fields_match_eval_and_vjp_bitwise(
             self, x, w, batch, hidden, activations, seed):
@@ -301,6 +350,29 @@ class TestLinearize:
             field, float(rng.uniform(-1.0, 1.0)),
             rng.standard_normal((batch, x)), rng.standard_normal((batch, x)),
             rng.standard_normal((batch, x, w)))
+
+    @pytest.mark.parametrize("activation", ACTIVATIONS)
+    def test_inputs_tape_and_values_never_written(self, activation):
+        # Layers work in place; the caller's z and cotangents, the returned
+        # (mu, sigma) and the tape a second pullback reads must not move.
+        rng = np.random.default_rng(21)
+        field = NeuralField(
+            MLPField(3, [6], 3, activation=activation,
+                     final_activation=activation, rng=rng),
+            MLPField(3, [6], 6, activation=activation,
+                     final_activation=activation, rng=rng))
+        z = rng.standard_normal((5, 3))
+        d_mu = rng.standard_normal((5, 3))
+        d_sigma = rng.standard_normal((5, 3, 2))
+        inputs = [a.copy() for a in (z, d_mu, d_sigma)]
+        field.drift_net.eval(0.2, z)
+        mu, sigma, pullback = field.linearize(0.2, z)
+        values = [mu.copy(), sigma.copy()]
+        first = pullback(d_mu, d_sigma)
+        second = pullback(d_mu, d_sigma)
+        for got, want in zip([z, d_mu, d_sigma, mu, sigma, *second],
+                             inputs + values + list(first)):
+            assert got.tobytes() == want.tobytes()
 
     def test_analytic_field_names_a_missing_vjp_closure(self):
         def field(**vjps):
@@ -355,8 +427,7 @@ class TestFdCheck:
         assert rep.ok
         assert rep.max_rel_error <= 1e-5
 
-    @pytest.mark.parametrize("activation",
-                             ["lipswish", "tanh", "sigmoid", "identity"])
+    @pytest.mark.parametrize("activation", ACTIVATIONS)
     def test_every_activation_as_hidden_layer_and_head(self, activation):
         # The pullback reads each derivative from the forward pass's tape.
         rng = np.random.default_rng(19)
@@ -417,3 +488,23 @@ class TestFdCheck:
             lhs = float(np.sum(cot_z * v))
             rhs = float(np.sum(c * fwd))
             assert abs(lhs - rhs) <= 1e-5 * max(1.0, abs(rhs))
+
+
+def test_imports_and_differentiates_without_scipy():
+    code = textwrap.dedent("""
+        import sys
+        sys.modules["scipy"] = None  # any scipy import now fails
+        import numpy as np
+        from revsde import MLPField, NeuralField
+        field = NeuralField(
+            MLPField(2, [4], 2, final_activation="tanh"),
+            MLPField(2, [4], 4, final_activation="sigmoid"))
+        mu, sigma, pullback = field.linearize(0.1, np.ones((3, 2)))
+        d_z, d_params = pullback(np.ones_like(mu), np.ones_like(sigma))
+        assert d_z.shape == (3, 2) and d_params.shape == (field.param_count,)
+    """)
+    src = str(Path(revsde.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr

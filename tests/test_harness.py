@@ -77,11 +77,22 @@ class TestConfig:
         (["brownian-bench", "--patterns", "sequential,bogus"],
          "patterns has unknown entries ['bogus']; pick from "
          "['sequential', 'doubly_sequential', 'random']"),
-    ], ids=["negative-step", "nan-step", "unknown-case", "unknown-pattern"])
+        (["brownian-bench", "--vbt-eps", "0"],
+         "vbt_eps must lie in 0 < eps < 1, got 0.0"),
+        (["brownian-bench", "--vbt-eps", "-1"],
+         "vbt_eps must lie in 0 < eps < 1, got -1.0"),
+        (["brownian-bench", "--vbt-eps", "1"],
+         "vbt_eps must lie in 0 < eps < 1, got 1.0"),
+        (["fit-toy", "--cache-capacity", "0"],
+         "cache_capacity must be >= 1, got 0"),
+    ], ids=["negative-step", "nan-step", "unknown-case", "unknown-pattern",
+            "zero-vbt-eps", "negative-vbt-eps", "vbt-eps-at-horizon",
+            "zero-cache-capacity"])
     def test_cli_rejects_bad_entries_before_any_work(self, argv, message,
                                                       tmp_path, monkeypatch):
-        # Before: the good entries' solves or timings ran first, and the
-        # error named an internal dt or came after the work.
+        # Before: the good entries' solves or timings (or the OU moment
+        # simulation) ran first, and the error named an internal setting
+        # or came after the work.
         built = []
         monkeypatch.setattr(harness, "BrownianInterval",
                             lambda *args, **kwargs: built.append(args))
