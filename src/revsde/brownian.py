@@ -97,10 +97,9 @@ class _LRUCache:
         return self._data.get(node)
 
     def put(self, node, value):
+        """Insert an uncached node, evicting the least recent if full."""
         data = self._data
-        if node in data:
-            del data[node]
-        elif len(data) >= self.capacity:
+        if len(data) >= self.capacity:
             del data[next(iter(data))]
         data[node] = value
 

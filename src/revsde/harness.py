@@ -12,11 +12,12 @@ columns excepted):
                    virtual Brownian tree, minimum over repeats.
   stability        boundedness classification of the linear test equation
                    over a sweep of step-scaled rates.
-  fit-toy          fits a small neural SDE to Ornstein-Uhlenbeck marginal
-                   moments through the reversible adjoint, with oracle
-                   spot-checks.
+  fit-toy          fits a small neural SDE to the exact (closed-form)
+                   marginal moments of a drifted Ornstein-Uhlenbeck process
+                   through the reversible adjoint, with oracle spot-checks.
 
-CSV files use full round-trip float precision (`repr`). The CLI exposes
+Every experiment returns dict rows; CSV files take the first row's keys
+as header and write floats at full round-trip precision. The CLI exposes
 one subcommand per experiment, offering only the settings its experiment
 reads; values in a `key = value` config file override command-line flags,
 which override defaults.
@@ -108,13 +109,12 @@ def _tree_seed(config_seed, run_index):
     return (config_seed * 1_000_003 + run_index) & (2 ** 63 - 1)
 
 
-def write_csv(path, header, rows):
+def write_csv(path, rows):
+    """Dict rows under the first row's keys; floats are written as `repr`."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v
-                             for v in row])
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
 
 
 # ----------------------------------------------------------------------
@@ -134,10 +134,10 @@ def build_gradient_test_problem(seed):
 
 
 def relative_l1(grad_a, params_a, grad_b, params_b):
-    """sum |a - b| / max(sum |a|, sum |b|) over the stacked gradients."""
+    """sum |a - b| / max(sum |a|, sum |b|, 1e-300) over stacked gradients."""
     num = np.abs(grad_a - grad_b).sum() + np.abs(params_a - params_b).sum()
     den = max(np.abs(grad_a).sum() + np.abs(params_a).sum(),
-              np.abs(grad_b).sum() + np.abs(params_b).sum())
+              np.abs(grad_b).sum() + np.abs(params_b).sum(), 1e-300)
     return float(num / den)
 
 
@@ -213,24 +213,21 @@ FINE_PER_COARSE = 10  # fine reference steps per coarse step
 CASES = {"additive": anharmonic_field, "multiplicative": cross_cosine_field}
 
 
-def _check_coupling(tree, h, n_coarse):
+def _check_coupling(tree, fine_grid, coarse_grid):
     """Coarse increments must telescope out of the fine queries.
 
-    The fine grid was queried first, so every coarse query decomposes into
-    its fine leaves and matches their ordered sum bitwise -- except the
-    final step, whose interval coincides with an existing right-spine node
-    and is only equal to rounding (within 1e-12).
+    The grids are the two solves' own; FINE_PER_COARSE fine steps make up
+    each coarse step. The fine grid was queried first, so every coarse
+    query decomposes into its fine leaves and matches their ordered sum
+    bitwise -- except the final step, whose interval coincides with an
+    existing right-spine node and is only equal to rounding (within 1e-12).
     """
-    hf = h / FINE_PER_COARSE
+    n_coarse = len(coarse_grid) - 1
     for k in range(n_coarse):
-        coarse = tree.query(k * h, (k + 1) * h if k + 1 < n_coarse else tree.t1)
-        total = None
-        for j in range(FINE_PER_COARSE):
-            i = k * FINE_PER_COARSE + j
-            lo = i * hf
-            hi = (i + 1) * hf if i + 1 < n_coarse * FINE_PER_COARSE else tree.t1
-            q = tree.query(lo, hi)
-            total = q if total is None else total + q
+        coarse = tree.query(coarse_grid[k], coarse_grid[k + 1])
+        fine = fine_grid[k * FINE_PER_COARSE:(k + 1) * FINE_PER_COARSE + 1]
+        parts = [tree.query(lo, hi) for lo, hi in zip(fine, fine[1:])]
+        total = sum(parts[1:], parts[0])
         if k + 1 < n_coarse:
             if not np.array_equal(total, coarse):
                 raise RuntimeError(
@@ -243,13 +240,13 @@ def _convergence_case(case, h, paths, seed):
     field = CASES[case]()
     z0 = np.ones((paths, field.state_dim))
     tree = BrownianInterval(1.0, seed, dims=field.noise_dim, batch=paths)
+    fine_cfg = SolveConfig("heun", h / FINE_PER_COARSE, 1.0, tree)
+    coarse_cfg = SolveConfig("reversible_heun", h, 1.0, tree)
     # Fine reference first (ordinary Heun at h/10), coarse second: the
     # coarse queries then decompose exactly into the fine-grid nodes.
-    fine, _ = baseline_solve(
-        "heun", field, z0, SolveConfig("heun", h / FINE_PER_COARSE, 1.0, tree))
-    coarse, _ = revheun_solve(field, z0,
-                              SolveConfig("reversible_heun", h, 1.0, tree))
-    _check_coupling(tree, h, round(1.0 / h))
+    fine, _ = baseline_solve("heun", field, z0, fine_cfg)
+    coarse, _ = revheun_solve(field, z0, coarse_cfg)
+    _check_coupling(tree, fine_cfg.grid(), coarse_cfg.grid())
     yc, yf = coarse.z, fine.z
     strong = math.sqrt(float(np.mean(np.sum((yc - yf) ** 2, axis=1))))
     weak_mean = float(np.abs(np.mean(yc - yf, axis=0)).max())
@@ -379,6 +376,16 @@ def run_brownian_bench(config: ExperimentConfig):
     return rows
 
 
+def _speedups(rows):
+    """{(pattern, n): VBT time / interval time} where both stores ran."""
+    times = {(r["structure"], r["pattern"], r["subintervals"]):
+             r["min_time_s"] for r in rows}
+    return {(pattern, n): times["virtual_brownian_tree", pattern, n] / t
+            for (structure, pattern, n), t in times.items()
+            if structure == "brownian_interval"
+            and ("virtual_brownian_tree", pattern, n) in times}
+
+
 # ----------------------------------------------------------------------
 # stability
 # ----------------------------------------------------------------------
@@ -417,25 +424,18 @@ TOY_DT = 0.25
 TOY_CHECKPOINTS = 8
 
 
-def simulate_ou_moments(seed, paths=8192, dt=1.0 / 32):
-    """Empirical first/second moments of the drifted OU process.
+def ou_moments():
+    """Exact first/second moments of the drifted OU process.
 
-    dY = (rho t - kappa Y) dt + chi dW from Y0 = 0, sampled at the toy
-    problem's checkpoint times.
+    dY = (rho t - kappa Y) dt + chi dW from Y0 = 0, at the toy problem's
+    checkpoint times: E Y_t = rho (t/kappa - (1 - e^{-kappa t})/kappa^2)
+    and E Y_t^2 = chi^2 (1 - e^{-2 kappa t})/(2 kappa) + (E Y_t)^2.
     """
-    n = round(TOY_HORIZON / dt)
-    per = round(TOY_HORIZON / TOY_CHECKPOINTS / dt)
-    rng = np.random.default_rng(seed)
-    y = np.zeros(paths)
-    means, seconds = [], []
-    for i in range(n):
-        t = i * dt
-        y = y + (OU_RHO * t - OU_KAPPA * y) * dt \
-            + OU_CHI * math.sqrt(dt) * rng.standard_normal(paths)
-        if (i + 1) % per == 0:
-            means.append(float(y.mean()))
-            seconds.append(float(np.mean(y ** 2)))
-    return np.array(means), np.array(seconds)
+    t = TOY_HORIZON / TOY_CHECKPOINTS * np.arange(1, TOY_CHECKPOINTS + 1)
+    decay = np.exp(-OU_KAPPA * t)
+    mean = OU_RHO * (t / OU_KAPPA - (1.0 - decay) / OU_KAPPA ** 2)
+    var = OU_CHI ** 2 * (1.0 - decay ** 2) / (2.0 * OU_KAPPA)
+    return mean, var + mean ** 2
 
 
 def _toy_model(seed):
@@ -466,10 +466,9 @@ def _toy_gradients(field, config, tree, means, seconds, oracle=False):
     contributions.
     """
     steps_per = round(TOY_HORIZON / TOY_CHECKPOINTS / TOY_DT)
-    n = round(TOY_HORIZON / TOY_DT)
     cfg = SolveConfig("reversible_heun", TOY_DT, TOY_HORIZON, tree,
                       store_trajectory=True)
-    term, traj = revheun_solve(field, np.zeros((config.batch, 1)), cfg)
+    _, traj = revheun_solve(field, np.zeros((config.batch, 1)), cfg)
     z_checks = [traj[(k + 1) * steps_per].z for k in range(TOY_CHECKPOINTS)]
     loss, cots = _toy_loss_and_cotangents(z_checks, means, seconds)
     interior = {(k + 1) * steps_per: cots[k]
@@ -485,7 +484,7 @@ def _toy_gradients(field, config, tree, means, seconds, oracle=False):
 
 
 def fit_toy_sde(config: ExperimentConfig, grad_check_every=100):
-    """Fit the toy neural SDE to the OU moments; returns learning-curve rows.
+    """Fit the toy SDE to the exact OU moments; returns learning-curve rows.
 
     One fixed noise realization (a single Brownian tree, whose repeated
     queries are bitwise stable) serves every iteration, so the fit is a
@@ -494,7 +493,7 @@ def fit_toy_sde(config: ExperimentConfig, grad_check_every=100):
     step. Every `grad_check_every` iterations the adjoint gradient is
     checked against the unrolled oracle and the relative L1 gap recorded.
     """
-    means, seconds = simulate_ou_moments(config.seed)
+    means, seconds = ou_moments()
     field = _toy_model(config.seed)
     field.clip()
     tree = BrownianInterval(TOY_HORIZON, _tree_seed(config.seed, 50_000),
@@ -513,18 +512,15 @@ def fit_toy_sde(config: ExperimentConfig, grad_check_every=100):
         if grad_check_every and it % grad_check_every == 0:
             _, grad_oracle = _toy_gradients(field, config, tree, means,
                                             seconds, oracle=True)
-            num = np.abs(grad - grad_oracle).sum()
-            den = max(np.abs(grad).sum(), np.abs(grad_oracle).sum(), 1e-300)
-            gap = float(num / den)
-        if config.lr > 0.0:
-            m = beta1 * m + (1.0 - beta1) * grad
-            v = beta2 * v + (1.0 - beta2) * grad * grad
-            mhat = m / (1.0 - beta1 ** (it + 1))
-            vhat = v / (1.0 - beta2 ** (it + 1))
-            params = params - config.lr * mhat / (np.sqrt(vhat) + eps)
-            field.set_params(params)
-            field.clip()
-            params = field.get_params()
+            gap = relative_l1(0.0, grad, 0.0, grad_oracle)  # parameters only
+        m = beta1 * m + (1.0 - beta1) * grad
+        v = beta2 * v + (1.0 - beta2) * grad * grad
+        mhat = m / (1.0 - beta1 ** (it + 1))
+        vhat = v / (1.0 - beta2 ** (it + 1))
+        params = params - config.lr * mhat / (np.sqrt(vhat) + eps)
+        field.set_params(params)
+        field.clip()
+        params = field.get_params()
         rows.append({"iteration": it, "loss": loss, "oracle_rel_l1_gap": gap})
     return rows
 
@@ -575,20 +571,12 @@ def check_convergence(slopes):
 
 
 def check_brownian_bench(rows):
-    failures = []
-    by_key = {}
-    for r in rows:
-        by_key[(r["pattern"], r["subintervals"], r["structure"])] = r
-    for (pattern, n, structure), r in by_key.items():
-        if not r["deterministic"]:
-            failures.append(f"{structure} nondeterministic on {pattern}/{n}")
-    key_bi = ("doubly_sequential", 100, "brownian_interval")
-    key_vbt = ("doubly_sequential", 100, "virtual_brownian_tree")
-    if key_bi in by_key and key_vbt in by_key:
-        speedup = by_key[key_vbt]["min_time_s"] / by_key[key_bi]["min_time_s"]
-        if speedup < 1.5:
-            failures.append(
-                f"doubly-sequential speedup {speedup:.2f} below 1.5")
+    failures = [f"{r['structure']} nondeterministic on "
+                f"{r['pattern']}/{r['subintervals']}"
+                for r in rows if not r["deterministic"]]
+    speedup = _speedups(rows).get(("doubly_sequential", 100))
+    if speedup is not None and speedup < 1.5:
+        failures.append(f"doubly-sequential speedup {speedup:.2f} below 1.5")
     return failures
 
 
@@ -710,11 +698,6 @@ def build_experiment_config(args):
     return ExperimentConfig(**values)
 
 
-def _dict_rows(rows):
-    header = list(rows[0].keys())
-    return header, [[r[k] for k in header] for r in rows]
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="revsde",
@@ -740,14 +723,11 @@ def main(argv=None):
 
     if command == "gradient-error":
         rows = run_gradient_error(cfg)
-        write_csv(out, *_dict_rows(rows))
         if args.check:
             failures = check_gradient_error(rows)
     elif command == "convergence":
         rows, slopes = run_convergence(cfg)
-        write_csv(out, *_dict_rows(rows))
-        slope_out = out.rsplit(".", 1)[0] + "_slopes.csv"
-        write_csv(slope_out, *_dict_rows(slopes))
+        write_csv(out.rsplit(".", 1)[0] + "_slopes.csv", slopes)
         for s in slopes:
             print(f"{s['case']:15s} {s['metric']:12s} slope {s['slope']:+.3f} "
                   f"(residual {s['residual']:.3g})")
@@ -755,33 +735,24 @@ def main(argv=None):
             failures = check_convergence(slopes)
     elif command == "brownian-bench":
         rows = run_brownian_bench(cfg)
-        write_csv(out, *_dict_rows(rows))
-        times = {}
         for r in rows:
             print(f"{r['structure']:22s} {r['pattern']:18s} "
                   f"n={r['subintervals']:<5d} min {r['min_time_s']:.4g}s")
-            times[(r["pattern"], r["subintervals"], r["structure"])] = \
-                r["min_time_s"]
-        for (pattern, n, structure), t in sorted(times.items()):
-            if structure != "brownian_interval":
-                continue
-            other = times.get((pattern, n, "virtual_brownian_tree"))
-            if other:
-                print(f"speedup {pattern} n={n}: {other / t:.2f}x")
+        for (pattern, n), speedup in sorted(_speedups(rows).items()):
+            print(f"speedup {pattern} n={n}: {speedup:.2f}x")
         if args.check:
             failures = check_brownian_bench(rows)
     elif command == "stability":
         rows = run_stability(cfg)
-        write_csv(out, *_dict_rows(rows))
         if args.check:
             failures = check_stability(rows)
     elif command == "fit-toy":
         rows = fit_toy_sde(cfg)
-        write_csv(out, *_dict_rows(rows))
         print(f"loss: first {rows[0]['loss']:.5g} last {rows[-1]['loss']:.5g}")
         if args.check:
             failures = check_fit_toy(rows)
 
+    write_csv(out, rows)
     print(f"wrote {out}")
     if failures:
         for f in failures:

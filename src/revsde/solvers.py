@@ -49,7 +49,7 @@ from dataclasses import dataclass, field as dataclass_field, replace
 
 import numpy as np
 
-from .fields import VectorField
+from .fields import AnalyticField, VectorField
 
 BASELINE_METHODS = ("midpoint", "heun")
 METHODS = ("reversible_heun",) + BASELINE_METHODS
@@ -300,20 +300,22 @@ def revheun_adjoint_solve(field: VectorField, z0: np.ndarray,
                           checkpoint_cotangents: dict | None = None):
     """Gradients of <loss_cotangent, z(t1)> via the reversible backward pass.
 
-    Runs the forward solve, then inverts it step by step, so only the
-    current 5-tuple is ever stored. The same noise source instance supplies
-    the forward and backward increment queries, which return identical
-    values by construction. Optional `checkpoint_cotangents` maps a step
-    index i (0 <= i < n) to an extra cotangent on z at time i*dt, for
-    losses that also read interior states. The noise is prebuilt
-    dyadically at dt first (see `_prebuild`).
+    Runs the forward solve without storing its trajectory, whatever the
+    config says, then inverts it step by step, so only the current 5-tuple
+    is ever stored. The same noise source instance supplies the forward
+    and backward increment queries, which return identical values by
+    construction. Optional `checkpoint_cotangents` maps a step index i
+    (0 <= i < n) to an extra cotangent on z at time i*dt, for losses that
+    also read interior states. The noise is prebuilt dyadically at dt
+    first (see `_prebuild`).
 
     Returns (grad_z0, grad_params).
     """
     cps = _checkpoint_cotangents(checkpoint_cotangents, config.n_steps)
     _require_method("reversible_heun", config)
     _prebuild(config)
-    state, _ = revheun_solve(field, z0, config)
+    state, _ = revheun_solve(field, z0,
+                             replace(config, store_trajectory=False))
     cot = _terminal_cotangent(field, state.z, loss_cotangent)
     for i, dw in _sweep(config, reverse=True):
         state, cot = _step(i, revheun_step_backward, state, cot, config.dt,
@@ -442,21 +444,23 @@ def continuous_adjoint_solve(method: str, field: VectorField, z0: np.ndarray,
                              config: SolveConfig, loss_cotangent):
     """Optimise-then-discretise gradients with a baseline scheme.
 
-    Solves forward with `method`, then integrates the flat vector
-    [z, a, g] backward in time with the same scheme, -dt and the negated
-    Brownian increments, re-integrating the state rather than storing it.
-    a carries dL/dz(t) and g the batch-summed parameter gradient; their
-    increment is minus the pullback of a through the state's increment,
-    taken from `field.linearize` at each stage. The state mismatch between
-    the two passes is what puts truncation error into these gradients; it
-    vanishes as dt shrinks. Returns (grad_z0, grad_params).
+    Solves forward with `method`, storing no trajectory whatever the
+    config says, then integrates the flat vector [z, a, g] backward in
+    time with the same scheme, -dt and the negated Brownian increments,
+    re-integrating the state rather than storing it. a carries dL/dz(t)
+    and g the batch-summed parameter gradient; their increment is minus
+    the pullback of a through the state's increment, taken from
+    `field.linearize` at each stage. The state mismatch between the two
+    passes puts truncation error into these gradients; it vanishes as dt
+    shrinks. Returns (grad_z0, grad_params).
     """
     if method not in BASELINE_METHODS:
         raise ValueError(f"continuous adjoint supports {BASELINE_METHODS}, "
                          f"got {method!r}")
     _require_method(method, config)
     _prebuild(config)
-    terminal, _ = baseline_solve(method, field, z0, config)
+    terminal, _ = baseline_solve(method, field, z0,
+                                 replace(config, store_trajectory=False))
     batch, x = terminal.z.shape
     n = batch * x
     scheme = _BASELINE_SCHEMES[method]
@@ -549,8 +553,6 @@ def stability_probe(lam_h: complex, n_steps: int) -> StabilityResult:
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    from .fields import AnalyticField
-
     rot = np.array([[lam_h.real, -lam_h.imag], [lam_h.imag, lam_h.real]])
     field = AnalyticField(
         2, 1,

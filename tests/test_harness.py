@@ -16,13 +16,14 @@ from revsde.harness import (
     fit_toy_sde,
     load_config_file,
     main,
+    ou_moments,
     relative_l1,
     run_brownian_bench,
     run_convergence,
     run_gradient_error,
     run_stability,
-    simulate_ou_moments,
 )
+from revsde.solvers import SolveConfig
 
 
 class TestConfig:
@@ -123,8 +124,8 @@ class TestConfig:
             load_config_file(path)
 
     def test_config_file_overrides_flags(self, tmp_path):
-        # fit-toy reads the seed (OU moments and initial weights), so the
-        # CSV shows which seed won.
+        # fit-toy reads the seed (initial weights and noise), so the CSV
+        # shows which seed won.
         def run(name, *extra):
             out = tmp_path / f"{name}.csv"
             code = main(["fit-toy", "--batch", "4", "--iters", "1",
@@ -202,6 +203,24 @@ class TestGradientError:
         b, pb = np.array([[1.0, 1.0]]), np.array([0.0])
         assert relative_l1(a, pa, b, pb) == pytest.approx(1.5 / 3.5)
 
+    def test_relative_l1_of_all_zero_sides_is_zero(self):
+        zero = np.zeros(3)
+        assert relative_l1(zero, zero, zero, zero) == 0.0
+
+    @pytest.mark.parametrize("method, errors, failures", [
+        ("reversible_heun", [(0.5, 2e-12)],
+         ["reversible_heun error 2.000e-12 at dt=0.5 exceeds 1e-12"]),
+        ("heun", [(0.25, 0.1), (1.0, 0.1)],
+         ["heun errors not decreasing",
+          "heun error ratio 1.00 below 2 per step refinement"]),
+        ("midpoint", [(1.0, 0.3), (0.5, 0.2)],
+         ["midpoint error ratio 1.50 below 2 per step refinement"]),
+    ], ids=["reversible-above-1e-12", "not-decreasing", "ratio-below-2"])
+    def test_check_flags_each_failure(self, method, errors, failures):
+        rows = [{"method": method, "step_size": h, "rel_l1_error": e}
+                for h, e in errors]
+        assert check_gradient_error(rows) == failures
+
 
 class TestConvergence:
     def test_slope_fit(self):
@@ -252,6 +271,23 @@ class TestConvergence:
                            r"weak_step_sizes = \[0.25, 0.25\]"):
             run_convergence(cfg)
 
+    @pytest.mark.parametrize("coarse_dt, message", [
+        (0.5, "fine increments do not telescope at coarse step 0"),
+        (1.0, "final coarse step inconsistent beyond rounding"),
+    ])
+    def test_coupling_check_rejects_increments_that_do_not_add_up(
+            self, coarse_dt, message):
+        class UnitNoise:  # every interval's increment is 1
+            def query(self, s, t):
+                return np.ones((1, 1))
+
+        noise = UnitNoise()
+        fine = SolveConfig("heun", coarse_dt / harness.FINE_PER_COARSE, 1.0,
+                           noise)
+        coarse = SolveConfig("reversible_heun", coarse_dt, 1.0, noise)
+        with pytest.raises(RuntimeError, match=f"^{message}$"):
+            harness._check_coupling(noise, fine.grid(), coarse.grid())
+
     def test_check_bands(self):
         slopes = [{"case": "additive", "metric": "strong", "slope": 1.0},
                   {"case": "multiplicative", "metric": "strong", "slope": 0.9}]
@@ -282,6 +318,13 @@ class TestBrownianBench:
         failures = check_brownian_bench(rows)
         assert any("speedup" in f for f in failures)
 
+    def test_check_flags_nondeterministic_row(self):
+        rows = [{"structure": "brownian_interval", "pattern": "random",
+                 "subintervals": 10, "min_time_s": 1.0,
+                 "deterministic": False}]
+        assert check_brownian_bench(rows) == [
+            "brownian_interval nondeterministic on random/10"]
+
 
 class TestStability:
     def test_sweep_classifications(self):
@@ -297,14 +340,23 @@ class TestStability:
 
 class TestFitToy:
     def test_ou_moments_track_closed_form(self):
-        means, seconds = simulate_ou_moments(seed=0, paths=40_000)
-        rho, kappa, chi = 0.02, 0.1, 0.4
+        # Euler-Maruyama on dY = (rho t - kappa Y) dt + chi dW from Y0 = 0,
+        # 40,000 paths at dt 1/32, read at t = 1, ..., 8.
+        rho, kappa, chi, dt, paths = 0.02, 0.1, 0.4, 1.0 / 32, 40_000
+        rng = np.random.default_rng(0)
+        y = np.zeros(paths)
+        sim_means, sim_seconds = [], []
+        for i in range(256):
+            y = y + (rho * i * dt - kappa * y) * dt \
+                + chi * np.sqrt(dt) * rng.standard_normal(paths)
+            if (i + 1) % 32 == 0:
+                sim_means.append(y.mean())
+                sim_seconds.append(np.mean(y ** 2))
+        means, seconds = ou_moments()
+        assert means.shape == seconds.shape == (8,)
         for k in range(8):
-            t = float(k + 1)
-            mean = rho * (t / kappa - (1 - np.exp(-kappa * t)) / kappa ** 2)
-            var = chi ** 2 * (1 - np.exp(-2 * kappa * t)) / (2 * kappa)
-            assert abs(means[k] - mean) < 0.02
-            assert abs(seconds[k] - (var + mean ** 2)) < 0.03
+            assert abs(means[k] - sim_means[k]) < 0.02
+            assert abs(seconds[k] - sim_seconds[k]) < 0.03
 
     def test_zero_learning_rate_flat_loss(self):
         cfg = ExperimentConfig(seed=1, batch=32, iters=4, lr=0.0)
@@ -320,6 +372,12 @@ class TestFitToy:
                 if r["oracle_rel_l1_gap"] != ""]
         assert gaps and all(g <= 1e-12 for g in gaps)
         assert not check_fit_toy(rows)
+
+    def test_check_flags_oracle_gap_above_1e_12(self):
+        rows = [{"iteration": 0, "loss": 1.0, "oracle_rel_l1_gap": 3e-12},
+                {"iteration": 1, "loss": 0.1, "oracle_rel_l1_gap": ""}]
+        assert check_fit_toy(rows) == [
+            "gradient gap 3.000e-12 at iteration 0"]
 
 
 class TestCli:
@@ -350,6 +408,37 @@ class TestCli:
                      "--check"])
         assert code == 1
         assert "CHECK FAILED" in capsys.readouterr().err
+
+    def test_convergence_cli_writes_rows_and_slopes(self, tmp_path, capsys):
+        out = tmp_path / "conv.csv"
+        code = main(["convergence", "--paths", "50", "--weak-paths", "50",
+                     "--steps", "0.5,0.25", "--cases", "additive",
+                     "--out", str(out)])
+        assert code == 0
+        rows = out.read_text().splitlines()
+        assert rows[0] == ("case,sweep,h,paths,strong_err,weak_mean_err,"
+                           "weak_second_err")
+        assert len(rows) == 1 + 2 + 3  # two strong and three weak sizes
+        slopes = (tmp_path / "conv_slopes.csv").read_text().splitlines()
+        assert slopes[0] == "case,metric,slope,residual"
+        assert len(slopes) == 1 + 3
+        printed = [line for line in capsys.readouterr().out.splitlines()
+                   if " slope " in line]
+        assert [line.split()[:2] for line in printed] == [
+            row.split(",")[:2] for row in slopes[1:]]
+
+    def test_brownian_bench_cli_prints_each_speedup(self, tmp_path, capsys):
+        out = tmp_path / "bench.csv"
+        code = main(["brownian-bench", "--subintervals", "4,8", "--patterns",
+                     "sequential,random", "--repeats", "1", "--batch", "2",
+                     "--out", str(out)])
+        assert code == 0
+        assert len(out.read_text().splitlines()) == 1 + 2 * 2 * 2
+        printed = [line.split(":")[0] for line in
+                   capsys.readouterr().out.splitlines()
+                   if line.startswith("speedup")]
+        assert printed == ["speedup random n=4", "speedup random n=8",
+                           "speedup sequential n=4", "speedup sequential n=8"]
 
     def test_fit_toy_cli(self, tmp_path):
         out = tmp_path / "toy.csv"

@@ -1,6 +1,7 @@
 """Step algebra, reversibility, gradient exactness, baselines, stability."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -508,6 +509,35 @@ class TestAdjointGradients:
         assert stats.max_sample_depth <= tree.cache_capacity + math.log2(n)
         assert stats.sample_recomputes / stats.queries <= 4
 
+    @pytest.mark.parametrize("method", ["reversible_heun", "midpoint"])
+    def test_forward_pass_stores_nothing_for_a_storing_config(self, method):
+        # Before: the forward pass kept the config's trajectory, so n = 1024
+        # peaked 8x (reversible) and 2.2x (midpoint) higher when it stored.
+        field = reduced_neural_field(seed=0)
+        z0 = np.random.default_rng(1).standard_normal((8, 8))
+
+        def peak_and_grads(store):
+            tree = BrownianInterval(1.0, 53, dims=4, batch=8)
+            cfg = SolveConfig(method, 2.0 ** -10, 1.0, tree,
+                              store_trajectory=store)
+            tracemalloc.start()
+            try:
+                if method == "reversible_heun":
+                    grads = revheun_adjoint_solve(field, z0, cfg,
+                                                  np.ones((8, 8)))
+                else:
+                    grads = continuous_adjoint_solve(method, field, z0, cfg,
+                                                     np.ones((8, 8)))
+                return tracemalloc.get_traced_memory()[1], grads
+            finally:
+                tracemalloc.stop()
+
+        peak_plain, (g0, gp) = peak_and_grads(False)
+        peak_stored, (g0_stored, gp_stored) = peak_and_grads(True)
+        assert peak_stored <= 1.1 * peak_plain
+        np.testing.assert_array_equal(g0_stored, g0)
+        np.testing.assert_array_equal(gp_stored, gp)
+
     @pytest.mark.parametrize("key", [4, -1, 2.5])
     def test_checkpoint_keys_outside_the_grid_rejected(self, key):
         field, z0, cot = zero_field(), np.zeros((1, 1)), np.ones((1, 1))
@@ -784,6 +814,25 @@ class TestUnrolledBackprop:
         grid = cfg.grid()
         assert queries == list(zip(grid[:-1], grid[1:]))
         assert cfg.noise is noise and not cfg.store_trajectory
+
+    @pytest.mark.parametrize("method", ["midpoint", "heun"])
+    def test_baseline_checkpoint_cotangents_superpose(self, method):
+        # The gradient of <c_T, z(T)> + <c_k, z(k dt)> is the sum of the
+        # oracle with c_T alone and the oracle over horizon k dt with c_k,
+        # all on one tree.
+        field = reduced_neural_field(seed=17, x=3, w=2)
+        rng = np.random.default_rng(5)
+        z0 = rng.standard_normal((2, 3))
+        c_end, c_k = rng.standard_normal((2, 2, 3))
+        dt, k = 0.125, 3
+        tree = BrownianInterval(1.0, 47, dims=2, batch=2)
+        cfg = SolveConfig(method, dt, 1.0, tree)
+        g0, gp = unrolled_backprop(method, field, z0, cfg, c_end,
+                                   checkpoint_cotangents={k: c_k})
+        g0_end, gp_end = unrolled_backprop(method, field, z0, cfg, c_end)
+        g0_k, gp_k = unrolled_backprop(
+            method, field, z0, SolveConfig(method, dt, k * dt, tree), c_k)
+        assert rel_l1(g0, gp, g0_end + g0_k, gp_end + gp_k) <= 1e-12
 
     def test_baseline_backward_matches_finite_differences(self):
         field = reduced_neural_field(seed=37, x=2, w=2, width=4)
