@@ -26,6 +26,7 @@ from .solvers import (
     baseline_step,
     continuous_adjoint_solve,
     revheun_adjoint_solve,
+    revheun_backward,
     revheun_solve,
     revheun_step_backward,
     revheun_step_forward,
@@ -52,6 +53,7 @@ __all__ = [
     "lipswish",
     "new_seed",
     "revheun_adjoint_solve",
+    "revheun_backward",
     "revheun_solve",
     "revheun_step_backward",
     "revheun_step_forward",

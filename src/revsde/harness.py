@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import math
 import sys
 import time
@@ -42,6 +43,7 @@ from .solvers import (
     baseline_solve,
     continuous_adjoint_solve,
     revheun_adjoint_solve,
+    revheun_backward,
     revheun_solve,
     stability_probe,
     unrolled_backprop,
@@ -144,25 +146,21 @@ def relative_l1(grad_a, params_a, grad_b, params_b):
 def run_gradient_error(config: ExperimentConfig):
     """Rows of (method, step_size, rel_l1_error) on the fixed test problem."""
     field, z0 = build_gradient_test_problem(config.seed)
-    batch, x = z0.shape
-    w = field.noise_dim
-    cot = np.ones((batch, x))
+    cot = np.ones(z0.shape)
     rows = []
-    run = 0
-    for method in config.methods:
-        for dt in config.step_sizes:
-            tree = BrownianInterval(1.0, _tree_seed(config.seed, run),
-                                    dims=w, batch=batch,
-                                    cache_capacity=config.cache_capacity)
-            run += 1
-            cfg = SolveConfig(method, dt, 1.0, tree)
-            if method == "reversible_heun":
-                g_od, p_od = revheun_adjoint_solve(field, z0, cfg, cot)
-            else:
-                g_od, p_od = continuous_adjoint_solve(method, field, z0, cfg, cot)
-            g_do, p_do = unrolled_backprop(method, field, z0, cfg, cot)
-            rows.append({"method": method, "step_size": dt,
-                         "rel_l1_error": relative_l1(g_od, p_od, g_do, p_do)})
+    for run, (method, dt) in enumerate(itertools.product(config.methods,
+                                                         config.step_sizes)):
+        tree = BrownianInterval(1.0, _tree_seed(config.seed, run),
+                                dims=field.noise_dim, batch=z0.shape[0],
+                                cache_capacity=config.cache_capacity)
+        cfg = SolveConfig(method, dt, 1.0, tree)
+        if method == "reversible_heun":
+            g_od, p_od = revheun_adjoint_solve(field, z0, cfg, cot)
+        else:
+            g_od, p_od = continuous_adjoint_solve(method, field, z0, cfg, cot)
+        g_do, p_do = unrolled_backprop(method, field, z0, cfg, cot)
+        rows.append({"method": method, "step_size": dt,
+                     "rel_l1_error": relative_l1(g_od, p_od, g_do, p_do)})
     return rows
 
 
@@ -446,41 +444,29 @@ def _toy_model(seed):
     )
 
 
-def _toy_loss_and_cotangents(z_at_checkpoints, means, seconds):
-    loss = 0.0
-    cots = []
-    batch = z_at_checkpoints[0].shape[0]
-    for z, m, v in zip(z_at_checkpoints, means, seconds):
-        dm = float(z.mean() - m)
-        dv = float(np.mean(z ** 2) - v)
-        loss += dm * dm + dv * dv
-        cots.append(2.0 * dm / batch + 4.0 * dv * z / batch)
-    return loss, cots
+def _toy_gradients(field, tree, means, seconds):
+    """Moment loss, its parameter gradient and an oracle, for one tree.
 
-
-def _toy_gradients(field, config, tree, means, seconds, oracle=False):
-    """Loss and its parameter gradient for one noise realization.
-
-    Forward solve stores only the checkpoint states; cotangents from the
-    moment loss at each checkpoint enter the backward pass as interior
-    contributions.
+    One forward solve saves the checkpoint states alone; the loss's
+    cotangents at the interior checkpoints enter the reversible backward
+    pass from the terminal tuple. The third result, when called, runs the
+    unrolled oracle on the same cotangents.
     """
     steps_per = round(TOY_HORIZON / TOY_CHECKPOINTS / TOY_DT)
-    cfg = SolveConfig("reversible_heun", TOY_DT, TOY_HORIZON, tree,
-                      store_trajectory=True)
-    _, traj = revheun_solve(field, np.zeros((config.batch, 1)), cfg)
-    z_checks = [traj[(k + 1) * steps_per].z for k in range(TOY_CHECKPOINTS)]
-    loss, cots = _toy_loss_and_cotangents(z_checks, means, seconds)
-    interior = {(k + 1) * steps_per: cots[k]
-                for k in range(TOY_CHECKPOINTS - 1)}
-    if oracle:
-        _, gp = unrolled_backprop("reversible_heun", field,
-                                  np.zeros((config.batch, 1)), cfg, cots[-1],
-                                  checkpoint_cotangents=interior)
-    else:
-        _, gp = revheun_adjoint_solve(field, np.zeros((config.batch, 1)), cfg,
-                                      cots[-1], checkpoint_cotangents=interior)
-    return loss, gp
+    checkpoints = [(k + 1) * steps_per for k in range(TOY_CHECKPOINTS)]
+    cfg = SolveConfig("reversible_heun", TOY_DT, TOY_HORIZON, tree)
+    z0 = np.zeros((tree.batch, 1))
+    terminal, saved = revheun_solve(field, z0, cfg, save_at=checkpoints)
+    loss, cots = 0.0, []
+    for state, m, v in zip(saved, means, seconds):
+        dm = float(state.z.mean() - m)
+        dv = float(np.mean(state.z ** 2) - v)
+        loss += dm * dm + dv * dv
+        cots.append(2.0 * dm / tree.batch + 4.0 * dv * state.z / tree.batch)
+    interior = dict(zip(checkpoints[:-1], cots[:-1]))
+    _, gp = revheun_backward(field, terminal, cfg, cots[-1], interior)
+    return loss, gp, lambda: unrolled_backprop(
+        "reversible_heun", field, z0, cfg, cots[-1], interior)[1]
 
 
 def fit_toy_sde(config: ExperimentConfig, grad_check_every=100):
@@ -505,14 +491,12 @@ def fit_toy_sde(config: ExperimentConfig, grad_check_every=100):
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     rows = []
     for it in range(config.iters):
-        loss, grad = _toy_gradients(field, config, tree, means, seconds)
+        loss, grad, oracle = _toy_gradients(field, tree, means, seconds)
         if not math.isfinite(loss):
             raise RuntimeError(f"non-finite loss at iteration {it}")
         gap = ""
         if grad_check_every and it % grad_check_every == 0:
-            _, grad_oracle = _toy_gradients(field, config, tree, means,
-                                            seconds, oracle=True)
-            gap = relative_l1(0.0, grad, 0.0, grad_oracle)  # parameters only
+            gap = relative_l1(0.0, grad, 0.0, oracle())  # parameters only
         m = beta1 * m + (1.0 - beta1) * grad
         v = beta2 * v + (1.0 - beta2) * grad * grad
         mhat = m / (1.0 - beta1 ** (it + 1))

@@ -19,7 +19,9 @@ a caller's own) is linearized first, and its values are checked against
 its (mu', sigma'). Iterating from the terminal state gives gradients that
 match exact reverse-mode differentiation of the forward recurrence to
 floating-point reconstruction error, with O(1) storage: one evaluation
-pair and one pullback per step, and one tape set alive at a time.
+pair and one pullback per step, and one tape set alive at a time. A loss
+that reads the path takes the states its forward solve saved (`save_at`)
+and `revheun_backward` folds in their cotangents as the sweep passes them.
 
 Also here: midpoint / Heun baseline steps, the continuous (backward-SDE)
 adjoint for the baselines, the O(N)-memory unrolled backpropagation used
@@ -106,7 +108,6 @@ class SolveConfig:
     dt: float
     t1: float
     noise: object
-    store_trajectory: bool = False
     n_steps: int = dataclass_field(init=False)
 
     def __post_init__(self):
@@ -164,14 +165,16 @@ def _sweep(config, reverse):
         yield i, config.noise.query(ts[i], ts[i + 1])
 
 
-def _march(step, state, config):
-    """(terminal, trajectory or None): step(state, dt, dW) over the grid."""
-    trajectory = [state] if config.store_trajectory else None
+def _march(step, state, config, save_at):
+    """(terminal, [state after step i for i in save_at, in step order])."""
+    save_at = _step_indices(save_at, config.n_steps + 1, config.n_steps,
+                            "save_at index")
+    saved = [state] if 0 in save_at else []
     for i, dw in _sweep(config, reverse=False):
         state = _step(i, step, state, config.dt, dw)
-        if trajectory is not None:
-            trajectory.append(state)
-    return state, trajectory
+        if i + 1 in save_at:
+            saved.append(state)
+    return state, saved
 
 
 def _prebuild(config):
@@ -182,14 +185,26 @@ def _prebuild(config):
         prebuild(config.dt)
 
 
-def _checkpoint_cotangents(checkpoint_cotangents, n_steps):
-    """The checkpoint map as float arrays, its keys checked to be 0..n-1."""
-    cps = checkpoint_cotangents or {}
-    for key in cps:
-        if not (isinstance(key, numbers.Integral) and 0 <= key < n_steps):
-            raise ValueError(f"checkpoint key {key!r} is not a step index "
-                             f"0 <= i < n = {n_steps}")
-    return {key: np.asarray(cot, dtype=float) for key, cot in cps.items()}
+def _step_indices(indices, stop, n, what):
+    """The set of indices, each checked to be an int in 0 <= i < stop."""
+    indices = list(indices)
+    for i in indices:
+        if (isinstance(i, bool) or not isinstance(i, numbers.Integral)
+                or not 0 <= i < stop):
+            raise ValueError(f"{what} {i!r} is not a step index "
+                             f"0 <= i < {stop} for n = {n} steps")
+    return set(indices)
+
+
+def _checkpoint_cotangents(checkpoint_cotangents, n, shape):
+    """The checkpoint map as float arrays of the state's shape on steps < n."""
+    cps = {key: np.asarray(cot, dtype=float)
+           for key, cot in (checkpoint_cotangents or {}).items()}
+    for key in _step_indices(cps, n, n, "checkpoint key"):
+        if cps[key].shape != shape:
+            raise ValueError(f"checkpoint cotangent at key {key!r} has shape "
+                             f"{cps[key].shape}, the state has shape {shape}")
+    return cps
 
 
 def initial_state(field: VectorField, z0: np.ndarray) -> RevHeunState:
@@ -255,15 +270,14 @@ def revheun_step_backward(next_state: RevHeunState, cot_next: CotangentState,
                           ) -> tuple[RevHeunState, CotangentState]:
     """Invert one forward step and pull cotangents through it.
 
-    Takes the tuple's carried pullback, leaving `next_state.pullback`
-    None. A tuple without one is linearized at (t', zhat') and raises
-    SolverDivergence if the values differ from its (mu', sigma') by more
-    than ROUNDTRIP_TOL (relative), since then it did not come from a
-    forward step with this field. Pulls (d_z, d_zhat, d_mu, d_sigma) back
-    through the step map, accumulating parameter gradients, then
-    reconstructs (t, z, zhat, mu, sigma) by the update with (-dt, -dW),
-    whose evaluation is one `linearize` at (t, zhat) -- one drift and one
-    diffusion evaluation -- with a pullback the returned tuple carries.
+    Takes the tuple's carried pullback (leaving None), else linearizes at
+    (t', zhat') and raises SolverDivergence if the values differ from its
+    (mu', sigma') by more than ROUNDTRIP_TOL (relative): then the tuple did
+    not come from a forward step with this field. Pulls the cotangents
+    back through the step map, accumulating parameter gradients, then
+    reconstructs the previous tuple by the update with (-dt, -dW), whose
+    evaluation is one `linearize` at (t, zhat); the returned tuple carries
+    its pullback.
     """
     pullback, next_state.pullback = next_state.pullback, None
     if pullback is None:
@@ -282,17 +296,17 @@ def revheun_step_backward(next_state: RevHeunState, cot_next: CotangentState,
     return state, cot_prev
 
 
-def revheun_solve(field: VectorField, z0: np.ndarray, config: SolveConfig):
+def revheun_solve(field: VectorField, z0: np.ndarray, config: SolveConfig,
+                  save_at=()):
     """Iterate the reversible Heun step over the grid.
 
-    Returns (terminal RevHeunState, trajectory), where the trajectory is
-    the list of all states if config.store_trajectory else None. Memory is
-    O(1) in the step count when the trajectory is not stored.
+    Returns (terminal RevHeunState, [tuple after step i for each distinct
+    i in `save_at`, 0 <= i <= n, in step order]); O(1) memory beyond them.
     """
     _require_method("reversible_heun", config)
     return _march(
         lambda state, dt, dw: revheun_step_forward(state, dt, dw, field),
-        initial_state(field, z0), config)
+        initial_state(field, z0), config, save_at)
 
 
 def revheun_adjoint_solve(field: VectorField, z0: np.ndarray,
@@ -300,23 +314,37 @@ def revheun_adjoint_solve(field: VectorField, z0: np.ndarray,
                           checkpoint_cotangents: dict | None = None):
     """Gradients of <loss_cotangent, z(t1)> via the reversible backward pass.
 
-    Runs the forward solve without storing its trajectory, whatever the
-    config says, then inverts it step by step, so only the current 5-tuple
-    is ever stored. The same noise source instance supplies the forward
-    and backward increment queries, which return identical values by
-    construction. Optional `checkpoint_cotangents` maps a step index i
-    (0 <= i < n) to an extra cotangent on z at time i*dt, for losses that
-    also read interior states. The noise is prebuilt dyadically at dt
-    first (see `_prebuild`).
-
-    Returns (grad_z0, grad_params).
+    Checks `checkpoint_cotangents` and prebuilds the noise (`_prebuild`),
+    then runs `revheun_solve` and `revheun_backward` from its terminal tuple.
     """
-    cps = _checkpoint_cotangents(checkpoint_cotangents, config.n_steps)
     _require_method("reversible_heun", config)
+    _checkpoint_cotangents(checkpoint_cotangents, config.n_steps,
+                           np.atleast_2d(np.asarray(z0)).shape)
     _prebuild(config)
-    state, _ = revheun_solve(field, z0,
-                             replace(config, store_trajectory=False))
-    cot = _terminal_cotangent(field, state.z, loss_cotangent)
+    # Unbound, so the sweep below frees the terminal tuple after one step.
+    return revheun_backward(field, revheun_solve(field, z0, config)[0],
+                            config, loss_cotangent, checkpoint_cotangents)
+
+
+def revheun_backward(field: VectorField, terminal: RevHeunState,
+                     config: SolveConfig, loss_cotangent,
+                     checkpoint_cotangents: dict | None):
+    """(grad_z0, grad_params) of <loss_cotangent, z(t1)> from the terminal
+    tuple of `revheun_solve(field, z0, config)`, inverting it step by step.
+
+    The solve's noise instance answers the reverse sweep's queries again.
+    `checkpoint_cotangents` (or None) maps a step i < n to an extra
+    cotangent on z(i*dt), of the state's shape. Prebuild a fresh tree whose
+    n exceeds its cache capacity before the solve, as
+    `revheun_adjoint_solve` does: gradients are exact either way, but the
+    reverse sweep's tree work is then O(1) amortized per step.
+    """
+    _require_method("reversible_heun", config)
+    cps = _checkpoint_cotangents(checkpoint_cotangents, config.n_steps,
+                                 terminal.z.shape)
+    cot = _terminal_cotangent(field, terminal.z, loss_cotangent)
+    state = terminal
+    del terminal  # only the current tuple stays alive
     for i, dw in _sweep(config, reverse=True):
         state, cot = _step(i, revheun_step_backward, state, cot, config.dt,
                            dw, field)
@@ -326,14 +354,10 @@ def revheun_adjoint_solve(field: VectorField, z0: np.ndarray,
 
 
 def _terminal_cotangent(field, z, loss_cotangent) -> CotangentState:
-    batch, x = z.shape
     return CotangentState(
-        d_z=np.array(loss_cotangent, dtype=float).reshape(batch, x),
-        d_zhat=np.zeros((batch, x)),
-        d_mu=np.zeros((batch, x)),
-        d_sigma=np.zeros((batch, x, field.noise_dim)),
-        d_params=np.zeros(field.param_count),
-    )
+        np.array(loss_cotangent, dtype=float).reshape(z.shape),
+        np.zeros(z.shape), np.zeros(z.shape),
+        np.zeros(z.shape + (field.noise_dim,)), np.zeros(field.param_count))
 
 
 def _revheun_gradients(field, first: RevHeunState, cot: CotangentState):
@@ -431,22 +455,21 @@ def baseline_step(method: str, state: PathState, dt: float, dw: np.ndarray,
 
 
 def baseline_solve(method: str, field: VectorField, z0: np.ndarray,
-                   config: SolveConfig):
+                   config: SolveConfig, save_at=()):
     """Iterate a baseline step over the grid; mirrors revheun_solve."""
     _require_method(method, config)
     z0 = np.atleast_2d(np.asarray(z0, dtype=float))
     return _march(
         lambda state, dt, dw: baseline_step(method, state, dt, dw, field),
-        PathState(0.0, z0), config)
+        PathState(0.0, z0), config, save_at)
 
 
 def continuous_adjoint_solve(method: str, field: VectorField, z0: np.ndarray,
                              config: SolveConfig, loss_cotangent):
     """Optimise-then-discretise gradients with a baseline scheme.
 
-    Solves forward with `method`, storing no trajectory whatever the
-    config says, then integrates the flat vector [z, a, g] backward in
-    time with the same scheme, -dt and the negated Brownian increments,
+    Solves forward with `method`, then integrates the flat vector [z, a, g]
+    backward in time with the same scheme, -dt and the negated increments,
     re-integrating the state rather than storing it. a carries dL/dz(t)
     and g the batch-summed parameter gradient; their increment is minus
     the pullback of a through the state's increment, taken from
@@ -459,23 +482,19 @@ def continuous_adjoint_solve(method: str, field: VectorField, z0: np.ndarray,
                          f"got {method!r}")
     _require_method(method, config)
     _prebuild(config)
-    terminal, _ = baseline_solve(method, field, z0,
-                                 replace(config, store_trajectory=False))
-    batch, x = terminal.z.shape
-    n = batch * x
+    terminal, _ = baseline_solve(method, field, z0, config)
+    shape, n = terminal.z.shape, terminal.z.size
     scheme = _BASELINE_SCHEMES[method]
-    y = np.concatenate([
-        terminal.z.ravel(),
-        np.array(loss_cotangent, dtype=float).reshape(n),
-        np.zeros(field.param_count),
-    ])
+    y = np.concatenate([terminal.z.ravel(),
+                        np.array(loss_cotangent, dtype=float).reshape(n),
+                        np.zeros(field.param_count)])
     t = config.t1
     for i, dw in _sweep(config, reverse=True):
-        inc = _adjoint_increment(field, -config.dt, -dw, terminal.z.shape)
+        inc = _adjoint_increment(field, -config.dt, -dw, shape)
         y, _ = scheme(inc, t, y, -config.dt)
         t = t - config.dt
         _check_finite(y, f"adjoint state at backward step {i}")
-    return y[n:2 * n].reshape(batch, x), y[2 * n:]
+    return y[n:2 * n].reshape(shape), y[2 * n:]
 
 
 class _Recorder:
@@ -490,30 +509,27 @@ def unrolled_backprop(method: str, field: VectorField, z0: np.ndarray,
                       checkpoint_cotangents: dict | None = None):
     """Discretise-then-optimise gradients: the O(N)-memory oracle.
 
-    Runs the public forward solve with every state stored and its
-    increments recorded, then applies the exact reverse-mode chain rule
-    through each step, replaying the recorded increments, with the step
-    pullbacks the reversible adjoint and the baseline schemes share. The
-    noise is queried once per step. Raises MemoryError up front if the
-    stored trajectory would exceed UNROLLED_MEMORY_LIMIT bytes. Prebuilds
+    Runs the public forward solve saving every state and recording the
+    increments (one query per step), then replays them backward through
+    the step pullbacks the adjoints share. Raises MemoryError up front if
+    the saved states would exceed UNROLLED_MEMORY_LIMIT bytes. Prebuilds
     the noise like the adjoints, so on a fresh tree of the same seed it
     sees their noise. Returns (grad_z0, grad_params).
     """
     _require_method(method, config)
-    cps = _checkpoint_cotangents(checkpoint_cotangents, config.n_steps)
     z0 = np.atleast_2d(np.asarray(z0, dtype=float))
     (batch, x), w, n = z0.shape, field.noise_dim, config.n_steps
+    cps = _checkpoint_cotangents(checkpoint_cotangents, n, z0.shape)
     per_state = x * (3 + w) if method == "reversible_heun" else x
     need = 8 * batch * ((n + 1) * per_state + n * w)
     if need > UNROLLED_MEMORY_LIMIT:
         raise MemoryError(f"unrolled trajectory needs {need} bytes > limit "
                           f"{UNROLLED_MEMORY_LIMIT}")
     _prebuild(config)
-    config = replace(config, store_trajectory=True,
-                     noise=_Recorder(config.noise))
+    config = replace(config, noise=_Recorder(config.noise))
     dt = config.dt
     if method == "reversible_heun":
-        _, states = revheun_solve(field, z0, config)
+        _, states = revheun_solve(field, z0, config, range(n + 1))
         cot = _terminal_cotangent(field, states[-1].z, loss_cotangent)
         for i, dw in _sweep(config, reverse=True):
             nxt = states[i + 1]
@@ -522,7 +538,7 @@ def unrolled_backprop(method: str, field: VectorField, z0: np.ndarray,
             if i in cps:
                 cot.d_z = cot.d_z + cps[i]
         return _revheun_gradients(field, states[0], cot)
-    _, states = baseline_solve(method, field, z0, config)
+    _, states = baseline_solve(method, field, z0, config, range(n + 1))
     scheme = _BASELINE_SCHEMES[method]
     a = np.array(loss_cotangent, dtype=float).reshape(batch, x)
     gp = np.zeros(field.param_count)
@@ -567,10 +583,8 @@ def stability_probe(lam_h: complex, n_steps: int) -> StabilityResult:
             state = revheun_step_forward(state, 1.0, dw, field)
         except SolverDivergence:
             return StabilityResult(float("inf"), float("inf"), False)
-        mod_z = float(np.hypot(state.z[0, 0], state.z[0, 1]))
-        mod_zhat = float(np.hypot(state.zhat[0, 0], state.zhat[0, 1]))
-        max_z = max(max_z, mod_z)
-        max_zhat = max(max_zhat, mod_zhat)
+        max_z = max(max_z, float(np.hypot(*state.z[0])))
+        max_zhat = max(max_zhat, float(np.hypot(*state.zhat[0])))
         if max(max_z, max_zhat) > 1e12:
             break
     return StabilityResult(max_z, max_zhat,

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from revsde import harness
+from revsde import NeuralField, harness
 from revsde.harness import (
     ExperimentConfig,
     build_gradient_test_problem,
@@ -372,6 +372,22 @@ class TestFitToy:
                 if r["oracle_rel_l1_gap"] != ""]
         assert gaps and all(g <= 1e-12 for g in gaps)
         assert not check_fit_toy(rows)
+
+    def test_one_forward_pass_per_iteration(self, monkeypatch):
+        # 32 steps: the forward solve evaluates the drift at the start and
+        # after each step; the backward pass linearizes the terminal tuple
+        # and each reconstruction. Before, a second forward solve made 66.
+        calls = {"eval_drift": 0, "linearize": 0}
+        for name in calls:
+            def counted(self, *args, _real=getattr(NeuralField, name),
+                        _name=name):
+                calls[_name] += 1
+                return _real(self, *args)
+
+            monkeypatch.setattr(NeuralField, name, counted)
+        fit_toy_sde(ExperimentConfig(seed=0, batch=4, iters=1),
+                    grad_check_every=0)
+        assert calls == {"eval_drift": 33, "linearize": 33}
 
     def test_check_flags_oracle_gap_above_1e_12(self):
         rows = [{"iteration": 0, "loss": 1.0, "oracle_rel_l1_gap": 3e-12},
