@@ -34,13 +34,14 @@ adjoint, parameter-gradient) vector backward with it. Every gradient path,
 the continuous adjoint included, differentiates the field through
 `field.linearize`.
 
-One grid walk, `_sweep`, queries the noise on the solve's time grid
-(i*dt, end pinned to t1) for every pass, so forward and backward passes
-hit bitwise-identical tree intervals; the oracle differentiates the public
-forward solves themselves. Every solve that sweeps the grid backward first
-asks its noise to split itself dyadically at the step size
-(`prebuild_dyadic`), so the reverse sweep's tree work stays O(1) amortized
-per query; forward-only solves leave the tree shape to their queries.
+One grid walk, `_sweep`, queries the noise at `SolveConfig.time` (i*dt,
+end pinned to t1) for every pass and checks each increment's shape, so
+forward and backward passes hit bitwise-identical tree intervals; the
+oracle differentiates the public forward solves. Every solve that sweeps
+the grid backward first asks its noise to split itself dyadically at the
+step size (`prebuild_dyadic`), so the reverse sweep's tree work stays O(1)
+amortized per query; forward-only solves leave the tree shape to their
+queries.
 """
 
 from __future__ import annotations
@@ -123,9 +124,13 @@ class SolveConfig:
                 f"horizon {self.t1} is not an integer multiple of dt {self.dt}")
         self.n_steps = n
 
+    def time(self, i):
+        """Grid time i: i*dt, with time n pinned to t1 exactly."""
+        return self.t1 if i == self.n_steps else i * self.dt
+
     def grid(self):
-        """Query times: i*dt with the endpoint pinned to t1 exactly."""
-        return [i * self.dt for i in range(self.n_steps)] + [self.t1]
+        """The n + 1 grid times as a list."""
+        return [self.time(i) for i in range(self.n_steps + 1)]
 
 
 def _require_method(method, config):
@@ -157,20 +162,25 @@ def _step(i, step, *args):
         raise SolverDivergence(f"{exc} at step {i}") from None
 
 
-def _sweep(config, reverse):
-    """Yield (i, dW over step i) along the grid, last step first if reverse."""
-    ts = config.grid()
+def _sweep(config, batch, noise_dim, reverse):
+    """Yield (i, dW over step i) along the grid, last step first if reverse;
+    each dW must have shape (batch, noise_dim)."""
     steps = range(config.n_steps)
     for i in reversed(steps) if reverse else steps:
-        yield i, config.noise.query(ts[i], ts[i + 1])
+        dw = config.noise.query(config.time(i), config.time(i + 1))
+        if np.shape(dw) != (batch, noise_dim):
+            raise ValueError(f"noise increment at step {i} has shape "
+                             f"{np.shape(dw)}, expected (batch, noise_dim) "
+                             f"= {(batch, noise_dim)}")
+        yield i, dw
 
 
-def _march(step, state, config, save_at):
+def _march(step, state, config, save_at, noise_dim):
     """(terminal, [state after step i for i in save_at, in step order])."""
     save_at = _step_indices(save_at, config.n_steps + 1, config.n_steps,
                             "save_at index")
     saved = [state] if 0 in save_at else []
-    for i, dw in _sweep(config, reverse=False):
+    for i, dw in _sweep(config, len(state.z), noise_dim, reverse=False):
         state = _step(i, step, state, config.dt, dw)
         if i + 1 in save_at:
             saved.append(state)
@@ -196,15 +206,19 @@ def _step_indices(indices, stop, n, what):
     return set(indices)
 
 
-def _checkpoint_cotangents(checkpoint_cotangents, n, shape):
-    """The checkpoint map as float arrays of the state's shape on steps < n."""
+def _cotangents(loss_cotangent, checkpoint_cotangents, n, shape):
+    """(loss cotangent, checkpoint map on steps < n), each value checked to
+    be a float array of the state's shape."""
+    loss = np.asarray(loss_cotangent, dtype=float)
     cps = {key: np.asarray(cot, dtype=float)
            for key, cot in (checkpoint_cotangents or {}).items()}
-    for key in _step_indices(cps, n, n, "checkpoint key"):
-        if cps[key].shape != shape:
-            raise ValueError(f"checkpoint cotangent at key {key!r} has shape "
-                             f"{cps[key].shape}, the state has shape {shape}")
-    return cps
+    for what, cot in [("loss cotangent", loss)] + [
+            (f"checkpoint cotangent at key {key!r}", cps[key])
+            for key in _step_indices(cps, n, n, "checkpoint key")]:
+        if cot.shape != shape:
+            raise ValueError(f"{what} has shape {cot.shape}, the state has "
+                             f"shape {shape}")
+    return loss, cps
 
 
 def initial_state(field: VectorField, z0: np.ndarray) -> RevHeunState:
@@ -306,24 +320,23 @@ def revheun_solve(field: VectorField, z0: np.ndarray, config: SolveConfig,
     _require_method("reversible_heun", config)
     return _march(
         lambda state, dt, dw: revheun_step_forward(state, dt, dw, field),
-        initial_state(field, z0), config, save_at)
+        initial_state(field, z0), config, save_at, field.noise_dim)
 
 
 def revheun_adjoint_solve(field: VectorField, z0: np.ndarray,
-                          config: SolveConfig, loss_cotangent,
-                          checkpoint_cotangents: dict | None = None):
+                          config: SolveConfig, loss_cotangent):
     """Gradients of <loss_cotangent, z(t1)> via the reversible backward pass.
 
-    Checks `checkpoint_cotangents` and prebuilds the noise (`_prebuild`),
-    then runs `revheun_solve` and `revheun_backward` from its terminal tuple.
+    Checks the cotangent and prebuilds the noise (`_prebuild`), then runs
+    `revheun_solve` and `revheun_backward` from its terminal tuple.
     """
     _require_method("reversible_heun", config)
-    _checkpoint_cotangents(checkpoint_cotangents, config.n_steps,
-                           np.atleast_2d(np.asarray(z0)).shape)
+    loss_cotangent, _ = _cotangents(loss_cotangent, None, config.n_steps,
+                                    np.atleast_2d(np.asarray(z0)).shape)
     _prebuild(config)
     # Unbound, so the sweep below frees the terminal tuple after one step.
     return revheun_backward(field, revheun_solve(field, z0, config)[0],
-                            config, loss_cotangent, checkpoint_cotangents)
+                            config, loss_cotangent, None)
 
 
 def revheun_backward(field: VectorField, terminal: RevHeunState,
@@ -340,12 +353,12 @@ def revheun_backward(field: VectorField, terminal: RevHeunState,
     reverse sweep's tree work is then O(1) amortized per step.
     """
     _require_method("reversible_heun", config)
-    cps = _checkpoint_cotangents(checkpoint_cotangents, config.n_steps,
-                                 terminal.z.shape)
-    cot = _terminal_cotangent(field, terminal.z, loss_cotangent)
+    loss, cps = _cotangents(loss_cotangent, checkpoint_cotangents,
+                            config.n_steps, terminal.z.shape)
+    cot = _terminal_cotangent(field, loss)
     state = terminal
     del terminal  # only the current tuple stays alive
-    for i, dw in _sweep(config, reverse=True):
+    for i, dw in _sweep(config, len(state.z), field.noise_dim, reverse=True):
         state, cot = _step(i, revheun_step_backward, state, cot, config.dt,
                            dw, field)
         if i in cps:
@@ -353,11 +366,10 @@ def revheun_backward(field: VectorField, terminal: RevHeunState,
     return _revheun_gradients(field, state, cot)
 
 
-def _terminal_cotangent(field, z, loss_cotangent) -> CotangentState:
+def _terminal_cotangent(field, loss) -> CotangentState:
     return CotangentState(
-        np.array(loss_cotangent, dtype=float).reshape(z.shape),
-        np.zeros(z.shape), np.zeros(z.shape),
-        np.zeros(z.shape + (field.noise_dim,)), np.zeros(field.param_count))
+        loss, np.zeros(loss.shape), np.zeros(loss.shape),
+        np.zeros(loss.shape + (field.noise_dim,)), np.zeros(field.param_count))
 
 
 def _revheun_gradients(field, first: RevHeunState, cot: CotangentState):
@@ -461,7 +473,7 @@ def baseline_solve(method: str, field: VectorField, z0: np.ndarray,
     z0 = np.atleast_2d(np.asarray(z0, dtype=float))
     return _march(
         lambda state, dt, dw: baseline_step(method, state, dt, dw, field),
-        PathState(0.0, z0), config, save_at)
+        PathState(0.0, z0), config, save_at, field.noise_dim)
 
 
 def continuous_adjoint_solve(method: str, field: VectorField, z0: np.ndarray,
@@ -481,18 +493,17 @@ def continuous_adjoint_solve(method: str, field: VectorField, z0: np.ndarray,
         raise ValueError(f"continuous adjoint supports {BASELINE_METHODS}, "
                          f"got {method!r}")
     _require_method(method, config)
+    loss, _ = _cotangents(loss_cotangent, None, config.n_steps,
+                          np.atleast_2d(np.asarray(z0)).shape)
     _prebuild(config)
     terminal, _ = baseline_solve(method, field, z0, config)
     shape, n = terminal.z.shape, terminal.z.size
     scheme = _BASELINE_SCHEMES[method]
-    y = np.concatenate([terminal.z.ravel(),
-                        np.array(loss_cotangent, dtype=float).reshape(n),
+    y = np.concatenate([terminal.z.ravel(), loss.ravel(),
                         np.zeros(field.param_count)])
-    t = config.t1
-    for i, dw in _sweep(config, reverse=True):
+    for i, dw in _sweep(config, shape[0], field.noise_dim, reverse=True):
         inc = _adjoint_increment(field, -config.dt, -dw, shape)
-        y, _ = scheme(inc, t, y, -config.dt)
-        t = t - config.dt
+        y, _ = scheme(inc, config.time(i + 1), y, -config.dt)
         _check_finite(y, f"adjoint state at backward step {i}")
     return y[n:2 * n].reshape(shape), y[2 * n:]
 
@@ -519,7 +530,8 @@ def unrolled_backprop(method: str, field: VectorField, z0: np.ndarray,
     _require_method(method, config)
     z0 = np.atleast_2d(np.asarray(z0, dtype=float))
     (batch, x), w, n = z0.shape, field.noise_dim, config.n_steps
-    cps = _checkpoint_cotangents(checkpoint_cotangents, n, z0.shape)
+    loss, cps = _cotangents(loss_cotangent, checkpoint_cotangents, n,
+                            z0.shape)
     per_state = x * (3 + w) if method == "reversible_heun" else x
     need = 8 * batch * ((n + 1) * per_state + n * w)
     if need > UNROLLED_MEMORY_LIMIT:
@@ -530,8 +542,8 @@ def unrolled_backprop(method: str, field: VectorField, z0: np.ndarray,
     dt = config.dt
     if method == "reversible_heun":
         _, states = revheun_solve(field, z0, config, range(n + 1))
-        cot = _terminal_cotangent(field, states[-1].z, loss_cotangent)
-        for i, dw in _sweep(config, reverse=True):
+        cot = _terminal_cotangent(field, loss)
+        for i, dw in _sweep(config, batch, w, reverse=True):
             nxt = states[i + 1]
             _, _, pullback = field.linearize(nxt.t, nxt.zhat)
             cot = _revheun_pullback(pullback, cot, dt, dw)
@@ -540,9 +552,8 @@ def unrolled_backprop(method: str, field: VectorField, z0: np.ndarray,
         return _revheun_gradients(field, states[0], cot)
     _, states = baseline_solve(method, field, z0, config, range(n + 1))
     scheme = _BASELINE_SCHEMES[method]
-    a = np.array(loss_cotangent, dtype=float).reshape(batch, x)
-    gp = np.zeros(field.param_count)
-    for i, dw in _sweep(config, reverse=True):
+    a, gp = loss, np.zeros(field.param_count)
+    for i, dw in _sweep(config, batch, w, reverse=True):
         inc = _linearized_increment(field, dt, dw)
         _, pullback = scheme(inc, states[i].t, states[i].z, dt)
         a, g = pullback(a)
