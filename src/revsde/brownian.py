@@ -6,7 +6,10 @@ Two interchangeable noise sources are provided:
   increment of any node is a pure function of the root seed and the node's
   ancestry, so increments can be evicted from the bounded LRU cache and
   recomputed bitwise later. A hint to the most recently returned node makes
-  the sequential access pattern of an SDE solver O(1) amortized.
+  the sequential access pattern of an SDE solver O(1) amortized. A fresh
+  tree can instead be keyed on a solve's grid (`key_on_grid`): its nodes
+  are then grid index ranges halved at their midpoints, none is stored,
+  and the tree holds only its LRU entries and the hint's root-to-leaf path.
 
 * `VirtualBrownianTree` -- the classical baseline: query points are rounded
   to a dyadic grid of resolution `tol` and each evaluation descends from
@@ -71,7 +74,8 @@ class _Node:
 
 
 class _LRUCache:
-    """Identity-keyed LRU map from node to its sampled increment."""
+    """LRU map from a node (or, in a keyed tree, an index range (lo, hi))
+    to its sampled increment."""
 
     __slots__ = ("capacity", "hits", "misses", "_data")
 
@@ -122,10 +126,12 @@ class TreeStats:
 
 
 class BrownianInterval:
-    """Exact, constant-memory Brownian increment store over [0, t1].
+    """Exact Brownian increment store over [0, t1].
 
     The tree starts as a stump; leaves are bisected lazily as queries
-    arrive. The increment of a node is recovered from its parent: left
+    arrive, and every node persists (about 2n after n sequential steps).
+    Keyed on a grid (`key_on_grid`), the tree stores no node and holds
+    O(1) memory instead. The increment of a node is recovered from its parent: left
     children by bridge conditioning (normals drawn from the left child's
     seed), right children by subtracting the left sibling's value. Repeated
     queries of the same interval return bitwise-identical values regardless
@@ -145,8 +151,9 @@ class BrownianInterval:
     independent. Returned arrays are owned by the cache -- do not mutate.
 
     Note the sample path realized for a given seed depends on the query
-    order (which determines the tree topology); only the distribution and
-    per-instance determinism are guaranteed.
+    order (which determines the tree topology), or on the grid alone for a
+    keyed tree; only the distribution and per-instance determinism are
+    guaranteed.
     """
 
     def __init__(self, t1: float, seed, dims: int = 1, batch: int = 1,
@@ -160,6 +167,7 @@ class BrownianInterval:
         self.batch = int(batch)
         self._root = _Node(0.0, self.t1, _as_seed(seed), None)
         self._hint = self._root
+        self._n = self._time = self._path = None  # set by key_on_grid
         self._cache = _LRUCache(cache_capacity)
         self._node_count = 1
         self._queries = 0
@@ -176,42 +184,40 @@ class BrownianInterval:
         if not (0.0 <= s < t <= self.t1):
             raise ValueError(
                 f"query must satisfy 0 <= s < t <= {self.t1}, got [{s}, {t}]")
-        nodes = self._traverse(self._hint, s, t)
-        self._hint = nodes[-1]
+        if self._n is None:
+            nodes = self._traverse(self._hint, s, t)
+            self._hint = nodes[-1]
+            sample = self._sample
+        else:
+            nodes = self._grid_nodes(s, t)
+            sample = self._keyed_sample
         self._queries += 1
-        total = self._sample(nodes[0])
+        total = sample(nodes[0])
         for node in nodes[1:]:
-            total = total + self._sample(node)
+            total = total + sample(node)
         return total
 
-    def prebuild_dyadic(self, step_estimate: float):
-        """Pre-split the tree dyadically before user queries arrive.
+    def key_on_grid(self, n: int, time):
+        """Key a fresh tree on the grid time(0) = 0 < ... < time(n) = t1.
 
-        Issues internal queries [0, t1/2], [t1/2, t1], [0, t1/4], ... until
-        leaf width is at most (4/5) * step_estimate * cache_capacity. A later
-        backward sweep then recomputes chains bounded by one leaf's worth
-        of steps plus the dyadic depth, instead of chains that grow with
-        the total step count. Every solver that sweeps its grid backward
-        calls this with its step size before its forward pass.
+        Node [lo, hi) of the balanced index tree this makes spans
+        [time(lo), time(hi)] and splits at (lo + hi) // 2. No node is
+        stored: the LRU maps (lo, hi) to the increment, and the hint is the
+        last query's root-to-leaf path with its seeds, so an evicted value
+        regrows bitwise from its nearest cached ancestor, at most
+        ceil(log2 n) levels up. Queries off the grid then raise ValueError.
 
-        A no-op on a tree that queries have already split (the root has
-        children), so it never reshapes a path that has been drawn, and on
-        degenerate targets (>= t1). Otherwise it changes the tree topology,
-        and therefore the realized path, for a given seed.
+        A no-op on a tree that queries have split or that is keyed, and for
+        a grid not ending at t1; otherwise it changes the tree topology, and
+        so the realized path, for a given seed.
         """
-        if not 0.0 < step_estimate < math.inf:
-            raise ValueError(f"step estimate must be positive and finite, "
-                             f"got {step_estimate}")
-        target = 0.8 * step_estimate * self._cache.capacity
-        if target >= self.t1 or self._root.left is not None:
+        if n < 1:
+            raise ValueError(f"a grid needs n >= 1 steps, got {n}")
+        if (self._root.left is not None or self._n is not None
+                or time(n) != self.t1):
             return
-        depth = math.ceil(math.log2(self.t1 / target))
-        for level in range(1, depth + 1):
-            pieces = 1 << level
-            width = self.t1 / pieces
-            for j in range(pieces):
-                b = (j + 1) * width if j + 1 < pieces else self.t1
-                self.query(j * width, b)
+        self._n, self._time = n, time
+        self._path = [((0, n), self._root.seed, None)]
 
     def stats(self) -> TreeStats:
         return TreeStats(
@@ -322,6 +328,84 @@ class BrownianInterval:
             value = w_left if child is left else value - w_left
             cache.put(child, value)
         return value
+
+    # -- keyed tree (key_on_grid) ---------------------------------------
+
+    def _grid_nodes(self, s: float, t: float) -> list:
+        """The index nodes partitioning [s, t], which must lie on the grid."""
+        n, time = self._n, self._time
+        lo, hi = round(s / self.t1 * n), round(t / self.t1 * n)
+        if time(lo) != s or time(hi) != t:
+            raise ValueError(f"query [{s}, {t}] is off the grid of n = {n} "
+                             f"steps this tree is keyed on")
+        return [(lo, hi)] if hi - lo == 1 else _cover(0, n, lo, hi)
+
+    def _keyed_sample(self, node: tuple) -> np.ndarray:
+        """Increment of index node (a, b): cut the hint path below its
+        deepest entry ((lo, hi), seed, pair) holding the node and extend it
+        down (the first step reuses the cut entry's pair, the split of the
+        parent's seed), then regrow as `_sample` does, caching a left
+        sibling drawn for a right child: a reverse sweep asks for it next.
+        """
+        path = self._path
+        a, b = node
+        k = len(path) - 1
+        (lo, hi), seed, _ = path[k]
+        while a < lo or b > hi:
+            k -= 1
+            (lo, hi), seed, _ = path[k]
+        ascent = len(path) - 1 - k
+        pair = path[k + 1][2] if ascent else None
+        del path[k + 1:]
+        while lo != a or hi != b:
+            pair = pair or split(seed)
+            mid = (lo + hi) >> 1
+            lo, hi, seed = (lo, mid, pair[0]) if b <= mid else (mid, hi,
+                                                                pair[1])
+            path.append(((lo, hi), seed, pair))
+            pair = None
+        self._traverse_edges += ascent + len(path) - 1 - k
+
+        cache = self._cache
+        for top in range(len(path) - 1, -1, -1):
+            value = cache.get(path[top][0])
+            if value is not None:
+                break
+        else:  # top == 0: the root, drawn from its own seed
+            xi = standard_normals(path[0][1], self.batch * self.dims)
+            value = math.sqrt(self.t1) * xi.reshape(self.batch, self.dims)
+            cache.put(path[0][0], value)
+        depth = len(path) - 1 - top
+        self._sample_recomputes += depth
+        if depth > self._max_sample_depth:
+            self._max_sample_depth = depth
+        time = self._time
+        p_lo, p_hi = path[top][0]
+        for key, _, pair in path[top + 1:]:
+            lo, hi = key
+            if lo == p_lo:
+                value = bridge_sample(time(lo), time(p_hi), time(hi), value,
+                                      pair[0])
+            else:
+                sibling = (p_lo, lo)
+                w_left = cache.peek(sibling)
+                if w_left is None:
+                    w_left = bridge_sample(time(p_lo), time(p_hi), time(lo),
+                                           value, pair[0])
+                    cache.put(sibling, w_left)
+                value = value - w_left
+            cache.put(key, value)
+            p_lo, p_hi = key
+        return value
+
+
+def _cover(lo: int, hi: int, a: int, b: int) -> list:
+    """The index nodes under [lo, hi) that partition [a, b), left to right."""
+    if a <= lo and hi <= b:
+        return [(lo, hi)]
+    mid = (lo + hi) >> 1
+    return ((_cover(lo, mid, a, b) if a < mid else [])
+            + (_cover(mid, hi, a, b) if b > mid else []))
 
 
 class VirtualBrownianTree:

@@ -329,14 +329,18 @@ def _bench_order(pattern, n, seed):
 def run_brownian_bench(config: ExperimentConfig):
     """Minimum-of-repeats timings for both Brownian stores.
 
-    Each repeat rebuilds the structure (construction and dyadic prebuild
-    excluded from timing), replays the same query order, and records the
-    wall time of the query loop alone. A checksum over all returned values
-    verifies repeats are bitwise deterministic.
+    Each repeat rebuilds the structure (construction, and keying the
+    interval tree on the partition grid, excluded from timing), replays the
+    same query order, and records the wall time of the query loop alone. A
+    checksum over all returned values verifies repeats are bitwise
+    deterministic.
     """
     rows = []
     for n in config.subintervals:
-        bounds = [(k / n, (k + 1) / n if k + 1 < n else 1.0) for k in range(n)]
+        def grid_time(k):
+            return k / n if k < n else 1.0
+
+        bounds = [(grid_time(k), grid_time(k + 1)) for k in range(n)]
         for pattern in config.patterns:
             order = _bench_order(pattern, n, config.seed)
             for structure in ("brownian_interval", "virtual_brownian_tree"):
@@ -347,7 +351,7 @@ def run_brownian_bench(config: ExperimentConfig):
                             1.0, _tree_seed(config.seed, n), dims=config.dims,
                             batch=config.batch,
                             cache_capacity=config.cache_capacity)
-                        store.prebuild_dyadic(1.0 / n)
+                        store.key_on_grid(n, grid_time)
                         store.reset_stats()
                     else:
                         store = VirtualBrownianTree(

@@ -36,12 +36,13 @@ the continuous adjoint included, differentiates the field through
 
 One grid walk, `_sweep`, queries the noise at `SolveConfig.time` (i*dt,
 end pinned to t1) for every pass and checks each increment's shape, so
-forward and backward passes hit bitwise-identical tree intervals; the
-oracle differentiates the public forward solves. Every solve that sweeps
-the grid backward first asks its noise to split itself dyadically at the
-step size (`prebuild_dyadic`), so the reverse sweep's tree work stays O(1)
-amortized per query; forward-only solves leave the tree shape to their
-queries.
+forward and backward passes hit bitwise-identical tree intervals; each
+step is handed the grid time it ends at, so states sit on the grid too.
+The oracle differentiates the public forward solves. Every solve that
+sweeps the grid backward first keys a fresh noise tree on its grid
+(`BrownianInterval.key_on_grid`), so the tree holds O(1) memory and the
+reverse sweep's tree work stays O(1) amortized per query; forward-only
+solves leave the tree shape to their queries.
 """
 
 from __future__ import annotations
@@ -181,18 +182,18 @@ def _march(step, state, config, save_at, noise_dim):
                             "save_at index")
     saved = [state] if 0 in save_at else []
     for i, dw in _sweep(config, len(state.z), noise_dim, reverse=False):
-        state = _step(i, step, state, config.dt, dw)
+        state = _step(i, step, state, config.time(i + 1), config.dt, dw)
         if i + 1 in save_at:
             saved.append(state)
     return state, saved
 
 
 def _prebuild(config):
-    """Split the noise dyadically at dt, if it can (a VirtualBrownianTree
+    """Key the noise on the solve's grid, if it can (a VirtualBrownianTree
     cannot), before a solve that sweeps its grid backward."""
-    prebuild = getattr(config.noise, "prebuild_dyadic", None)
-    if prebuild is not None:
-        prebuild(config.dt)
+    key = getattr(config.noise, "key_on_grid", None)
+    if key is not None:
+        key(config.n_steps, config.time)
 
 
 def _step_indices(indices, stop, n, what):
@@ -228,13 +229,14 @@ def initial_state(field: VectorField, z0: np.ndarray) -> RevHeunState:
                         field.eval_diffusion(0.0, z0))
 
 
-def _revheun_update(state: RevHeunState, dt: float, dw: np.ndarray,
-                    evaluate) -> RevHeunState:
-    """The reversible Heun update; evaluate(t, zhat) -> (mu, sigma, pullback).
+def _revheun_update(state: RevHeunState, t_next: float, dt: float,
+                    dw: np.ndarray, evaluate) -> RevHeunState:
+    """The reversible Heun update to time t_next; evaluate(t, zhat) ->
+    (mu, sigma, pullback).
 
-    With (-dt, -dW) from the tuple after a step it inverts that step.
+    Run from the tuple after a step with (t, -dt, -dW), t the step's start,
+    it inverts that step.
     """
-    t_next = state.t + dt
     zhat_next = 2.0 * state.z - state.zhat + state.mu * dt + _sdw(state.sigma, dw)
     mu_next, sigma_next, pullback = evaluate(t_next, zhat_next)
     z_next = (state.z + 0.5 * dt * (state.mu + mu_next)
@@ -243,10 +245,11 @@ def _revheun_update(state: RevHeunState, dt: float, dw: np.ndarray,
                         pullback)
 
 
-def revheun_step_forward(state: RevHeunState, dt: float, dw: np.ndarray,
-                         field: VectorField) -> RevHeunState:
-    """One reversible Heun step; exactly one drift + one diffusion eval."""
-    state = _revheun_update(state, dt, dw, lambda t, z: (
+def revheun_step_forward(state: RevHeunState, t_next: float, dt: float,
+                         dw: np.ndarray, field: VectorField) -> RevHeunState:
+    """One reversible Heun step to grid time t_next; exactly one drift + one
+    diffusion eval."""
+    state = _revheun_update(state, t_next, dt, dw, lambda t, z: (
         field.eval_drift(t, z), field.eval_diffusion(t, z), None))
     _check_finite(state.z, "state after forward step")
     return state
@@ -280,9 +283,11 @@ def _revheun_pullback(pullback, cot: CotangentState, dt: float,
 
 
 def revheun_step_backward(next_state: RevHeunState, cot_next: CotangentState,
-                          dt: float, dw: np.ndarray, field: VectorField,
+                          t: float, dt: float, dw: np.ndarray,
+                          field: VectorField,
                           ) -> tuple[RevHeunState, CotangentState]:
-    """Invert one forward step and pull cotangents through it.
+    """Invert one forward step, back to grid time t, and pull cotangents
+    through it.
 
     Takes the tuple's carried pullback (leaving None), else linearizes at
     (t', zhat') and raises SolverDivergence if the values differ from its
@@ -305,7 +310,7 @@ def revheun_step_backward(next_state: RevHeunState, cot_next: CotangentState,
                 f"{ROUNDTRIP_TOL:.1e}")
     cot_prev = _revheun_pullback(pullback, cot_next, dt, dw)
     del pullback  # frees the field's tapes before the reconstruction
-    state = _revheun_update(next_state, -dt, -dw, field.linearize)
+    state = _revheun_update(next_state, t, -dt, -dw, field.linearize)
     _check_finite(state.z, "reconstructed state")
     return state, cot_prev
 
@@ -319,7 +324,8 @@ def revheun_solve(field: VectorField, z0: np.ndarray, config: SolveConfig,
     """
     _require_method("reversible_heun", config)
     return _march(
-        lambda state, dt, dw: revheun_step_forward(state, dt, dw, field),
+        lambda state, t_next, dt, dw: revheun_step_forward(state, t_next, dt,
+                                                           dw, field),
         initial_state(field, z0), config, save_at, field.noise_dim)
 
 
@@ -327,8 +333,8 @@ def revheun_adjoint_solve(field: VectorField, z0: np.ndarray,
                           config: SolveConfig, loss_cotangent):
     """Gradients of <loss_cotangent, z(t1)> via the reversible backward pass.
 
-    Checks the cotangent and prebuilds the noise (`_prebuild`), then runs
-    `revheun_solve` and `revheun_backward` from its terminal tuple.
+    Checks the cotangent and keys the noise on the grid (`_prebuild`), then
+    runs `revheun_solve` and `revheun_backward` from its terminal tuple.
     """
     _require_method("reversible_heun", config)
     loss_cotangent, _ = _cotangents(loss_cotangent, None, config.n_steps,
@@ -347,10 +353,13 @@ def revheun_backward(field: VectorField, terminal: RevHeunState,
 
     The solve's noise instance answers the reverse sweep's queries again.
     `checkpoint_cotangents` (or None) maps a step i < n to an extra
-    cotangent on z(i*dt), of the state's shape. Prebuild a fresh tree whose
-    n exceeds its cache capacity before the solve, as
-    `revheun_adjoint_solve` does: gradients are exact either way, but the
-    reverse sweep's tree work is then O(1) amortized per step.
+    cotangent on z(i*dt), of the state's shape. Key a fresh tree on the
+    grid before the solve (`config.noise.key_on_grid(config.n_steps,
+    config.time)`), as `revheun_adjoint_solve` does: gradients are exact
+    either way, but a keyed tree holds O(1) memory and its reverse sweep
+    costs O(1) amortized tree work per step, where a lazy tree holds about
+    2n nodes and, once n outgrows its cache, recomputes chains that grow
+    with n.
     """
     _require_method("reversible_heun", config)
     loss, cps = _cotangents(loss_cotangent, checkpoint_cotangents,
@@ -359,8 +368,8 @@ def revheun_backward(field: VectorField, terminal: RevHeunState,
     state = terminal
     del terminal  # only the current tuple stays alive
     for i, dw in _sweep(config, len(state.z), field.noise_dim, reverse=True):
-        state, cot = _step(i, revheun_step_backward, state, cot, config.dt,
-                           dw, field)
+        state, cot = _step(i, revheun_step_backward, state, cot,
+                           config.time(i), config.dt, dw, field)
         if i in cps:
             cot.d_z = cot.d_z + cps[i]
     return _revheun_gradients(field, state, cot)
@@ -451,9 +460,9 @@ def _adjoint_increment(field, dt, dw, shape):
     return inc
 
 
-def baseline_step(method: str, state: PathState, dt: float, dw: np.ndarray,
-                  field: VectorField) -> PathState:
-    """One step of a baseline scheme.
+def baseline_step(method: str, state: PathState, t_next: float, dt: float,
+                  dw: np.ndarray, field: VectorField) -> PathState:
+    """One step of a baseline scheme to grid time t_next.
 
     midpoint and Heun are two-evaluation Stratonovich schemes (half-step
     state and predictor-corrector respectively).
@@ -463,7 +472,7 @@ def baseline_step(method: str, state: PathState, dt: float, dw: np.ndarray,
         raise ValueError(f"unknown baseline method {method!r}")
     z_next, _ = scheme(_increment(field, dt, dw), state.t, state.z, dt)
     _check_finite(z_next, f"state after {method} step")
-    return PathState(state.t + dt, z_next)
+    return PathState(t_next, z_next)
 
 
 def baseline_solve(method: str, field: VectorField, z0: np.ndarray,
@@ -472,7 +481,8 @@ def baseline_solve(method: str, field: VectorField, z0: np.ndarray,
     _require_method(method, config)
     z0 = np.atleast_2d(np.asarray(z0, dtype=float))
     return _march(
-        lambda state, dt, dw: baseline_step(method, state, dt, dw, field),
+        lambda state, t_next, dt, dw: baseline_step(method, state, t_next, dt,
+                                                    dw, field),
         PathState(0.0, z0), config, save_at, field.noise_dim)
 
 
@@ -523,9 +533,9 @@ def unrolled_backprop(method: str, field: VectorField, z0: np.ndarray,
     Runs the public forward solve saving every state and recording the
     increments (one query per step), then replays them backward through
     the step pullbacks the adjoints share. Raises MemoryError up front if
-    the saved states would exceed UNROLLED_MEMORY_LIMIT bytes. Prebuilds
-    the noise like the adjoints, so on a fresh tree of the same seed it
-    sees their noise. Returns (grad_z0, grad_params).
+    the saved states would exceed UNROLLED_MEMORY_LIMIT bytes. Keys the
+    noise on the grid like the adjoints, so on a fresh tree of the same seed
+    it sees their noise. Returns (grad_z0, grad_params).
     """
     _require_method(method, config)
     z0 = np.atleast_2d(np.asarray(z0, dtype=float))
@@ -589,9 +599,9 @@ def stability_probe(lam_h: complex, n_steps: int) -> StabilityResult:
     state = initial_state(field, np.array([[1.0, 0.0]]))
     dw = np.zeros((1, 1))
     max_z = max_zhat = 1.0
-    for _ in range(n_steps):
+    for i in range(n_steps):
         try:
-            state = revheun_step_forward(state, 1.0, dw, field)
+            state = revheun_step_forward(state, i + 1.0, 1.0, dw, field)
         except SolverDivergence:
             return StabilityResult(float("inf"), float("inf"), False)
         max_z = max(max_z, float(np.hypot(*state.z[0])))

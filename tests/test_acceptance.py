@@ -111,7 +111,7 @@ def test_criterion_06_reversibility_round_trip():
                          np.zeros((3, 4)), np.zeros((3, 4, 2)),
                          np.zeros(field.param_count))
     for i in reversed(range(n)):
-        state, cot = revheun_step_backward(state, cot, dt,
+        state, cot = revheun_step_backward(state, cot, ts[i], dt,
                                            tree.query(ts[i], ts[i + 1]), field)
     scale = 1.0 + float(np.abs(z0).max())
     err = max(float(np.abs(state.z - z0).max()),

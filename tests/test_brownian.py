@@ -1,5 +1,7 @@
 """Tree topology, determinism, additivity, and distribution checks."""
 
+import math
+import re
 from dataclasses import asdict
 
 import numpy as np
@@ -13,6 +15,7 @@ from revsde.brownian import (
     bridge_sample,
 )
 from revsde.prng import new_seed, split, standard_normals
+from revsde.solvers import SolveConfig
 
 
 class TestBridgeSample:
@@ -265,41 +268,63 @@ class TestBrownianIntervalQueries:
 
 
 class TestPrebuildDyadic:
-    def test_depth_matches_safety_factor_target(self):
-        # step 0.01, cache 20 -> target 0.16 -> leaf width 1/8, depth 3.
-        tree = BrownianInterval(1.0, 5, cache_capacity=20)
-        tree.prebuild_dyadic(0.01)
-        node, depth = tree._root, 0
-        while node.left is not None:
-            node = node.left
-            depth += 1
-        assert depth == 3
-        assert node.b - node.a == 0.125
+    """`key_on_grid`, the prebuild every gradient solve runs: a fresh tree
+    becomes a balanced index tree over the grid, halved at index midpoints,
+    that stores no node."""
+
+    @staticmethod
+    def _time(n):
+        return lambda k: k / n
+
+    def test_nodes_split_at_index_midpoints(self):
+        # n = 5: the root [0, 5) splits at 2, [2, 5) at 3. Left children are
+        # bridges from the parent with the left split seed, right children
+        # the parent minus their left sibling.
+        seed = new_seed(5)
+        tree = BrownianInterval(1.0, seed, dims=2, batch=3, cache_capacity=1)
+        tree.key_on_grid(5, self._time(5))
+        root = standard_normals(seed, 6).reshape(3, 2)
+        left, right = split(seed)
+        w02 = bridge_sample(0.0, 1.0, 0.4, root, left)
+        w23 = bridge_sample(0.4, 1.0, 0.6, root - w02, split(right)[0])
+        assert np.array_equal(tree.query(0.6, 0.8),
+                              bridge_sample(0.6, 1.0, 0.8,
+                                            root - w02 - w23,
+                                            split(split(right)[1])[0]))
+        assert np.array_equal(tree.query(0.4, 0.6), w23)
+        assert np.array_equal(tree.query(0.4, 1.0), root - w02)
+        assert np.array_equal(tree.query(0.0, 0.4), w02)
+        assert np.array_equal(tree.query(0.0, 1.0), root)
+        stats = tree.stats()
+        assert stats.node_count == 1
+        assert stats.max_sample_depth <= math.ceil(math.log2(5))
 
     def test_degenerate_target_is_noop(self):
+        # A grid that does not end at t1 is no target to key on: the tree
+        # stays lazy and answers queries off that grid.
         tree = BrownianInterval(1.0, 5)
-        tree.prebuild_dyadic(2.0)
-        assert tree.stats().node_count == 1
+        tree.key_on_grid(4, lambda k: k / 8)
+        tree.query(0.1, 0.2)
+        assert tree.stats().node_count > 1
 
-    @pytest.mark.parametrize("step", [np.nan, np.inf, 0.0, -1.0])
-    def test_nonfinite_or_nonpositive_step_rejected(self, step):
-        # Before: inf was a silent no-op and NaN died converting to int.
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_step_count_below_one_rejected(self, n):
         tree = BrownianInterval(1.0, 5)
-        with pytest.raises(ValueError,
-                           match=f"positive and finite, got {step}"):
-            tree.prebuild_dyadic(step)
-        assert tree.stats().node_count == 1
+        with pytest.raises(ValueError, match=f"n >= 1 steps, got {n}"):
+            tree.key_on_grid(n, self._time(1))
+        tree.query(0.1, 0.2)
+        assert tree.stats().node_count > 1
 
     def test_prebuild_bounds_backward_chains(self):
-        # Doubly-sequential pass: recompute chains stay bounded by the
-        # per-leaf spine length plus the dyadic depth, instead of growing
-        # with the number of steps.
+        # Doubly-sequential pass, 5x the cache: keyed, a recompute chain is
+        # at most ceil(log2 n) deep; lazy, it grows with the steps per leaf.
+        n = 100
+
         def doubly(prebuild):
             tree = BrownianInterval(1.0, 11, cache_capacity=20)
             if prebuild:
-                tree.prebuild_dyadic(0.01)
+                tree.key_on_grid(n, self._time(n))
             tree.reset_stats()
-            n = 100
             for k in range(n):
                 tree.query(k / n, (k + 1) / n)
             for k in reversed(range(n)):
@@ -308,45 +333,88 @@ class TestPrebuildDyadic:
 
         with_pre = doubly(True)
         without = doubly(False)
-        # leaf width 1/8 -> 12.5 steps per leaf; depth 3.
-        assert with_pre.max_sample_depth <= 13 + 3 + 2
+        assert with_pre.max_sample_depth <= math.ceil(math.log2(n))
         assert with_pre.max_sample_depth < 0.3 * without.max_sample_depth
         assert with_pre.sample_recomputes / with_pre.queries < 3.0
+        assert with_pre.node_count == 1
 
     def test_prebuild_then_queries_bitwise_stable(self):
         def run():
             tree = BrownianInterval(1.0, 9, batch=2, cache_capacity=16)
-            tree.prebuild_dyadic(0.02)
+            tree.key_on_grid(50, self._time(50))
             return np.stack([tree.query(k / 50, (k + 1) / 50)
                              for k in range(50)])
 
         assert np.array_equal(run(), run())
 
     def test_second_prebuild_is_a_noop(self):
+        # Even on another grid: the first grid stays the tree's keys.
         tree = BrownianInterval(1.0, 4, batch=2, cache_capacity=8)
-        tree.prebuild_dyadic(0.01)
+        tree.key_on_grid(100, self._time(100))
         grid = [(k / 100, (k + 1) / 100) for k in range(100)]
         first = np.stack([tree.query(s, t) for s, t in grid])
-        nodes, queries = tree.stats().node_count, tree.stats().queries
-        tree.prebuild_dyadic(0.01)
-        assert (tree.stats().node_count, tree.stats().queries) == (nodes,
-                                                                  queries)
+        before = asdict(tree.stats())
+        tree.key_on_grid(64, self._time(64))
+        assert asdict(tree.stats()) == before
         assert np.array_equal(np.stack([tree.query(s, t) for s, t in grid]),
                               first)
+        with pytest.raises(ValueError, match="off the grid of n = 100"):
+            tree.query(0.0, 1 / 64)
 
     def test_prebuild_after_a_sequential_sweep_makes_no_nodes(self):
         # A tree that queries have split keeps its shape: the prebuild
-        # neither reshapes the drawn path nor sums whole halves of it.
+        # neither reshapes the drawn path nor restricts later queries.
         tree = BrownianInterval(1.0, 9, cache_capacity=8)
         grid = [(k / 100, (k + 1) / 100) for k in range(100)]
         first = np.stack([tree.query(s, t) for s, t in grid])
         before = tree.stats()
-        tree.prebuild_dyadic(0.01)
+        tree.key_on_grid(100, self._time(100))
         after = tree.stats()
         assert after.node_count == before.node_count
         assert after.queries == before.queries
         assert np.array_equal(np.stack([tree.query(s, t) for s, t in grid]),
                               first)
+        tree.query(0.005, 0.01)
+
+    def test_grid_aligned_span_is_the_sum_of_its_cover(self):
+        # [1, 7) of 8 steps is covered by the nodes [1, 2), [2, 4), [4, 6)
+        # and [6, 7), each of which answers as a node.
+        tree = BrownianInterval(1.0, 3, dims=2, batch=2)
+        tree.key_on_grid(8, self._time(8))
+        parts = [tree.query(a / 8, b / 8)
+                 for a, b in ((1, 2), (2, 4), (4, 6), (6, 7))]
+        assert np.array_equal(tree.query(1 / 8, 7 / 8),
+                              parts[0] + parts[1] + parts[2] + parts[3])
+
+    def test_determinism_under_eviction(self):
+        # Values are pure functions of (root seed, grid): a forward then a
+        # reverse sweep gives the same increments whatever the LRU evicts.
+        n = 100
+        time = SolveConfig("reversible_heun", 0.01, 1.0, None).time
+
+        def sweeps(capacity):
+            tree = BrownianInterval(1.0, 21, dims=2, batch=3,
+                                    cache_capacity=capacity)
+            tree.key_on_grid(n, time)
+            order = list(range(n)) + list(reversed(range(n)))
+            return np.stack([tree.query(time(i), time(i + 1))
+                             for i in order])
+
+        base = sweeps(128)
+        for capacity in (1, 2, 3):
+            assert np.array_equal(sweeps(capacity), base)
+
+    def test_off_grid_query_raises_and_changes_no_stat(self):
+        tree = BrownianInterval(1.0, 2, cache_capacity=4)
+        tree.key_on_grid(100, self._time(100))
+        tree.query(0.5, 0.51)
+        before = asdict(tree.stats())
+        for s, t in ((0.505, 0.51), (0.5, 0.515), (0.0, 0.333)):
+            with pytest.raises(ValueError,
+                               match=re.escape(f"query [{s}, {t}] is off "
+                                               f"the grid of n = 100")):
+                tree.query(s, t)
+        assert asdict(tree.stats()) == before
 
 
 class TestVirtualBrownianTree:

@@ -138,7 +138,7 @@ class TestRevHeunForwardStep:
         z0 = np.array([[0.5, -1.0, 2.0]])
         state = initial_state(field, z0)
         dw = np.array([[0.3, 0.1, -0.2]])
-        nxt = revheun_step_forward(state, 0.25, dw, field)
+        nxt = revheun_step_forward(state, 0.25, 0.25, dw, field)
         np.testing.assert_array_equal(nxt.z, z0 + dw)
         np.testing.assert_array_equal(nxt.zhat, z0 + dw)
 
@@ -146,7 +146,7 @@ class TestRevHeunForwardStep:
         lam, dt = 0.7, 0.1
         field = linear_field(lam)
         state = initial_state(field, np.array([[2.0]]))
-        nxt = revheun_step_forward(state, dt, np.zeros((1, 1)), field)
+        nxt = revheun_step_forward(state, dt, dt, np.zeros((1, 1)), field)
         expect = 2.0 * (1.0 + lam * dt + 0.5 * lam * lam * dt * dt)
         assert abs(nxt.z[0, 0] - expect) < 1e-15
 
@@ -154,7 +154,7 @@ class TestRevHeunForwardStep:
         field = reduced_neural_field()
         state = initial_state(field, np.zeros((2, 8)))
         field.reset_counters()
-        revheun_step_forward(state, 0.1, np.zeros((2, 4)), field)
+        revheun_step_forward(state, 0.1, 0.1, np.zeros((2, 4)), field)
         assert field.drift_evals == 1
         assert field.diffusion_evals == 1
 
@@ -166,8 +166,8 @@ class TestRevHeunForwardStep:
         )
         state = initial_state(blow, np.array([[1.0]]))
         with np.errstate(over="ignore"), pytest.raises(SolverDivergence):
-            s = revheun_step_forward(state, 1e8, np.zeros((1, 1)), blow)
-            revheun_step_forward(s, 1e8, np.zeros((1, 1)), blow)
+            s = revheun_step_forward(state, 1e8, 1e8, np.zeros((1, 1)), blow)
+            revheun_step_forward(s, 2e8, 1e8, np.zeros((1, 1)), blow)
 
 
 class TestRevHeunBackwardStep:
@@ -175,11 +175,11 @@ class TestRevHeunBackwardStep:
         field = reduced_neural_field(seed=3, x=4, w=2)
         state = initial_state(field, np.zeros((2, 4)))
         dw = np.random.default_rng(1).standard_normal((2, 2)) * 0.1
-        nxt = revheun_step_forward(state, 0.1, dw, field)
+        nxt = revheun_step_forward(state, 0.1, 0.1, dw, field)
         zero = lambda: np.zeros((2, 4))
         cot = CotangentState(zero(), zero(), zero(), np.zeros((2, 4, 2)),
                              np.zeros(field.param_count))
-        _, cot_prev = revheun_step_backward(nxt, cot, 0.1, dw, field)
+        _, cot_prev = revheun_step_backward(nxt, cot, 0.0, 0.1, dw, field)
         assert not cot_prev.d_z.any()
         assert not cot_prev.d_zhat.any()
         assert not cot_prev.d_params.any()
@@ -188,12 +188,12 @@ class TestRevHeunBackwardStep:
         lam, dt = 0.7, 0.1
         field = linear_field(lam)
         state = initial_state(field, np.array([[2.0]]))
-        nxt = revheun_step_forward(state, dt, np.zeros((1, 1)), field)
+        nxt = revheun_step_forward(state, dt, dt, np.zeros((1, 1)), field)
         cot = CotangentState(np.ones((1, 1)), np.zeros((1, 1)),
                              np.zeros((1, 1)), np.zeros((1, 1, 1)),
                              np.zeros(0))
-        prev, cot_prev = revheun_step_backward(nxt, cot, dt, np.zeros((1, 1)),
-                                               field)
+        prev, cot_prev = revheun_step_backward(nxt, cot, 0.0, dt,
+                                               np.zeros((1, 1)), field)
         # dL/dz0 folds d_z, d_zhat and the initial drift evaluation.
         grad = (cot_prev.d_z + cot_prev.d_zhat + lam * cot_prev.d_mu)[0, 0]
         expect = 1.0 + lam * dt + 0.5 * lam * lam * dt * dt
@@ -203,28 +203,29 @@ class TestRevHeunBackwardStep:
     def test_roundtrip_divergence_flagged(self):
         field = linear_field(0.5)
         state = initial_state(field, np.array([[1.0]]))
-        nxt = revheun_step_forward(state, 0.1, np.zeros((1, 1)), field)
+        nxt = revheun_step_forward(state, 0.1, 0.1, np.zeros((1, 1)), field)
         corrupted = type(nxt)(nxt.t, nxt.z + 0.5, nxt.zhat - 0.5, nxt.mu,
                               nxt.sigma)
         cot = CotangentState(np.ones((1, 1)), np.zeros((1, 1)),
                              np.zeros((1, 1)), np.zeros((1, 1, 1)),
                              np.zeros(0))
         with pytest.raises(SolverDivergence):
-            revheun_step_backward(corrupted, cot, 0.1, np.zeros((1, 1)), field)
+            revheun_step_backward(corrupted, cot, 0.0, 0.1, np.zeros((1, 1)),
+                                  field)
 
     def test_corrupted_sigma_alone_flagged(self):
         field = reduced_neural_field(seed=4, x=3, w=2)
         state = initial_state(field, np.zeros((2, 3)))
         dw = np.full((2, 2), 0.1)
-        nxt = revheun_step_forward(state, 0.1, dw, field)
+        nxt = revheun_step_forward(state, 0.1, 0.1, dw, field)
         corrupted = type(nxt)(nxt.t, nxt.z, nxt.zhat, nxt.mu,
                               nxt.sigma + 1e-6)
         cot = CotangentState(np.ones((2, 3)), np.zeros((2, 3)),
                              np.zeros((2, 3)), np.zeros((2, 3, 2)),
                              np.zeros(field.param_count))
-        revheun_step_backward(nxt, cot, 0.1, dw, field)
+        revheun_step_backward(nxt, cot, 0.0, 0.1, dw, field)
         with pytest.raises(SolverDivergence, match="round trip"):
-            revheun_step_backward(corrupted, cot, 0.1, dw, field)
+            revheun_step_backward(corrupted, cot, 0.0, 0.1, dw, field)
 
     def test_one_forward_pass_per_network_on_a_carried_tuple(self,
                                                              monkeypatch):
@@ -235,8 +236,8 @@ class TestRevHeunBackwardStep:
         field = reduced_neural_field(seed=6, x=3, w=2)
         state = initial_state(field, np.zeros((2, 3)))
         dw = np.full((2, 2), 0.1)
-        s1 = revheun_step_forward(state, 0.1, dw, field)
-        s2 = revheun_step_forward(s1, 0.1, dw, field)
+        s1 = revheun_step_forward(state, 0.1, 0.1, dw, field)
+        s2 = revheun_step_forward(s1, 0.2, 0.1, dw, field)
         cot = CotangentState(np.ones((2, 3)), np.zeros((2, 3)),
                              np.zeros((2, 3)), np.zeros((2, 3, 2)),
                              np.zeros(field.param_count))
@@ -254,10 +255,10 @@ class TestRevHeunBackwardStep:
             return counts
 
         monkeypatch.setattr(MLPField, "_forward", counted)
-        carried, cot1 = revheun_step_backward(s2, cot, 0.1, dw, field)
+        carried, cot1 = revheun_step_backward(s2, cot, 0.1, 0.1, dw, field)
         assert passes() == (2, 2)
         assert carried.pullback is not None
-        revheun_step_backward(carried, cot1, 0.1, dw, field)
+        revheun_step_backward(carried, cot1, 0.0, 0.1, dw, field)
         assert passes() == (1, 1)
 
     def test_step_takes_the_input_tuples_tape(self):
@@ -268,17 +269,20 @@ class TestRevHeunBackwardStep:
         rng = np.random.default_rng(0)
         state = initial_state(field, rng.standard_normal((2, 3)))
         dws = [rng.standard_normal((2, 2)) * 0.3 for _ in range(2)]
-        s1 = revheun_step_forward(state, 0.1, dws[0], field)
-        s2 = revheun_step_forward(s1, 0.1, dws[1], field)
+        s1 = revheun_step_forward(state, 0.1, 0.1, dws[0], field)
+        s2 = revheun_step_forward(s1, 0.2, 0.1, dws[1], field)
         cot = CotangentState(*(rng.standard_normal(a.shape) for a in (
             s2.z, s2.zhat, s2.mu, s2.sigma)), np.zeros(field.param_count))
-        carried, cot1 = revheun_step_backward(s2, cot, 0.1, dws[1], field)
+        carried, cot1 = revheun_step_backward(s2, cot, 0.1, 0.1, dws[1],
+                                             field)
         fresh = RevHeunState(carried.t, carried.z, carried.zhat, carried.mu,
                              carried.sigma)
         assert s2.pullback is None
-        _, via_tape = revheun_step_backward(carried, cot1, 0.1, dws[0], field)
+        _, via_tape = revheun_step_backward(carried, cot1, 0.0, 0.1, dws[0],
+                                            field)
         assert carried.pullback is None
-        _, via_fresh = revheun_step_backward(fresh, cot1, 0.1, dws[0], field)
+        _, via_fresh = revheun_step_backward(fresh, cot1, 0.0, 0.1, dws[0],
+                                             field)
         for name in ("d_z", "d_zhat", "d_mu", "d_sigma", "d_params"):
             np.testing.assert_array_equal(getattr(via_tape, name),
                                           getattr(via_fresh, name))
@@ -300,7 +304,7 @@ class TestRevHeunBackwardStep:
         cot = CotangentState(np.zeros((batch, x)), np.zeros((batch, x)),
                              np.zeros((batch, x)), np.zeros((batch, x, w)),
                              np.zeros(field.param_count))
-        prev, _ = revheun_step_backward(nxt, cot, dt, dw, field)
+        prev, _ = revheun_step_backward(nxt, cot, t - dt, dt, dw, field)
 
         # The reconstruction is the forward update run with (-dt, -dW);
         # pin it to the inverse written out, bit for bit:
@@ -361,6 +365,23 @@ class TestRevHeunSolve:
             np.testing.assert_array_equal(state.zhat, full.zhat)
         assert revheun_solve(field, z0, cfg)[1] == []
 
+    def test_states_sit_on_the_grid(self):
+        # Each step ends at its grid time, not at an accumulated t + dt,
+        # which at dt = 0.01 ends at 1.0000000000000007 and leaves 89 of
+        # the 101 times off the grid.
+        field = reduced_neural_field(seed=2, x=3, w=2)
+        z0 = np.zeros((2, 3))
+        cfg = SolveConfig("reversible_heun", 0.01, 1.0,
+                          BrownianInterval(1.0, 3, dims=2, batch=2))
+        term, saved = revheun_solve(field, z0, cfg, save_at=range(101))
+        assert [s.t for s in saved] == cfg.grid()
+        assert term.t == 1.0
+        cfg = SolveConfig("heun", 0.01, 1.0, cfg.noise)
+        term, saved = baseline_solve("heun", field, z0, cfg,
+                                     save_at=range(101))
+        assert [s.t for s in saved] == cfg.grid()
+        assert term.t == 1.0
+
     @pytest.mark.parametrize("index", [5, -1, 2.0, True, np.int64(9)])
     def test_save_at_outside_the_grid_rejected(self, index):
         tree = BrownianInterval(1.0, 2, dims=1, batch=1)
@@ -409,7 +430,8 @@ class TestReversibilityRoundTrip:
                              np.zeros(field.param_count))
         for i in reversed(range(n)):
             dw = tree.query(ts[i], ts[i + 1])
-            state, cot = revheun_step_backward(state, cot, dt, dw, field)
+            state, cot = revheun_step_backward(state, cot, ts[i], dt, dw,
+                                               field)
         scale = 1.0 + np.abs(z0).max()
         assert np.abs(state.z - z0).max() / scale <= 1e-12
         assert np.abs(state.zhat - z0).max() / scale <= 1e-12
@@ -468,7 +490,8 @@ class TestAdjointGradients:
             worst = 0.0
             for i in reversed(range(n)):
                 state, cot = revheun_step_backward(
-                    state, cot, dt, tree.query(ts[i], ts[i + 1]), field)
+                    state, cot, ts[i], dt, tree.query(ts[i], ts[i + 1]),
+                    field)
                 exact = math.exp(lam * (1.0 - ts[i]))
                 worst = max(worst, abs(cot.d_z[0, 0] - exact))
             return worst
@@ -495,10 +518,10 @@ class TestAdjointGradients:
     def test_solve_then_backward_is_the_adjoint(self, monkeypatch):
         # A loss reading interior states: one solve saves them, the
         # backward pass runs from its terminal tuple and matches the
-        # oracle. On a prebuilt fresh tree (n = 64, 16x the cache) the same
-        # pass without checkpoint cotangents is revheun_adjoint_solve on a
-        # tree of the same seed, bitwise, and the saved states are the
-        # oracle's at those indices, bitwise.
+        # oracle. On a fresh tree keyed on the grid (n = 64, 16x the cache)
+        # the same pass without checkpoint cotangents is
+        # revheun_adjoint_solve on a tree of the same seed, bitwise, and the
+        # saved states are the oracle's at those indices, bitwise.
         field = reduced_neural_field(seed=21, x=3, w=2)
         rng = np.random.default_rng(4)
         z0, c_end = rng.standard_normal((2, 2, 3))
@@ -510,7 +533,7 @@ class TestAdjointGradients:
                                                 cache_capacity=4))
 
         cfg = config()
-        cfg.noise.prebuild_dyadic(cfg.dt)
+        cfg.noise.key_on_grid(cfg.n_steps, cfg.time)
         terminal, saved = revheun_solve(field, z0, cfg, save_at=save_at)
         assert [s.t for s in saved] == [cfg.grid()[i] for i in save_at]
         assert saved[-1] is terminal
@@ -548,9 +571,9 @@ class TestAdjointGradients:
            capacity=st.integers(1, 8))
     def test_random_problems_match_oracle_on_fresh_trees(
             self, seed, x, w, width, batch, n, capacity):
-        # Capacities 1-8 make the dyadic prebuild split the tree at these
-        # small n; each solve gets its own tree, so the two agree only if
-        # both prebuild it the same way.
+        # Each solve gets its own tree, so the two agree only if both key
+        # it on the same grid; capacities 1-8 make the LRU evict at these
+        # small n.
         rng = np.random.default_rng(seed)
         field = NeuralField(
             MLPField(x, [width], x, final_activation="tanh", rng=rng),
@@ -570,22 +593,54 @@ class TestAdjointGradients:
         assert rel_l1(ga, gpa, gu, gpu) <= 1e-12
 
     def test_reverse_sweep_tree_work_bounded(self):
-        # 2^14 steps, 128 times the LRU: the dyadic prebuild bounds each
-        # recompute chain by one leaf's worth of steps plus the dyadic
-        # depth, and keeps the recomputes per query O(1). A tree built by
-        # the forward sweep alone recomputes chains as deep as n.
-        n = 1 << 14
+        # The adjoint keys its tree on the grid: the tree holds only its
+        # LRU entries, so the solve's peak memory is flat in n, and at
+        # 2^14 steps, 128 times the LRU, each recompute chain is at most
+        # ceil(log2 n) deep with O(1) recomputes per query. A lazy tree
+        # holds about 2n nodes (a 12x higher peak at 2^12 than at 2^8).
         field = AnalyticField(
             1, 1, drift=lambda t, z: 0.3 * z,
             diffusion=lambda t, z: np.full((z.shape[0], 1, 1), 0.5),
             drift_vjp_z=lambda t, z, c: 0.3 * c,
             diffusion_vjp_z=lambda t, z, c: np.zeros_like(z))
-        tree = BrownianInterval(1.0, 3, dims=1, batch=1)
-        cfg = SolveConfig("reversible_heun", 1.0 / n, 1.0, tree)
-        revheun_adjoint_solve(field, np.ones((1, 1)), cfg, np.ones((1, 1)))
-        stats = tree.stats()
-        assert stats.max_sample_depth <= tree.cache_capacity + math.log2(n)
+
+        def solve(n):
+            tree = BrownianInterval(1.0, 3, dims=1, batch=1)
+            cfg = SolveConfig("reversible_heun", 1.0 / n, 1.0, tree)
+            revheun_adjoint_solve(field, np.ones((1, 1)), cfg,
+                                  np.ones((1, 1)))
+            return tree.stats()
+
+        def peak(n):
+            tracemalloc.start()
+            try:
+                solve(n)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(1 << 12) <= 1.5 * peak(1 << 8)
+        n = 1 << 14
+        stats = solve(n)
+        assert stats.max_sample_depth <= math.ceil(math.log2(n)) + 1
         assert stats.sample_recomputes / stats.queries <= 4
+
+    def test_gradients_bitwise_equal_across_cache_capacities(self):
+        # A keyed tree's values do not depend on what its LRU evicted, so
+        # neither do the gradients; a tree whose shape followed the
+        # capacity would give each capacity its own path.
+        field = reduced_neural_field(seed=13, x=3, w=2)
+        rng = np.random.default_rng(6)
+        z0, cot = rng.standard_normal((2, 2, 3))
+        grads = []
+        for capacity in (1, 2, 3, 128):
+            cfg = SolveConfig("reversible_heun", 1.0 / 64, 1.0,
+                              BrownianInterval(1.0, 17, dims=2, batch=2,
+                                               cache_capacity=capacity))
+            grads.append(revheun_adjoint_solve(field, z0, cfg, cot))
+        for g0, gp in grads[:-1]:
+            np.testing.assert_array_equal(g0, grads[-1][0])
+            np.testing.assert_array_equal(gp, grads[-1][1])
 
     @pytest.mark.parametrize("method", ["reversible_heun", "midpoint"])
     def test_forward_pass_stores_nothing_for_a_storing_config(self, method):
@@ -751,7 +806,7 @@ class TestBaselineSteps:
         z = np.array([[1.0, -2.0]])
         state = PathState(0.0, z)
         for method in ("midpoint", "heun"):
-            nxt = baseline_step(method, state, 0.1, np.zeros((1, 2)),
+            nxt = baseline_step(method, state, 0.1, 0.1, np.zeros((1, 2)),
                                 zero_field(2, 2))
             np.testing.assert_array_equal(nxt.z, z)
 
@@ -760,8 +815,8 @@ class TestBaselineSteps:
         z = np.array([[3.0]])
         state = PathState(0.0, z)
         dw = np.zeros((1, 1))
-        heun = baseline_step("heun", state, 0.1, dw, field).z[0, 0]
-        mid = baseline_step("midpoint", state, 0.1, dw, field).z[0, 0]
+        heun = baseline_step("heun", state, 0.1, 0.1, dw, field).z[0, 0]
+        mid = baseline_step("midpoint", state, 0.1, 0.1, dw, field).z[0, 0]
         assert abs(heun - 3.0 * 1.105) < 1e-14
         assert abs(mid - 3.0 * 1.105) < 1e-14
 
@@ -770,7 +825,7 @@ class TestBaselineSteps:
         state = PathState(0.0, np.zeros((2, 3)))
         for method in ("midpoint", "heun"):
             field.reset_counters()
-            baseline_step(method, state, 0.1, np.zeros((2, 2)), field)
+            baseline_step(method, state, 0.1, 0.1, np.zeros((2, 2)), field)
             assert field.drift_evals == 2
             assert field.diffusion_evals == 2
 
@@ -831,7 +886,7 @@ class TestContinuousAdjoint:
             SolveConfig("euler_maruyama", 0.25, 1.0, None)
         with pytest.raises(ValueError, match="unknown baseline method"):
             baseline_step("euler_maruyama", PathState(0.0, np.zeros((1, 1))),
-                          0.25, np.zeros((1, 1)), zero_field())
+                          0.25, 0.25, np.zeros((1, 1)), zero_field())
 
     def test_rejects_reversible_heun(self):
         cfg = SolveConfig("reversible_heun", 0.25, 1.0, None)
@@ -906,8 +961,10 @@ class TestUnrolledBackprop:
         z0 = np.array([[0.3, -0.4]])
 
         def terminal(z):
+            # Keyed on the grid as the oracle keys its tree: one path.
             tree = BrownianInterval(1.0, 19, dims=1, batch=1)
             cfg = SolveConfig("reversible_heun", 0.25, 1.0, tree)
+            tree.key_on_grid(cfg.n_steps, cfg.time)
             term, _ = revheun_solve(field, z, cfg)
             return term.z.sum()
 
@@ -1023,8 +1080,10 @@ class TestUnrolledBackprop:
         z0 = np.array([[0.1, 0.2]])
         for method in ("midpoint", "heun"):
             def terminal(z):
+                # Keyed on the grid as the oracle keys its tree: one path.
                 tree = BrownianInterval(1.0, 41, dims=2, batch=1)
                 cfg = SolveConfig(method, 0.25, 1.0, tree)
+                tree.key_on_grid(cfg.n_steps, cfg.time)
                 term, _ = baseline_solve(method, field, z, cfg)
                 return term.z.sum()
 
