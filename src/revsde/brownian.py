@@ -2,14 +2,16 @@
 
 Two interchangeable noise sources are provided:
 
-* `BrownianInterval` -- a binary tree of (interval, seed) nodes. The
-  increment of any node is a pure function of the root seed and the node's
-  ancestry, so increments can be evicted from the bounded LRU cache and
-  recomputed bitwise later. A hint to the most recently returned node makes
-  the sequential access pattern of an SDE solver O(1) amortized. A fresh
-  tree can instead be keyed on a solve's grid (`key_on_grid`): its nodes
-  are then grid index ranges halved at their midpoints, none is stored,
-  and the tree holds only its LRU entries and the hint's root-to-leaf path.
+* `BrownianInterval` -- a binary tree of intervals that stores only where
+  its nodes split. A node's seed is a pure function of the root seed and
+  the node's ancestry, so increments can be evicted from the bounded LRU
+  cache and recomputed bitwise later. One walk serves both split rules: a
+  lazy tree splits a leaf at the query endpoint that cuts it and keeps the
+  map of those split points; a tree keyed on a solve's grid (`key_on_grid`)
+  has grid index ranges for nodes, halved at their midpoints, and stores
+  none. Either tree keeps the last query's root-to-leaf path with its
+  seeds as a hint, which makes the sequential access pattern of an SDE
+  solver O(1) amortized.
 
 * `VirtualBrownianTree` -- the classical baseline: query points are rounded
   to a dyadic grid of resolution `tol` and each evaluation descends from
@@ -55,27 +57,9 @@ def bridge_sample(u: float, t: float, s: float, w_ut: np.ndarray,
     return mean_frac * w_ut + std * xi
 
 
-class _Node:
-    """Tree node owning the interval [a, b] plus a splittable seed.
-
-    Children, when present, partition [a, b] exactly at some interior
-    point; their seeds are split(seed) in (left, right) order.
-    """
-
-    __slots__ = ("a", "b", "seed", "parent", "left", "right")
-
-    def __init__(self, a: float, b: float, seed: SeedState, parent):
-        self.a = a
-        self.b = b
-        self.seed = seed
-        self.parent = parent
-        self.left = None
-        self.right = None
-
-
 class _LRUCache:
-    """LRU map from a node (or, in a keyed tree, an index range (lo, hi))
-    to its sampled increment."""
+    """LRU map from a node's key -- its interval (a, b), or in a keyed tree
+    its index range (lo, hi) -- to its sampled increment."""
 
     __slots__ = ("capacity", "hits", "misses", "_data")
 
@@ -128,12 +112,25 @@ class TreeStats:
 class BrownianInterval:
     """Exact Brownian increment store over [0, t1].
 
-    The tree starts as a stump; leaves are bisected lazily as queries
-    arrive, and every node persists (about 2n after n sequential steps).
-    Keyed on a grid (`key_on_grid`), the tree stores no node and holds
-    O(1) memory instead. The increment of a node is recovered from its parent: left
-    children by bridge conditioning (normals drawn from the left child's
-    seed), right children by subtracting the left sibling's value. Repeated
+    A node is a key (lo, hi) spanning [time(lo), time(hi)]; its children
+    split it at one interior key, and their seeds are split(seed) in (left,
+    right) order. The tree stores no node: it holds its split points, the
+    LRU cache and the hint path of the last query, ((lo, hi), seed, pair)
+    entries from the root down, pair being the split of the parent's seed.
+    Only the split rule differs between the two kinds of tree:
+
+    * lazy (as constructed): keys are times and time() is the identity. A
+      leaf cut by a query splits at the query's endpoint inside it, and the
+      map {(a, b): split point} persists (about n entries after n
+      sequential steps). Without parent links it holds no reference
+      cycles.
+    * keyed (`key_on_grid`): keys are grid indices, and node (lo, hi)
+      splits at (lo + hi) // 2, so nothing is stored.
+
+    The increment of a node is recovered from its parent: left children by
+    bridge conditioning (normals drawn from the left child's seed), right
+    children by subtracting the left sibling's value. An evicted value
+    regrows from its nearest cached ancestor on the hint path. Repeated
     queries of the same interval return bitwise-identical values regardless
     of cache evictions or intervening queries.
 
@@ -146,7 +143,7 @@ class BrownianInterval:
     [s, t1] -- the answer is that node's own value, which equals the sum
     of its descendants' values only to rounding.
 
-    Queries mutate the tree, cache, and hint: a given instance needs
+    Queries mutate the split map, cache, and hint: a given instance needs
     exclusive access during `query`, but distinct instances are fully
     independent. Returned arrays are owned by the cache -- do not mutate.
 
@@ -165,11 +162,11 @@ class BrownianInterval:
         self.t1 = float(t1)
         self.dims = int(dims)
         self.batch = int(batch)
-        self._root = _Node(0.0, self.t1, _as_seed(seed), None)
-        self._hint = self._root
-        self._n = self._time = self._path = None  # set by key_on_grid
+        self._splits = {}  # a lazy tree's split point of each inner node
+        self._n = None  # set by key_on_grid
+        self._time = lambda x: x
+        self._path = [((0.0, self.t1), _as_seed(seed), None)]
         self._cache = _LRUCache(cache_capacity)
-        self._node_count = 1
         self._queries = 0
         self._traverse_edges = 0
         self._sample_recomputes = 0
@@ -184,28 +181,31 @@ class BrownianInterval:
         if not (0.0 <= s < t <= self.t1):
             raise ValueError(
                 f"query must satisfy 0 <= s < t <= {self.t1}, got [{s}, {t}]")
-        if self._n is None:
-            nodes = self._traverse(self._hint, s, t)
-            self._hint = nodes[-1]
-            sample = self._sample
+        n = self._n
+        if n is None:
+            nodes = self._cover(s, t)
         else:
-            nodes = self._grid_nodes(s, t)
-            sample = self._keyed_sample
+            a, b = round(s / self.t1 * n), round(t / self.t1 * n)
+            if self._time(a) != s or self._time(b) != t:
+                raise ValueError(f"query [{s}, {t}] is off the grid of n = "
+                                 f"{n} steps this tree is keyed on")
+            # One grid step is a leaf: no walk finds a finer cover.
+            nodes = [(a, b)] if b - a == 1 else self._cover(a, b)
         self._queries += 1
-        total = sample(nodes[0])
+        total = self._sample(nodes[0])
         for node in nodes[1:]:
-            total = total + sample(node)
+            total = total + self._sample(node)
         return total
 
     def key_on_grid(self, n: int, time):
         """Key a fresh tree on the grid time(0) = 0 < ... < time(n) = t1.
 
-        Node [lo, hi) of the balanced index tree this makes spans
+        Node (lo, hi) of the balanced index tree this makes spans
         [time(lo), time(hi)] and splits at (lo + hi) // 2. No node is
-        stored: the LRU maps (lo, hi) to the increment, and the hint is the
-        last query's root-to-leaf path with its seeds, so an evicted value
-        regrows bitwise from its nearest cached ancestor, at most
-        ceil(log2 n) levels up. Queries off the grid then raise ValueError.
+        stored, so an evicted value regrows bitwise from its nearest cached
+        ancestor on the hint path, at most ceil(log2 n) levels up. The LRU
+        is emptied: a value drawn before keying is held under a time key.
+        Queries off the grid then raise ValueError.
 
         A no-op on a tree that queries have split or that is keyed, and for
         a grid not ending at t1; otherwise it changes the tree topology, and
@@ -213,15 +213,15 @@ class BrownianInterval:
         """
         if n < 1:
             raise ValueError(f"a grid needs n >= 1 steps, got {n}")
-        if (self._root.left is not None or self._n is not None
-                or time(n) != self.t1):
+        if self._splits or self._n is not None or time(n) != self.t1:
             return
         self._n, self._time = n, time
-        self._path = [((0, n), self._root.seed, None)]
+        self._path = [((0, n), self._path[0][1], None)]
+        self._cache._data.clear()
 
     def stats(self) -> TreeStats:
         return TreeStats(
-            node_count=self._node_count,
+            node_count=1 + 2 * len(self._splits),
             cache_hits=self._cache.hits,
             cache_misses=self._cache.misses,
             queries=self._queries,
@@ -241,125 +241,65 @@ class BrownianInterval:
 
     # -- tree walking -------------------------------------------------
 
-    def _bisect(self, node: _Node, x: float):
-        # Only called on leaves with node.a < x < node.b.
-        seed_left, seed_right = split(node.seed)
-        node.left = _Node(node.a, x, seed_left, node)
-        node.right = _Node(x, node.b, seed_right, node)
-        self._node_count += 2
+    def _split_point(self, node: tuple, a, b):
+        """Where `node` splits: a keyed node at its index midpoint, a lazy
+        one where it split before or, a leaf cut by [a, b], at the query
+        endpoint inside it (b if the query starts at the leaf's start)."""
+        if self._n is not None:
+            return (node[0] + node[1]) >> 1
+        mid = self._splits.get(node)
+        if mid is None:
+            mid = self._splits[node] = b if a == node[0] else a
+        return mid
 
-    def _traverse(self, node: _Node, c: float, d: float) -> list:
-        """Find or create the nodes partitioning [c, d], left to right.
+    def _holder(self, a, b) -> int:
+        """Index of the deepest hint path entry whose node holds [a, b]."""
+        path = self._path
+        k = len(path) - 1
+        while a < path[k][0][0] or b > path[k][0][1]:
+            k -= 1
+        return k
 
-        Iterative with an explicit work stack so deep trees cannot hit the
-        recursion limit. Starts from the hint: ascends while [c, d] escapes
-        the current node, then descends, bisecting leaves at the query
-        endpoints.
-        """
-        edges = 0
-        while c < node.a or d > node.b:
-            node = node.parent
-            edges += 1
+    def _cover(self, a, b) -> list:
+        """The nodes partitioning [a, b], left to right, found from the
+        deepest hint path entry holding it with an explicit work stack (a
+        lazy tree can outgrow the recursion limit)."""
         out = []
-        stack = [(node, c, d)]
+        stack = [(self._path[self._holder(a, b)][0], a, b)]
         while stack:
-            nd, qa, qb = stack.pop()
-            if qa == nd.a and qb == nd.b:
-                out.append(nd)
-            elif nd.left is None:
-                if qa == nd.a:
-                    self._bisect(nd, qb)
-                    edges += 1
-                    out.append(nd.left)
-                else:
-                    self._bisect(nd, qa)
-                    edges += 1
-                    stack.append((nd.right, qa, qb))
-            else:
-                m = nd.left.b
-                if qb <= m:
-                    edges += 1
-                    stack.append((nd.left, qa, qb))
-                elif qa >= m:
-                    edges += 1
-                    stack.append((nd.right, qa, qb))
-                else:
-                    edges += 2
-                    stack.append((nd.right, m, qb))
-                    stack.append((nd.left, qa, m))
-        self._traverse_edges += edges
+            node, qa, qb = stack.pop()
+            lo, hi = node
+            if qa == lo and qb == hi:
+                out.append(node)
+                continue
+            mid = self._split_point(node, qa, qb)
+            if qb > mid:
+                stack.append(((mid, hi), max(qa, mid), qb))
+            if qa < mid:
+                stack.append(((lo, mid), qa, min(qb, mid)))
         return out
 
-    def _sample(self, node: _Node) -> np.ndarray:
-        """Increment of `node`, memoized through the LRU cache.
-
-        Walks up to the nearest cached ancestor (or the root, whose value
-        is N(0, t1 I) drawn from its own seed), then back down: left
-        children by bridge, right children by subtracting the left
-        sibling's value. A cached left sibling is bitwise its bridge value,
-        so it is read with `peek` (no recency or counter change) instead of
-        redrawn; otherwise the bridge is recomputed from the same seed.
-        """
-        cache = self._cache
-        chain = []
-        node_cur = node
-        while True:
-            value = cache.get(node_cur)
-            if value is not None:
-                break
-            if node_cur.parent is None:
-                xi = standard_normals(node_cur.seed, self.batch * self.dims)
-                value = math.sqrt(self.t1) * xi.reshape(self.batch, self.dims)
-                cache.put(node_cur, value)
-                break
-            chain.append(node_cur)
-            node_cur = node_cur.parent
-        depth = len(chain)
-        self._sample_recomputes += depth
-        if depth > self._max_sample_depth:
-            self._max_sample_depth = depth
-        for child in reversed(chain):
-            parent = child.parent
-            left = parent.left
-            w_left = None if child is left else cache.peek(left)
-            if w_left is None:
-                w_left = bridge_sample(parent.a, parent.b, left.b, value,
-                                       left.seed)
-            value = w_left if child is left else value - w_left
-            cache.put(child, value)
-        return value
-
-    # -- keyed tree (key_on_grid) ---------------------------------------
-
-    def _grid_nodes(self, s: float, t: float) -> list:
-        """The index nodes partitioning [s, t], which must lie on the grid."""
-        n, time = self._n, self._time
-        lo, hi = round(s / self.t1 * n), round(t / self.t1 * n)
-        if time(lo) != s or time(hi) != t:
-            raise ValueError(f"query [{s}, {t}] is off the grid of n = {n} "
-                             f"steps this tree is keyed on")
-        return [(lo, hi)] if hi - lo == 1 else _cover(0, n, lo, hi)
-
-    def _keyed_sample(self, node: tuple) -> np.ndarray:
-        """Increment of index node (a, b): cut the hint path below its
-        deepest entry ((lo, hi), seed, pair) holding the node and extend it
-        down (the first step reuses the cut entry's pair, the split of the
-        parent's seed), then regrow as `_sample` does, caching a left
-        sibling drawn for a right child: a reverse sweep asks for it next.
+    def _sample(self, node: tuple) -> np.ndarray:
+        """Increment of `node`: cut the hint path below its deepest entry
+        holding the node and extend it down (the first step reuses the cut
+        entry's pair), then walk up the path to the nearest cached entry
+        (or the root, whose value is N(0, t1 I) drawn from its own seed)
+        and back down: left children by bridge, right children by
+        subtracting the left sibling's value. A cached left sibling is
+        bitwise its bridge value, so it is read with `peek` (no recency or
+        counter change); one drawn for a right child is cached, as a
+        reverse sweep asks for it next.
         """
         path = self._path
         a, b = node
-        k = len(path) - 1
+        k = self._holder(a, b)
         (lo, hi), seed, _ = path[k]
-        while a < lo or b > hi:
-            k -= 1
-            (lo, hi), seed, _ = path[k]
         ascent = len(path) - 1 - k
         pair = path[k + 1][2] if ascent else None
         del path[k + 1:]
         while lo != a or hi != b:
             pair = pair or split(seed)
-            mid = (lo + hi) >> 1
+            mid = self._split_point((lo, hi), a, b)
             lo, hi, seed = (lo, mid, pair[0]) if b <= mid else (mid, hi,
                                                                 pair[1])
             path.append(((lo, hi), seed, pair))
@@ -397,15 +337,6 @@ class BrownianInterval:
             cache.put(key, value)
             p_lo, p_hi = key
         return value
-
-
-def _cover(lo: int, hi: int, a: int, b: int) -> list:
-    """The index nodes under [lo, hi) that partition [a, b), left to right."""
-    if a <= lo and hi <= b:
-        return [(lo, hi)]
-    mid = (lo + hi) >> 1
-    return ((_cover(lo, mid, a, b) if a < mid else [])
-            + (_cover(mid, hi, a, b) if b > mid else []))
 
 
 class VirtualBrownianTree:

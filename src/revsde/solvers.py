@@ -358,8 +358,8 @@ def revheun_backward(field: VectorField, terminal: RevHeunState,
     config.time)`), as `revheun_adjoint_solve` does: gradients are exact
     either way, but a keyed tree holds O(1) memory and its reverse sweep
     costs O(1) amortized tree work per step, where a lazy tree holds about
-    2n nodes and, once n outgrows its cache, recomputes chains that grow
-    with n.
+    n split points and, once n outgrows its cache, recomputes chains that
+    grow with n.
     """
     _require_method("reversible_heun", config)
     loss, cps = _cotangents(loss_cotangent, checkpoint_cotangents,
@@ -394,16 +394,18 @@ def _revheun_gradients(field, first: RevHeunState, cot: CotangentState):
 
 
 # Baseline schemes. Each is written once in increment form as
-# scheme(inc, t, z, dt) -> (z_next, pullback) and sees the field only
-# through inc(t, z) -> (delta, inc_pullback), delta = mu dt + sigma dW for
-# the step's fixed dt and dW. baseline_step passes the forward-only
-# `_increment`; the oracle passes `_linearized_increment`, whose pullback
-# the scheme's pullback(d_z_next) -> (d_z, d_params) needs; the continuous
-# adjoint passes `_adjoint_increment` on its flat [z, a, g] vector.
+# scheme(inc, t, t_next, z) -> (z_next, pullback) for the step from grid
+# time t to t_next, evaluating only at t, t_next and 0.5 * (t + t_next),
+# and sees the field only through inc(t, z) -> (delta, inc_pullback),
+# delta = mu dt + sigma dW for the step's fixed dt and dW. baseline_step
+# passes the forward-only `_increment`; the oracle passes
+# `_linearized_increment`, whose pullback the scheme's pullback(d_z_next)
+# -> (d_z, d_params) needs; the continuous adjoint passes
+# `_adjoint_increment` on its flat [z, a, g] vector.
 
-def _midpoint(inc, t, z, dt):
+def _midpoint(inc, t, t_next, z):
     d0, pull0 = inc(t, z)
-    d1, pull1 = inc(t + 0.5 * dt, z + 0.5 * d0)
+    d1, pull1 = inc(0.5 * (t + t_next), z + 0.5 * d0)
 
     def pullback(a):
         g_mid, gp1 = pull1(a)
@@ -413,9 +415,9 @@ def _midpoint(inc, t, z, dt):
     return z + d1, pullback
 
 
-def _heun(inc, t, z, dt):
+def _heun(inc, t, t_next, z):
     d0, pull0 = inc(t, z)
-    d1, pull1 = inc(t + dt, z + d0)
+    d1, pull1 = inc(t_next, z + d0)
 
     def pullback(a):
         g_pred, gp1 = pull1(0.5 * a)
@@ -465,12 +467,13 @@ def baseline_step(method: str, state: PathState, t_next: float, dt: float,
     """One step of a baseline scheme to grid time t_next.
 
     midpoint and Heun are two-evaluation Stratonovich schemes (half-step
-    state and predictor-corrector respectively).
+    state and predictor-corrector respectively). Heun evaluates the field
+    at state.t and t_next, midpoint at state.t and 0.5 * (state.t + t_next).
     """
     scheme = _BASELINE_SCHEMES.get(method)
     if scheme is None:
         raise ValueError(f"unknown baseline method {method!r}")
-    z_next, _ = scheme(_increment(field, dt, dw), state.t, state.z, dt)
+    z_next, _ = scheme(_increment(field, dt, dw), state.t, t_next, state.z)
     _check_finite(z_next, f"state after {method} step")
     return PathState(t_next, z_next)
 
@@ -491,13 +494,14 @@ def continuous_adjoint_solve(method: str, field: VectorField, z0: np.ndarray,
     """Optimise-then-discretise gradients with a baseline scheme.
 
     Solves forward with `method`, then integrates the flat vector [z, a, g]
-    backward in time with the same scheme, -dt and the negated increments,
-    re-integrating the state rather than storing it. a carries dL/dz(t)
-    and g the batch-summed parameter gradient; their increment is minus
-    the pullback of a through the state's increment, taken from
-    `field.linearize` at each stage. The state mismatch between the two
-    passes puts truncation error into these gradients; it vanishes as dt
-    shrinks. Returns (grad_z0, grad_params).
+    backward in time with the same scheme, from grid time i + 1 to i with
+    -dt and the negated increments (so its stages evaluate the field at the
+    forward stages' times), re-integrating the state rather than storing
+    it. a carries dL/dz(t) and g the batch-summed parameter gradient;
+    their increment is minus the pullback of a through the state's
+    increment, taken from `field.linearize` at each stage. The state
+    mismatch between the two passes puts truncation error into these
+    gradients; it vanishes as dt shrinks. Returns (grad_z0, grad_params).
     """
     if method not in BASELINE_METHODS:
         raise ValueError(f"continuous adjoint supports {BASELINE_METHODS}, "
@@ -513,7 +517,7 @@ def continuous_adjoint_solve(method: str, field: VectorField, z0: np.ndarray,
                         np.zeros(field.param_count)])
     for i, dw in _sweep(config, shape[0], field.noise_dim, reverse=True):
         inc = _adjoint_increment(field, -config.dt, -dw, shape)
-        y, _ = scheme(inc, config.time(i + 1), y, -config.dt)
+        y, _ = scheme(inc, config.time(i + 1), config.time(i), y)
         _check_finite(y, f"adjoint state at backward step {i}")
     return y[n:2 * n].reshape(shape), y[2 * n:]
 
@@ -565,7 +569,7 @@ def unrolled_backprop(method: str, field: VectorField, z0: np.ndarray,
     a, gp = loss, np.zeros(field.param_count)
     for i, dw in _sweep(config, batch, w, reverse=True):
         inc = _linearized_increment(field, dt, dw)
-        _, pullback = scheme(inc, states[i].t, states[i].z, dt)
+        _, pullback = scheme(inc, states[i].t, states[i + 1].t, states[i].z)
         a, g = pullback(a)
         gp = gp + g
         if i in cps:

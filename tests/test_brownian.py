@@ -51,45 +51,87 @@ class TestBridgeSample:
 
 
 class TestTraverseTopology:
+    """The lazy tree's walk: a leaf cut by a query splits at the query's
+    endpoint inside it, and only the split points are kept."""
+
     def test_first_query_builds_two_level_tree(self):
         tree = BrownianInterval(1.0, 7)
         tree.query(0.3, 0.7)
-        root = tree._root
-        assert (root.left.a, root.left.b) == (0.0, 0.3)
-        assert (root.right.a, root.right.b) == (0.3, 1.0)
-        assert (root.right.left.a, root.right.left.b) == (0.3, 0.7)
-        assert (root.right.right.a, root.right.right.b) == (0.7, 1.0)
-        assert root.left.left is None
+        assert tree._splits == {(0.0, 1.0): 0.3, (0.3, 1.0): 0.7}
+        assert tree.stats().node_count == 5
 
     def test_overlapping_second_query_splits_both_sides(self):
         tree = BrownianInterval(1.0, 7)
         tree.query(0.3, 0.7)
-        nodes = tree._traverse(tree._hint, 0.1, 0.5)
-        assert [(n.a, n.b) for n in nodes] == [(0.1, 0.3), (0.3, 0.5)]
-        root = tree._root
-        assert (root.left.left.a, root.left.left.b) == (0.0, 0.1)
-        assert (root.left.right.a, root.left.right.b) == (0.1, 0.3)
-        mid = root.right.left
-        assert (mid.left.a, mid.left.b) == (0.3, 0.5)
-        assert (mid.right.a, mid.right.b) == (0.5, 0.7)
+        assert tree._cover(0.1, 0.5) == [(0.1, 0.3), (0.3, 0.5)]
+        assert tree._splits == {(0.0, 1.0): 0.3, (0.3, 1.0): 0.7,
+                                (0.0, 0.3): 0.1, (0.3, 0.7): 0.5}
 
     def test_exact_match_creates_no_nodes(self):
         tree = BrownianInterval(1.0, 7)
         tree.query(0.3, 0.7)
-        before = tree.stats().node_count
-        nodes = tree._traverse(tree._hint, 0.3, 0.7)
-        assert len(nodes) == 1
-        assert (nodes[0].a, nodes[0].b) == (0.3, 0.7)
-        assert tree.stats().node_count == before
+        before = dict(tree._splits)
+        assert tree._cover(0.3, 0.7) == [(0.3, 0.7)]
+        assert tree._splits == before
+        assert tree.stats().node_count == 5
 
     def test_children_seeds_follow_split_order(self):
-        from revsde.prng import split
-        tree = BrownianInterval(1.0, 7)
-        tree.query(0.3, 0.7)
-        root = tree._root
-        left, right = split(root.seed)
-        assert root.left.seed == left
-        assert root.right.seed == right
+        # [0, 0.3] is the root's left child, drawn with split(seed)[0];
+        # [0.3, 0.7] the left child of the right child [0.3, 1].
+        seed = new_seed(7)
+        tree = BrownianInterval(1.0, seed, dims=2, batch=3)
+        w37 = tree.query(0.3, 0.7)
+        root = standard_normals(seed, 6).reshape(3, 2)
+        left, right = split(seed)
+        w03 = bridge_sample(0.0, 1.0, 0.3, root, left)
+        assert np.array_equal(tree.query(0.0, 0.3), w03)
+        assert np.array_equal(w37, bridge_sample(0.3, 1.0, 0.7, root - w03,
+                                                 split(right)[0]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 63 - 1),
+           ops=st.lists(st.tuples(st.sampled_from(["new", "repeat", "span"]),
+                                  st.integers(0, 100), st.integers(0, 100)),
+                        min_size=1, max_size=16),
+           span=st.tuples(st.integers(0, 99), st.integers(1, 100)))
+    def test_walk_bitwise_across_capacities_and_spans_sum(self, seed, ops,
+                                                          span):
+        # Random overlapping, repeated and spanning queries give the same
+        # values at capacities 1 and 10,000; a final span that is no node
+        # is bitwise the left-to-right sum of the nodes of its cover, each
+        # asked for as a sub-query first.
+        queries = []
+        for kind, i, j in ops:
+            if kind == "new" or not queries:
+                lo, hi = min(i, j), max(i, j)
+                queries.append((lo, hi + (lo == hi)) if hi < 100
+                               else (lo - (lo == hi), hi))
+            elif kind == "repeat":
+                queries.append(queries[i % len(queries)])
+            else:
+                (a, b), (c, d) = (queries[i % len(queries)],
+                                  queries[j % len(queries)])
+                queries.append((min(a, c), max(b, d)))
+        s, t = min(span), max(span) + (span[0] >= span[1])
+
+        def run(capacity):
+            tree = BrownianInterval(1.0, seed, dims=2, batch=3,
+                                    cache_capacity=capacity)
+            values = [tree.query(a / 100, b / 100) for a, b in queries]
+            cover = tree._cover(s / 100, t / 100)
+            assert [a for a, _ in cover] + [t / 100] == ([s / 100]
+                                                        + [b for _, b in cover])
+            parts = [tree.query(a, b) for a, b in cover]
+            whole = tree.query(s / 100, t / 100)
+            if len(cover) > 1:
+                total = parts[0]
+                for part in parts[1:]:
+                    total = total + part
+                assert np.array_equal(whole, total)
+            return values + parts + [whole]
+
+        narrow = run(1)
+        assert all(np.array_equal(a, b) for a, b in zip(narrow, run(10_000)))
 
 
 class TestBrownianIntervalQueries:
@@ -403,6 +445,38 @@ class TestPrebuildDyadic:
         base = sweeps(128)
         for capacity in (1, 2, 3):
             assert np.array_equal(sweeps(capacity), base)
+
+    def test_keying_a_tree_whose_root_was_queried(self):
+        # A root drawn before keying must not answer for a grid node: the
+        # lazy root's key (0.0, 1.0) equals the first step's index key (0, 1).
+        tree = BrownianInterval(1.0, 6, dims=2, batch=3)
+        w = tree.query(0.0, 1.0)
+        tree.key_on_grid(4, self._time(4))
+        fresh = BrownianInterval(1.0, 6, dims=2, batch=3)
+        fresh.key_on_grid(4, self._time(4))
+        assert np.array_equal(tree.query(0.0, 0.25), fresh.query(0.0, 0.25))
+        assert np.array_equal(tree.query(0.0, 1.0), w)
+
+    @pytest.mark.parametrize("n", [5, 7, 12])
+    def test_step_increment_distribution(self, n):
+        # 12 trees x 16,000 paths per step, read back by a reverse sweep
+        # after a forward one: mean 0, variance 1/n, uncorrelated steps.
+        for capacity in (1, 2, 128):
+            steps = []
+            for seed in range(12):
+                tree = BrownianInterval(1.0, seed, batch=16_000,
+                                        cache_capacity=capacity)
+                tree.key_on_grid(n, self._time(n))
+                for k in range(n):
+                    tree.query(k / n, (k + 1) / n)
+                steps.append([tree.query(k / n, (k + 1) / n)[:, 0]
+                              for k in reversed(range(n))][::-1])
+            x = np.concatenate(steps, axis=1) * math.sqrt(n)
+            assert x.shape == (n, 192_000)
+            assert np.abs(x.mean(axis=1)).max() < 0.01
+            assert np.abs(x.var(axis=1) - 1.0).max() < 0.02
+            corr = np.corrcoef(x)[np.triu_indices(n, 1)]
+            assert np.abs(corr).max() <= 0.015
 
     def test_off_grid_query_raises_and_changes_no_stat(self):
         tree = BrownianInterval(1.0, 2, cache_capacity=4)

@@ -829,6 +829,43 @@ class TestBaselineSteps:
             assert field.drift_evals == 2
             assert field.diffusion_evals == 2
 
+    @pytest.mark.parametrize("method", ["midpoint", "heun"])
+    def test_stages_evaluate_at_grid_times(self, method):
+        # At dt = 0.01, t + dt and t + 0.5 * dt miss the grid time and the
+        # grid midpoint by an ulp on some steps; every pass, forward and
+        # backward, must evaluate at grid times (and midpoint at 0.5 * (t +
+        # t_next)) only.
+        times = []
+
+        def spy(value):
+            def fn(t, z):
+                times.append(t)
+                return value(z)
+            return fn
+
+        field = AnalyticField(
+            1, 1, drift=spy(np.sin),
+            diffusion=spy(lambda z: np.full((z.shape[0], 1, 1), 0.5)),
+            drift_vjp_z=lambda t, z, c: np.cos(z) * c,
+            diffusion_vjp_z=lambda t, z, c: np.zeros_like(z))
+        z0, cot = np.ones((2, 1)), np.ones((2, 1))
+
+        def config():
+            return SolveConfig(method, 0.01, 1.0,
+                               BrownianInterval(1.0, 3, batch=2))
+
+        grid = config().grid()
+        allowed = set(grid)
+        if method == "midpoint":
+            allowed |= {0.5 * (t + t_next)
+                        for t, t_next in zip(grid, grid[1:])}
+        for solve in (baseline_solve, continuous_adjoint_solve,
+                      unrolled_backprop):
+            times.clear()
+            solve(method, field, z0, config(),
+                  *([] if solve is baseline_solve else [cot]))
+            assert times and set(times) <= allowed, solve.__name__
+
     def test_midpoint_strong_order_half_on_noncommutative_noise(self):
         # Cross-coupled cosine diffusion; scalar noise would be commutative
         # and converge at order one instead.
