@@ -11,7 +11,9 @@ Two interchangeable noise sources are provided:
   has grid index ranges for nodes, halved at their midpoints, and stores
   none. Either tree keeps the last query's root-to-leaf path with its
   seeds as a hint, which makes the sequential access pattern of an SDE
-  solver O(1) amortized.
+  solver O(1) amortized. A keyed node of at most `BLOCK_STEPS` grid steps
+  is a leaf block: its step increments are drawn at once, conditioned
+  exactly on the node's value, and a step query returns one row.
 
 * `VirtualBrownianTree` -- the classical baseline: query points are rounded
   to a dyadic grid of resolution `tol` and each evaluation descends from
@@ -28,6 +30,7 @@ filled from a single normal draw of length batch*dims.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,10 +38,21 @@ import numpy as np
 from .prng import SeedState, new_seed, split, standard_normals
 
 
+# Grid steps in a keyed tree's leaf block: one normal draw serves them all.
+# Larger blocks make sweeps cheaper and random access dearer (a row costs B).
+BLOCK_STEPS = 32
+
+
+def _count(value, rule: str) -> int:
+    """`value` as an int >= 1; a bool or a non-integral value raises."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < 1):
+        raise ValueError(f"{rule}, got {value!r}")
+    return int(value)
+
+
 def _as_seed(seed) -> SeedState:
-    if isinstance(seed, SeedState):
-        return seed
-    return new_seed(int(seed))
+    return seed if isinstance(seed, SeedState) else new_seed(int(seed))
 
 
 def bridge_sample(u: float, t: float, s: float, w_ut: np.ndarray,
@@ -59,16 +73,17 @@ def bridge_sample(u: float, t: float, s: float, w_ut: np.ndarray,
 
 class _LRUCache:
     """LRU map from a node's key -- its interval (a, b), or in a keyed tree
-    its index range (lo, hi) -- to its sampled increment."""
+    its index range (lo, hi) -- to its increment, and from a leaf block's
+    first step index to its (m, batch, dims) step increments. `capacity`
+    and `size` count step increments of `unit` values each, so a block
+    costs m; one larger than the capacity is cached alone."""
 
-    __slots__ = ("capacity", "hits", "misses", "_data")
+    __slots__ = ("capacity", "unit", "size", "hits", "misses", "_data")
 
-    def __init__(self, capacity: int):
-        if capacity < 1:
-            raise ValueError(f"cache capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self.hits = 0
-        self.misses = 0
+    def __init__(self, capacity: int, unit: int):
+        self.capacity = _count(capacity, "cache_capacity must be an int >= 1")
+        self.unit = unit
+        self.size = self.hits = self.misses = 0
         self._data = {}  # insertion order doubles as recency order
 
     def get(self, node):
@@ -85,10 +100,13 @@ class _LRUCache:
         return self._data.get(node)
 
     def put(self, node, value):
-        """Insert an uncached node, evicting the least recent if full."""
-        data = self._data
-        if len(data) >= self.capacity:
-            del data[next(iter(data))]
+        """Evict the least recent entries until `value` fits, then insert it
+        (a cached node is overwritten in place)."""
+        data, unit = self._data, self.unit
+        while data and self.size + value.size // unit > self.capacity:
+            self.size -= data.pop(next(iter(data))).size // unit
+        old = data.get(node)
+        self.size += (value.size - (0 if old is None else old.size)) // unit
         data[node] = value
 
 
@@ -117,15 +135,17 @@ class BrownianInterval:
     right) order. The tree stores no node: it holds its split points, the
     LRU cache and the hint path of the last query, ((lo, hi), seed, pair)
     entries from the root down, pair being the split of the parent's seed.
-    Only the split rule differs between the two kinds of tree:
+    The two kinds of tree differ in their split rule and their leaves:
 
     * lazy (as constructed): keys are times and time() is the identity. A
       leaf cut by a query splits at the query's endpoint inside it, and the
       map {(a, b): split point} persists (about n entries after n
       sequential steps). Without parent links it holds no reference
       cycles.
-    * keyed (`key_on_grid`): keys are grid indices, and node (lo, hi)
-      splits at (lo + hi) // 2, so nothing is stored.
+    * keyed (`key_on_grid`): keys are grid indices, node (lo, hi) splits at
+      (lo + hi) // 2, and nothing is stored. A node of at most BLOCK_STEPS
+      steps is a leaf block: its steps are drawn at once (`_step`), and a
+      one-step query returns one row of them.
 
     The increment of a node is recovered from its parent: left children by
     bridge conditioning (normals drawn from the left child's seed), right
@@ -134,43 +154,37 @@ class BrownianInterval:
     queries of the same interval return bitwise-identical values regardless
     of cache evictions or intervening queries.
 
-    A query is answered by the nodes that partition it. When no existing
-    node is exactly [s, t], the answer is exactly the left-to-right
-    floating-point sum of those nodes, so summing the consecutive
-    sub-queries that materialized them reproduces the spanning query
-    bitwise. When [s, t] coincides with an existing node -- an internal
-    node created by bisection, e.g. [0, t1] itself or a right-spine node
-    [s, t1] -- the answer is that node's own value, which equals the sum
-    of its descendants' values only to rounding.
+    A query is answered by the nodes that partition it, and by the rows of
+    a keyed block it cuts. When no existing node is exactly [s, t], the
+    answer is exactly the left-to-right floating-point sum of those parts,
+    so summing the consecutive sub-queries that materialized them
+    reproduces the spanning query bitwise. When [s, t] coincides with an
+    existing node -- e.g. [0, t1] itself, a right-spine node [s, t1] or a
+    whole block -- the answer is that node's own value, which equals the
+    sum of its descendants' values (or its block's rows) only to rounding.
 
-    Queries mutate the split map, cache, and hint: a given instance needs
-    exclusive access during `query`, but distinct instances are fully
-    independent. Returned arrays are owned by the cache -- do not mutate.
-
-    Note the sample path realized for a given seed depends on the query
-    order (which determines the tree topology), or on the grid alone for a
-    keyed tree; only the distribution and per-instance determinism are
-    guaranteed.
+    Queries mutate the split map, cache and hint: an instance needs
+    exclusive access during `query`; distinct instances are independent.
+    Returned arrays are owned by the cache -- do not mutate. The path
+    realized for a seed depends on the query order (the topology) of a
+    lazy tree and on the grid alone for a keyed one; only the distribution
+    and per-instance determinism are guaranteed.
     """
 
     def __init__(self, t1: float, seed, dims: int = 1, batch: int = 1,
                  cache_capacity: int = 128):
         if not 0.0 < t1 < math.inf:
             raise ValueError(f"horizon must be positive and finite, got {t1}")
-        if dims < 1 or batch < 1:
-            raise ValueError("dims and batch must be positive")
         self.t1 = float(t1)
-        self.dims = int(dims)
-        self.batch = int(batch)
+        self.dims = _count(dims, "dims must be an int >= 1")
+        self.batch = _count(batch, "batch must be an int >= 1")
         self._splits = {}  # a lazy tree's split point of each inner node
         self._n = None  # set by key_on_grid
         self._time = lambda x: x
         self._path = [((0.0, self.t1), _as_seed(seed), None)]
-        self._cache = _LRUCache(cache_capacity)
-        self._queries = 0
-        self._traverse_edges = 0
-        self._sample_recomputes = 0
-        self._max_sample_depth = 0
+        self._block = (0, 0)  # steps [lo, hi) of the last leaf block used
+        self._cache = _LRUCache(cache_capacity, self.batch * self.dims)
+        self.reset_stats()
 
     @property
     def cache_capacity(self) -> int:
@@ -181,62 +195,52 @@ class BrownianInterval:
         if not (0.0 <= s < t <= self.t1):
             raise ValueError(
                 f"query must satisfy 0 <= s < t <= {self.t1}, got [{s}, {t}]")
-        n = self._n
-        if n is None:
-            nodes = self._cover(s, t)
-        else:
-            a, b = round(s / self.t1 * n), round(t / self.t1 * n)
+        a, b, keyed = s, t, self._n is not None
+        if keyed:
+            a, b = round(s / self.t1 * self._n), round(t / self.t1 * self._n)
             if self._time(a) != s or self._time(b) != t:
                 raise ValueError(f"query [{s}, {t}] is off the grid of n = "
-                                 f"{n} steps this tree is keyed on")
-            # One grid step is a leaf: no walk finds a finer cover.
-            nodes = [(a, b)] if b - a == 1 else self._cover(a, b)
+                                 f"{self._n} steps this tree is keyed on")
         self._queries += 1
-        total = self._sample(nodes[0])
-        for node in nodes[1:]:
-            total = total + self._sample(node)
-        return total
+        if keyed and b - a == 1:  # a solver's query: one row of a block
+            return self._step(a)
+        parts = [self._step(lo) if keyed and hi - lo == 1  # a block row
+                 else self._sample((lo, hi)) for lo, hi in self._cover(a, b)]
+        return sum(parts[1:], parts[0])  # left to right
 
     def key_on_grid(self, n: int, time):
         """Key a fresh tree on the grid time(0) = 0 < ... < time(n) = t1.
 
         Node (lo, hi) of the balanced index tree this makes spans
-        [time(lo), time(hi)] and splits at (lo + hi) // 2. No node is
-        stored, so an evicted value regrows bitwise from its nearest cached
-        ancestor on the hint path, at most ceil(log2 n) levels up. The LRU
-        is emptied: a value drawn before keying is held under a time key.
-        Queries off the grid then raise ValueError.
+        [time(lo), time(hi)] and splits at (lo + hi) // 2, down to leaf
+        blocks of at most BLOCK_STEPS steps. No node is stored: an evicted
+        value regrows bitwise from its nearest cached ancestor on the hint
+        path, at most ceil(log2(n / BLOCK_STEPS)) bridges down, then its
+        block in one draw. The LRU is emptied: a value drawn before keying
+        is held under a time key. Queries off the grid then raise ValueError.
 
-        A no-op on a tree that queries have split or that is keyed, and for
-        a grid not ending at t1; otherwise it changes the tree topology, and
-        so the realized path, for a given seed.
+        n must be an int >= 1. A no-op on a tree that queries have split or
+        that is keyed, and for a grid not ending at t1; otherwise it changes
+        the tree topology, and so the realized path, for a given seed.
         """
-        if n < 1:
-            raise ValueError(f"a grid needs n >= 1 steps, got {n}")
+        n = _count(n, "a grid needs n >= 1 steps")
         if self._splits or self._n is not None or time(n) != self.t1:
             return
         self._n, self._time = n, time
         self._path = [((0, n), self._path[0][1], None)]
         self._cache._data.clear()
+        self._cache.size = 0
 
     def stats(self) -> TreeStats:
-        return TreeStats(
-            node_count=1 + 2 * len(self._splits),
-            cache_hits=self._cache.hits,
-            cache_misses=self._cache.misses,
-            queries=self._queries,
-            traverse_edges=self._traverse_edges,
-            sample_recomputes=self._sample_recomputes,
-            max_sample_depth=self._max_sample_depth,
-        )
+        return TreeStats(1 + 2 * len(self._splits), self._cache.hits,
+                         self._cache.misses, self._queries,
+                         self._traverse_edges, self._sample_recomputes,
+                         self._max_sample_depth)
 
     def reset_stats(self):
         """Zero the access counters (node count is structural, kept)."""
-        self._cache.hits = 0
-        self._cache.misses = 0
-        self._queries = 0
-        self._traverse_edges = 0
-        self._sample_recomputes = 0
+        self._cache.hits = self._cache.misses = self._queries = 0
+        self._traverse_edges = self._sample_recomputes = 0
         self._max_sample_depth = 0
 
     # -- tree walking -------------------------------------------------
@@ -271,12 +275,14 @@ class BrownianInterval:
             lo, hi = node
             if qa == lo and qb == hi:
                 out.append(node)
-                continue
-            mid = self._split_point(node, qa, qb)
-            if qb > mid:
-                stack.append(((mid, hi), max(qa, mid), qb))
-            if qa < mid:
-                stack.append(((lo, mid), qa, min(qb, mid)))
+            elif self._n is not None and hi - lo <= BLOCK_STEPS:  # its rows
+                out.extend((k, k + 1) for k in range(qa, qb))
+            else:
+                mid = self._split_point(node, qa, qb)
+                if qb > mid:
+                    stack.append(((mid, hi), max(qa, mid), qb))
+                if qa < mid:
+                    stack.append(((lo, mid), qa, min(qb, mid)))
         return out
 
     def _sample(self, node: tuple) -> np.ndarray:
@@ -338,6 +344,32 @@ class BrownianInterval:
             p_lo, p_hi = key
         return value
 
+    def _step(self, k: int) -> np.ndarray:
+        """Increment of grid step k: a row of its leaf block, the last one
+        used or found below the hint path. A block is drawn from its node's
+        increment W over [a, b], T = b - a, as X_i = sqrt(dt_i) xi_i -
+        (dt_i / T)(sum_j sqrt(dt_j) xi_j - W), whose covariance diag(dt) -
+        dt dt^T / T is the Brownian bridge's. xi comes from the node seed's
+        left child: a left node's own seed drew its bridge normals."""
+        lo, hi = self._block
+        if not lo <= k < hi:
+            lo, hi = self._path[self._holder(k, k + 1)][0]
+            while hi - lo > BLOCK_STEPS:
+                mid = (lo + hi) >> 1
+                lo, hi = (lo, mid) if k < mid else (mid, hi)
+            self._block = lo, hi
+        rows = self._cache.get(lo)
+        if rows is None:
+            w = self._sample((lo, hi))
+            t = np.array([self._time(i) for i in range(lo, hi + 1)])
+            dt = np.diff(t)[:, None, None]
+            rows = standard_normals(split(self._path[-1][1])[0],
+                                    (hi - lo) * w.size).reshape(-1, *w.shape)
+            rows *= np.sqrt(dt)
+            rows -= dt / (t[-1] - t[0]) * (rows.sum(axis=0) - w)
+            self._cache.put(lo, rows)
+        return rows[k - lo]
+
 
 class VirtualBrownianTree:
     """Dyadic bridge-descent Brownian sampler over [0, t1] (baseline).
@@ -353,11 +385,9 @@ class VirtualBrownianTree:
                  tol: float | None = None):
         if not 0.0 < t1 < math.inf:
             raise ValueError(f"horizon must be positive and finite, got {t1}")
-        if dims < 1 or batch < 1:
-            raise ValueError("dims and batch must be positive")
         self.t1 = float(t1)
-        self.dims = int(dims)
-        self.batch = int(batch)
+        self.dims = _count(dims, "dims must be an int >= 1")
+        self.batch = _count(batch, "batch must be an int >= 1")
         self.tol = self.t1 * 2.0 ** -16 if tol is None else float(tol)
         if not (0 < self.tol < self.t1):
             raise ValueError(f"tolerance must lie in (0, t1), got {self.tol}")

@@ -174,6 +174,42 @@ class TestBrownianIntervalQueries:
             with pytest.raises(ValueError):
                 tree.query(s, t)
 
+    @pytest.mark.parametrize("make, setting, value", [
+        (lambda v: BrownianInterval(1.0, 1).key_on_grid(v, lambda k: k / 4),
+         "n", 4.0),
+        (lambda v: BrownianInterval(1.0, 1).key_on_grid(v, lambda k: k),
+         "n", True),
+        (lambda v: BrownianInterval(1.0, 1, dims=v), "dims", 2.5),
+        (lambda v: BrownianInterval(1.0, 1, batch=v), "batch", True),
+        (lambda v: BrownianInterval(1.0, 1, cache_capacity=v),
+         "cache_capacity", 2.5),
+        (lambda v: VirtualBrownianTree(1.0, 1, dims=v), "dims", True),
+        (lambda v: VirtualBrownianTree(1.0, 1, batch=v), "batch", 2.5),
+    ], ids=["grid-n-float", "grid-n-bool", "dims-float", "batch-bool",
+            "capacity-float", "vbt-dims-bool", "vbt-batch-float"])
+    def test_integer_settings_reject_bools_and_fractions(self, make, setting,
+                                                         value):
+        # Unchecked, a bool or a fraction is truncated (dims 2.5 to 2), kept
+        # (capacity 2.5) or, as a grid's n, breaks every later query.
+        with pytest.raises(ValueError, match=rf"\b{setting}\b.*, got "
+                                             rf"{re.escape(repr(value))}$"):
+            make(value)
+
+    def test_integer_settings_take_numpy_integers(self):
+        tree = BrownianInterval(1.0, 1, dims=np.int64(2), batch=np.int32(3),
+                                cache_capacity=np.int64(4))
+        tree.key_on_grid(np.int64(4), lambda k: k / 4)
+        assert tree.query(0.25, 0.5).shape == (3, 2)
+        vbt = VirtualBrownianTree(1.0, 1, dims=np.int64(2), batch=np.int8(3))
+        assert vbt.query(0, 1).shape == (3, 2)
+
+    def test_rejected_grid_leaves_the_tree_lazy(self):
+        tree = BrownianInterval(1.0, 5)
+        with pytest.raises(ValueError, match=r"n >= 1 steps, got 4\.0"):
+            tree.key_on_grid(4.0, lambda k: k / 4)
+        tree.query(0.1, 0.2)
+        assert tree.stats().node_count > 1
+
     def test_additivity_bitwise_for_materialized_parts(self):
         for seed in range(20):
             tree = BrownianInterval(1.0, seed, dims=4, batch=8)
@@ -318,29 +354,6 @@ class TestPrebuildDyadic:
     def _time(n):
         return lambda k: k / n
 
-    def test_nodes_split_at_index_midpoints(self):
-        # n = 5: the root [0, 5) splits at 2, [2, 5) at 3. Left children are
-        # bridges from the parent with the left split seed, right children
-        # the parent minus their left sibling.
-        seed = new_seed(5)
-        tree = BrownianInterval(1.0, seed, dims=2, batch=3, cache_capacity=1)
-        tree.key_on_grid(5, self._time(5))
-        root = standard_normals(seed, 6).reshape(3, 2)
-        left, right = split(seed)
-        w02 = bridge_sample(0.0, 1.0, 0.4, root, left)
-        w23 = bridge_sample(0.4, 1.0, 0.6, root - w02, split(right)[0])
-        assert np.array_equal(tree.query(0.6, 0.8),
-                              bridge_sample(0.6, 1.0, 0.8,
-                                            root - w02 - w23,
-                                            split(split(right)[1])[0]))
-        assert np.array_equal(tree.query(0.4, 0.6), w23)
-        assert np.array_equal(tree.query(0.4, 1.0), root - w02)
-        assert np.array_equal(tree.query(0.0, 0.4), w02)
-        assert np.array_equal(tree.query(0.0, 1.0), root)
-        stats = tree.stats()
-        assert stats.node_count == 1
-        assert stats.max_sample_depth <= math.ceil(math.log2(5))
-
     def test_degenerate_target_is_noop(self):
         # A grid that does not end at t1 is no target to key on: the tree
         # stays lazy and answers queries off that grid.
@@ -418,16 +431,6 @@ class TestPrebuildDyadic:
                               first)
         tree.query(0.005, 0.01)
 
-    def test_grid_aligned_span_is_the_sum_of_its_cover(self):
-        # [1, 7) of 8 steps is covered by the nodes [1, 2), [2, 4), [4, 6)
-        # and [6, 7), each of which answers as a node.
-        tree = BrownianInterval(1.0, 3, dims=2, batch=2)
-        tree.key_on_grid(8, self._time(8))
-        parts = [tree.query(a / 8, b / 8)
-                 for a, b in ((1, 2), (2, 4), (4, 6), (6, 7))]
-        assert np.array_equal(tree.query(1 / 8, 7 / 8),
-                              parts[0] + parts[1] + parts[2] + parts[3])
-
     def test_determinism_under_eviction(self):
         # Values are pure functions of (root seed, grid): a forward then a
         # reverse sweep gives the same increments whatever the LRU evicts.
@@ -457,10 +460,11 @@ class TestPrebuildDyadic:
         assert np.array_equal(tree.query(0.0, 0.25), fresh.query(0.0, 0.25))
         assert np.array_equal(tree.query(0.0, 1.0), w)
 
-    @pytest.mark.parametrize("n", [5, 7, 12])
+    @pytest.mark.parametrize("n", [5, 7, 12, 65])
     def test_step_increment_distribution(self, n):
         # 12 trees x 16,000 paths per step, read back by a reverse sweep
-        # after a forward one: mean 0, variance 1/n, uncorrelated steps.
+        # after a forward one: mean 0, variance 1/n, uncorrelated steps,
+        # across leaf blocks too (n = 65 spans three of them).
         for capacity in (1, 2, 128):
             steps = []
             for seed in range(12):
@@ -489,6 +493,153 @@ class TestPrebuildDyadic:
                                                f"the grid of n = 100")):
                 tree.query(s, t)
         assert asdict(tree.stats()) == before
+
+
+class TestKeyedTree:
+    """A keyed tree's leaf blocks: a node of at most BLOCK_STEPS grid steps
+    draws all its step increments at once, given its own increment."""
+
+    @staticmethod
+    def _time(n):
+        return lambda k: k / n
+
+    @staticmethod
+    def _block(time, lo, hi, w, seed):
+        """Steps lo ... hi - 1 of the block with increment w, by hand:
+        X_i = sqrt(dt_i) xi_i - (dt_i / T)(sum_j sqrt(dt_j) xi_j - w), the
+        normals xi drawn from the left child of the block's seed."""
+        t = np.array([time(k) for k in range(lo, hi + 1)])
+        dt = np.diff(t)[:, None, None]
+        xi = standard_normals(split(seed)[0], (hi - lo) * w.size)
+        y = np.sqrt(dt) * xi.reshape(hi - lo, *w.shape)
+        return y - dt / (t[-1] - t[0]) * (y.sum(axis=0) - w)
+
+    def test_upper_nodes_bridge_down_to_leaf_blocks(self):
+        # n = 2B + 6: the root and its halves [0, h) and [h, n) are upper
+        # nodes, and the halves' halves are blocks. Left children are
+        # bridges from the parent with the left split seed, right children
+        # the parent minus their left sibling; a block's steps follow.
+        B = brownian.BLOCK_STEPS
+        n, h = 2 * B + 6, B + 3
+        time = self._time(n)
+        seed = new_seed(5)
+        tree = BrownianInterval(1.0, seed, dims=2, batch=3, cache_capacity=1)
+        tree.key_on_grid(n, time)
+        root = standard_normals(seed, 6).reshape(3, 2)
+        left, right = split(seed)
+        w_left = bridge_sample(0.0, 1.0, time(h), root, left)
+        blocks = []
+        for lo, hi, w, node_seed in ((0, h, w_left, left),
+                                     (h, n, root - w_left, right)):
+            mid = (lo + hi) // 2
+            seed_a, seed_b = split(node_seed)
+            w_a = bridge_sample(time(lo), time(hi), time(mid), w, seed_a)
+            blocks += [(lo, mid, w_a, seed_a), (mid, hi, w - w_a, seed_b)]
+        steps = np.concatenate([self._block(time, *blk) for blk in blocks])
+        assert len(steps) == n
+        assert all(1 < hi - lo <= B for lo, hi, _, _ in blocks)
+        for k in list(reversed(range(n))) + list(range(n)):
+            assert np.array_equal(tree.query(time(k), time(k + 1)), steps[k])
+        for lo, hi, w, _ in blocks:  # a whole block answers as its node
+            assert np.array_equal(tree.query(time(lo), time(hi)), w)
+        assert np.array_equal(tree.query(0.0, time(h)), w_left)
+        assert np.array_equal(tree.query(time(h), 1.0), root - w_left)
+        assert np.array_equal(tree.query(0.0, 1.0), root)
+        stats = tree.stats()
+        assert stats.node_count == 1
+        assert stats.max_sample_depth <= math.ceil(math.log2(n / B)) + 1
+
+    def test_grid_aligned_span_is_the_sum_of_its_cover(self):
+        # n = 8B: [B - 2, 6B + 8) is covered by the last two rows of the
+        # block [0, B), the block [B, 2B), the upper nodes [2B, 4B) and
+        # [4B, 6B), and the first eight rows of the block [6B, 7B).
+        B = brownian.BLOCK_STEPS
+        n, a, b = 8 * B, B - 2, 6 * B + 8
+        tree = BrownianInterval(1.0, 3, dims=2, batch=2)
+        tree.key_on_grid(n, self._time(n))
+        cover = tree._cover(a, b)
+        assert cover == ([(B - 2, B - 1), (B - 1, B), (B, 2 * B),
+                          (2 * B, 4 * B), (4 * B, 6 * B)]
+                         + [(k, k + 1) for k in range(6 * B, b)])
+        parts = [tree.query(lo / n, hi / n) for lo, hi in cover]
+        total = parts[0]
+        for part in parts[1:]:
+            total = total + part
+        assert np.array_equal(tree.query(a / n, b / n), total)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 200), seed=st.integers(0, 2 ** 63 - 1),
+           ops=st.lists(st.tuples(st.integers(0, 199), st.integers(0, 199),
+                                  st.booleans()), min_size=1, max_size=16))
+    def test_random_steps_and_spans_bitwise_across_capacities(self, n, seed,
+                                                              ops):
+        # One-step and span queries give the same values at capacities 1
+        # and 10,000, and each span is bitwise the left-to-right sum of the
+        # parts of its cover (nodes and block rows), each asked for alone.
+        queries = []
+        for i, j, one_step in ops:
+            a = i % n
+            queries.append((a, a + 1 if one_step else a + 1 + j % (n - a)))
+
+        def run(capacity):
+            tree = BrownianInterval(1.0, seed, dims=2, batch=3,
+                                    cache_capacity=capacity)
+            tree.key_on_grid(n, self._time(n))
+            values = []
+            for a, b in queries:
+                whole = tree.query(a / n, b / n)
+                cover = tree._cover(a, b)
+                assert [lo for lo, _ in cover] + [b] == ([a] + [
+                    hi for _, hi in cover])
+                parts = [tree.query(lo / n, hi / n) for lo, hi in cover]
+                total = parts[0]
+                for part in parts[1:]:
+                    total = total + part
+                assert np.array_equal(whole, total)
+                values += [whole] + parts
+            return values
+
+        narrow = run(1)
+        assert all(np.array_equal(x, y) for x, y in zip(narrow, run(10_000)))
+
+    def test_sweeps_draw_at_most_one_normal_batch_per_four_steps(
+            self, monkeypatch):
+        # Forward then reverse over n = 1,024 steps at capacity 128: one
+        # bridge per upper node and one draw per block, each way, plus the
+        # regrowth of evicted ancestors; one bridge per step without blocks.
+        draws = []
+        counted = standard_normals
+
+        def counting(seed, count):
+            draws.append(count)
+            return counted(seed, count)
+
+        monkeypatch.setattr(brownian, "standard_normals", counting)
+        n = 1024
+        tree = BrownianInterval(1.0, 9, dims=4, batch=8, cache_capacity=128)
+        tree.key_on_grid(n, self._time(n))
+        for k in list(range(n)) + list(reversed(range(n))):
+            tree.query(k / n, (k + 1) / n)
+        assert len(draws) <= n / 4
+
+    @pytest.mark.parametrize("capacity", [1, 2, 40, 128])
+    def test_cache_holds_at_most_capacity_or_one_block(self, capacity):
+        # The LRU counts step increments: a block of m steps costs m, and
+        # one larger than the capacity is cached alone.
+        n = 200
+        tree = BrownianInterval(1.0, 4, dims=2, batch=3,
+                                cache_capacity=capacity)
+        tree.key_on_grid(n, self._time(n))
+        rng = np.random.default_rng(0)
+        spans = [sorted(rng.choice(n + 1, 2, replace=False))
+                 for _ in range(40)]
+        steps = [(k, k + 1) for k in range(n)]
+        for a, b in steps + steps[::-1] + spans:
+            tree.query(a / n, b / n)
+            cached = tree._cache._data.values()
+            held = sum(len(v) if v.ndim == 3 else 1 for v in cached)
+            assert held == tree._cache.size
+            assert held <= max(capacity, brownian.BLOCK_STEPS)
 
 
 class TestVirtualBrownianTree:
