@@ -6,22 +6,27 @@ diffusion with respect to the state and the (flat) parameter vector, and
 those are small, fixed computations that are written out here and verified
 against central finite differences by `fd_check`.
 
-Each field writes its derivative once, as `_linearize(t, z)` -> (mu,
-sigma, pullback), pullback(d_mu, d_sigma) -> (d_z, d_params) with the
-parameter gradient summed over the batch. Every solver differentiates
-through its counted form `VectorField.linearize`, and `fd_check` pulls
-its probes back through that same `linearize`, so it checks the
-derivative the solvers run. `vjp_drift` and `vjp_diffusion` are that
-pullback with the other cotangent zero; they stay for outside callers
-that time the drift and diffusion derivatives apart.
+Each field writes its evaluation and derivative once, as `_linearize(t,
+z)` -> (mu, sigma, pullback), pullback(d_mu, d_sigma) -> (d_z, d_params)
+with the parameter gradient summed over the batch. Every solver
+differentiates through its counted form `VectorField.linearize`, and
+`fd_check` pulls its probes back through that same `linearize`, so it
+checks the derivative the solvers run. The solvers' forward-only passes
+call `evaluate` -> (mu, sigma), one pass for both. `eval_drift`,
+`eval_diffusion`, `vjp_drift` and `vjp_diffusion` are halves of that pass
+and of its pullback (with the other cotangent zero); they stay for outside
+callers that time the drift and diffusion apart. A `NeuralField` runs its
+two networks as one pass with a stacked first layer (see its docstring).
 
 The layers run on numpy alone. Each activation may overwrite its own
 pre-activation, and nothing else: a layer computes x @ W.T into a new
 buffer, adds the bias in place and hands the buffer to its activation,
 and no pullback ever writes an array that its tape, its caller or the
-returned (mu, sigma) holds. The sigmoid (the diffusion head and
-LipSwish's gate) is the tanh form 0.5 + 0.5 tanh(h / 2); see `sigmoid`
-for its accuracy.
+returned (mu, sigma) holds. The one exception is scratch: `evaluate`'s
+stacked hidden state and the pullback's temporaries live in buffers of
+the calling thread, which nothing returned shares. The sigmoid (the
+diffusion head and LipSwish's gate) is the tanh form 0.5 + 0.5 tanh(h /
+2); see `sigmoid` for its accuracy.
 
 Conventions, shared with the solvers:
   * states are batch-major arrays of shape (batch, state_dim);
@@ -35,6 +40,8 @@ Conventions, shared with the solvers:
 
 from __future__ import annotations
 
+import operator
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,40 +67,42 @@ def sigmoid(h, out=None):
 
 
 # Each activation as (forward, derivative): forward(h) -> (y, memo) may
-# write y into its pre-activation h and nothing else; derivative(y, memo)
-# -> dy/dh builds a new array from what the forward pass already computed,
-# so a pullback never re-evaluates a nonlinearity and never writes the
-# tape. LipSwish's memo is its sigmoid: dy/dh = 0.909 s + y (1 - s).
-def _lipswish_forward(h):
-    s = sigmoid(h)
+# write y into its pre-activation h and nothing else; derivative(y, memo,
+# out) -> dy/dh writes into `out` (a new array if None) from what the
+# forward pass already computed, so a pullback never re-evaluates a
+# nonlinearity and never writes the tape. LipSwish's memo is its sigmoid:
+# dy/dh = 0.909 s + y (1 - s). The identity's derivative is the float 1.0.
+def _lipswish_forward(h, out=None):
+    s = sigmoid(h, out=out)
     h *= LIPSWISH_SCALE
     h *= s
     return h, s
 
 
-def _lipswish_derivative(y, s):
-    d = 1.0 - s
+def _lipswish_derivative(y, s, out=None):
+    d = np.subtract(1.0, s, out=out)
     d *= y
     d += LIPSWISH_SCALE * s
     return d
 
 
-def _tanh_derivative(y, _):
-    d = y * y
+def _tanh_derivative(y, _, out=None):
+    d = np.multiply(y, y, out=out)
     return np.subtract(1.0, d, out=d)
 
 
-def _sigmoid_derivative(y, _):
-    d = 1.0 - y
+def _sigmoid_derivative(y, _, out=None):
+    d = np.subtract(1.0, y, out=out)
     d *= y
     return d
 
 
 _ACTIVATIONS = {
     "lipswish": (_lipswish_forward, _lipswish_derivative),
-    "tanh": (lambda h: (np.tanh(h, out=h), None), _tanh_derivative),
-    "sigmoid": (lambda h: (sigmoid(h, out=h), None), _sigmoid_derivative),
-    "identity": (lambda h: (h, None), lambda y, _: 1.0),
+    "tanh": (lambda h, _=None: (np.tanh(h, out=h), None), _tanh_derivative),
+    "sigmoid": (lambda h, _=None: (sigmoid(h, out=h), None),
+                _sigmoid_derivative),
+    "identity": (lambda h, _=None: (h, None), lambda y, _, out=None: 1.0),
 }
 
 
@@ -111,6 +120,16 @@ def lipswish(x):
 def lipswish_grad(x):
     """0.909 s + y (1 - s), s = sigmoid(x): the MLP pullback's derivative."""
     return _on_copy(lambda h: _lipswish_derivative(*_lipswish_forward(h)), x)
+
+
+def _time_appended(t, z, state_dim):
+    """The network input [z | t] as a new (batch, state_dim + 1) array."""
+    if z.ndim != 2 or z.shape[1] != state_dim:
+        raise ValueError(f"state must be (batch, {state_dim}), got {z.shape}")
+    x = np.empty((z.shape[0], state_dim + 1))
+    x[:, :-1] = z
+    x[:, -1] = float(t)
+    return x
 
 
 def _flatten(weights, biases):
@@ -184,23 +203,22 @@ class MLPField:
         return cot_z, _flatten(grads_w, grads_b)
 
     def _forward(self, t, z):
-        if z.ndim != 2 or z.shape[1] != self.state_dim:
-            raise ValueError(
-                f"state must be (batch, {self.state_dim}), got {z.shape}")
-        x = np.empty((z.shape[0], self.state_dim + 1))
-        x[:, :-1] = z
-        x[:, -1] = float(t)
+        memos, inputs = self._layers(_time_appended(t, z, self.state_dim), 0)
+        return inputs[-1], (memos, inputs)
+
+    def _layers(self, x, first):
+        """Layers first, first + 1, ... on input x: (memos, inputs), where
+        inputs[0] is x and inputs[-1] the network's output."""
         memos = []
         inputs = [x]
-        n_layers = len(self.weights)
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            act = self._final if i == n_layers - 1 else self._act
-            h = inputs[-1] @ w.T
-            h += b
-            y, memo = act(h)
+        last = len(self.weights) - 1
+        for i in range(first, last + 1):
+            h = inputs[-1].dot(self.weights[i].T)
+            h += self.biases[i]
+            y, memo = (self._final if i == last else self._act)(h)
             memos.append(memo)
             inputs.append(y)
-        return inputs[-1], (memos, inputs)
+        return memos, inputs
 
     def get_params(self):
         """Flatten all parameters, weights-then-bias per layer."""
@@ -232,10 +250,15 @@ def clip_weights(net: MLPField):
 class VectorField:
     """Drift/diffusion pair with one derivative and evaluation counters.
 
-    Subclasses implement `_drift`, `_diffusion` and `_linearize` (see the
-    module docstring); the public methods count calls so solvers can
-    assert their per-step evaluation budgets. Evaluation is pure;
-    parameter mutation (set_params, clipping) requires exclusive access.
+    Subclasses implement `_linearize` (see the module docstring), and may
+    override `_evaluate`, the same pass without a pullback. The public
+    methods are views of these two and count their calls, so solvers can
+    assert their per-step evaluation budgets: `evaluate` gives the pair
+    (mu, sigma), `eval_drift` and `eval_diffusion` one half of the same
+    pass, and `vjp_drift` and `vjp_diffusion` one half of its pullback.
+    Evaluation is pure per thread: a field may reuse scratch buffers, but
+    no two threads share them. Parameter mutation (set_params, clipping)
+    requires exclusive access.
     """
 
     state_dim: int
@@ -251,13 +274,24 @@ class VectorField:
         self.drift_vjp_calls = 0
         self.diffusion_vjp_calls = 0
 
-    def eval_drift(self, t, z):
+    def evaluate(self, t, z):
+        """(mu, sigma) at (t, z); counts one evaluation of each kind."""
         self.drift_evals += 1
-        return self._drift(t, z)
+        self.diffusion_evals += 1
+        return self._evaluate(t, z)
+
+    def eval_drift(self, t, z):
+        """mu at (t, z), from the pass `evaluate` runs."""
+        self.drift_evals += 1
+        return self._evaluate(t, z)[0]
 
     def eval_diffusion(self, t, z):
+        """sigma at (t, z), from the pass `evaluate` runs."""
         self.diffusion_evals += 1
-        return self._diffusion(t, z)
+        return self._evaluate(t, z)[1]
+
+    def _evaluate(self, t, z):
+        return self._linearize(t, z)[:2]
 
     def linearize(self, t, z):
         """Evaluate (mu, sigma) at (t, z) and return their joint pullback.
@@ -296,12 +330,38 @@ class VectorField:
             raise ValueError("field has no parameters")
 
 
+class _Scratch(threading.local):
+    """One thread's scratch buffers for one field, keyed by batch size."""
+
+    def __init__(self):
+        self.by_batch = {}
+
+
 class NeuralField(VectorField):
-    """Vector field whose drift and diffusion are MLPs.
+    """Vector field whose drift and diffusion are MLPs, run as one pass.
 
     The flat parameter vector is the drift network's parameters followed by
     the diffusion network's. Diffusion output is reshaped row-major to
     (batch, state_dim, noise_dim).
+
+    Both networks read the same [z | t], so their first layers run as one:
+    one matmul, bias add and activation against the two first layers
+    stacked (drift rows first). The hidden state is kept (hidden, batch),
+    so each network's block is a run of rows, which its later layers read
+    transposed as a view and every product is a plain BLAS call on
+    contiguous or transposed operands. A network with no hidden layer has
+    its head as its first layer. The networks' `weights[0]` and
+    `biases[0]` are views of the stacked arrays, so in-place writes
+    (`clip`, `clip_weights`) reach the pass, and a network that rebinds
+    them (`set_params`) is stacked anew at the next pass.
+
+    The pullback stacks the two cotangents on the hidden state in one
+    buffer and applies the activation derivative once. It sums the input
+    cotangent per network, so the pullback of (d_mu, d_sigma) is bitwise
+    the sum of those of (d_mu, 0) and (0, d_sigma). Its temporaries, the
+    flat parameter gradient it fills and `evaluate`'s hidden state are
+    buffers of the calling thread, one set per batch size, so freeing and
+    refaulting them per call is avoided; every array returned is new.
     """
 
     def __init__(self, drift_net: MLPField, diffusion_net: MLPField):
@@ -316,31 +376,136 @@ class NeuralField(VectorField):
         self.state_dim = drift_net.state_dim
         self.noise_dim = diffusion_net.out_dim // drift_net.state_dim
         self.param_count = drift_net.n_params + diffusion_net.n_params
+        self._nets = (drift_net, diffusion_net)
+        cut = len(drift_net.biases[0])
+        self._rows = (slice(0, cut), slice(cut, None))
+        # The first layer's activation: the head's for a network without
+        # a hidden layer. One segment when both networks share it.
+        acts = [_ACTIVATIONS[net.activation if len(net.weights) > 1
+                             else net.final_activation] for net in self._nets]
+        self._segments = ([(slice(None), *acts[0])] if acts[0] == acts[1]
+                          else [(rows, *act)
+                                for rows, act in zip(self._rows, acts)])
+        self._views = (None,) * 4
+        self._scratch = _Scratch()
+        self._stacked()
         super().__init__()
 
-    def _drift(self, t, z):
-        return self.drift_net.eval(t, z)
+    def _stacked(self):
+        """(W0, b0 as a column), the stacked first layers; stacked anew if a
+        network has rebound its first-layer arrays since the last call."""
+        d, s = self._nets
+        views = (d.weights[0], d.biases[0], s.weights[0], s.biases[0])
+        if any(map(operator.is_not, views, self._views)):
+            w0 = np.concatenate([d.weights[0], s.weights[0]])
+            b0 = np.concatenate([d.biases[0], s.biases[0]])
+            rd, rs = self._rows
+            d.weights[0], d.biases[0] = w0[rd], b0[rd]
+            s.weights[0], s.biases[0] = w0[rs], b0[rs]
+            self._views = (d.weights[0], d.biases[0], s.weights[0],
+                           s.biases[0])
+            self._w0, self._b0 = w0, b0[:, None]
+        return self._w0, self._b0
 
-    def _diffusion(self, t, z):
-        out = self.diffusion_net.eval(t, z)
-        return out.reshape(z.shape[0], self.state_dim, self.noise_dim)
+    def _evaluate(self, t, z):
+        x = _time_appended(t, np.asarray(z), self.state_dim)
+        hidden, memo = self._buffers(len(x))[:2]
+        return self._forward(x, hidden, [memo[rows] for rows, _, _ in
+                                         self._segments])[:2]
 
     def _linearize(self, t, z):
-        # One forward pass per network serves both the values and the
-        # pullback, which writes the drift block then the diffusion block.
-        z = np.asarray(z)
-        mu, drift_tape = self.drift_net._forward(t, z)
-        flat_sigma, diffusion_tape = self.diffusion_net._forward(t, z)
-        batch = z.shape[0]
+        x = _time_appended(t, np.asarray(z), self.state_dim)
+        mu, sigma, tape = self._forward(x, None, [None] * 2)
 
         def pullback(d_mu, d_sigma):
-            gz_mu, gp_mu = self.drift_net._backward(drift_tape, d_mu)
-            gz_sigma, gp_sigma = self.diffusion_net._backward(
-                diffusion_tape, np.asarray(d_sigma).reshape(batch, -1))
-            return gz_mu + gz_sigma, np.concatenate([gp_mu, gp_sigma])
+            return self._pullback(tape, d_mu, d_sigma)
 
-        return (mu, flat_sigma.reshape(batch, self.state_dim, self.noise_dim),
-                pullback)
+        return mu, sigma, pullback
+
+    def _forward(self, x, hidden, memos):
+        """(mu, sigma, tape) of one pass through both networks on x = [z | t].
+        The stacked hidden state goes into `hidden` and each segment's
+        activation memo into `memos` (new arrays where None)."""
+        w0, b0 = self._stacked()
+        h = np.dot(w0, x.T, out=hidden)
+        h += b0
+        first = [forward(h[rows], out)[1]
+                 for (rows, forward, _), out in zip(self._segments, memos)]
+        tapes = [net._layers(h[rows].T, 1)
+                 for net, rows in zip(self._nets, self._rows)]
+        # A head in the first layer is copied out of the hidden state.
+        mu, flat_sigma = (ins[-1] if len(ins) > 1 else ins[-1].copy()
+                          for _, ins in tapes)
+        sigma = flat_sigma.reshape(len(x), self.state_dim, self.noise_dim)
+        return mu, sigma, (x, w0, h, first, tapes)
+
+    def _pullback(self, tape, d_mu, d_sigma):
+        x, w0, h, first, tapes = tape
+        batch = len(x)
+        d_mu, d_sigma = np.asarray(d_mu), np.asarray(d_sigma)
+        shapes = ((batch, self.state_dim),
+                  (batch, self.state_dim, self.noise_dim))
+        if (d_mu.shape, d_sigma.shape) != shapes:
+            raise ValueError(f"cotangent shapes {d_mu.shape} and "
+                             f"{d_sigma.shape} do not match (mu, sigma) "
+                             f"shapes {shapes[0]} and {shapes[1]}")
+        g0, d0, flat, nets = self._buffers(batch)
+        for net, rows, cot, (memos, inputs), (grads, head) in zip(
+                self._nets, self._rows, (d_mu, d_sigma.reshape(batch, -1)),
+                tapes, nets):
+            if len(inputs) == 1:  # the head is in the first layer
+                g0[rows] = cot.T
+                continue
+            # Layer i's input is inputs[i - 1], its memo memos[i - 1].
+            g = net._final_grad(inputs[-1], memos[-1], head)
+            g *= cot
+            for i in range(len(inputs) - 1, 0, -1):
+                gw, gb = grads[i]
+                np.dot(g.T, inputs[i - 1], out=gw)
+                g.sum(axis=0, out=gb)
+                if i > 1:
+                    g = g.dot(net.weights[i])
+                    g *= net._act_grad(inputs[i - 1], memos[i - 2])
+            np.dot(net.weights[1].T, g.T, out=g0[rows])
+        for (rows, _, derivative), memo in zip(self._segments, first):
+            g = g0[rows]
+            g *= derivative(h[rows], memo, d0[rows])
+        for rows, (grads, _) in zip(self._rows, nets):
+            gw, gb = grads[0]
+            np.dot(g0[rows], x, out=gw)
+            g0[rows].sum(axis=1, out=gb)
+        # Summed per network, so that d_z is bitwise the sum of the d_z of
+        # the pullbacks of (d_mu, 0) and (0, d_sigma).
+        rd, rs = self._rows
+        d_x = g0[rd].T.dot(w0[rd])
+        d_x += g0[rs].T.dot(w0[rs])
+        return d_x[:, :-1], flat.copy()
+
+    def _buffers(self, batch):
+        """This thread's scratch for `batch` rows, made on first use.
+
+        Two (hidden, batch) arrays, which hold `_evaluate`'s hidden state
+        and memo, or the pullback's stacked cotangent and derivative; the
+        flat parameter gradient; and per network its layers' (weight,
+        bias) views of that gradient and its head's cotangent. Each lives
+        only within one call.
+        """
+        buffers = self._scratch.by_batch.get(batch)
+        if buffers is None:
+            flat = np.empty(self.param_count)
+            nets, pos = [], 0
+            for net in self._nets:
+                grads = []
+                for w, b in zip(net.weights, net.biases):
+                    end = pos + w.size
+                    grads.append((flat[pos:end].reshape(w.shape),
+                                  flat[end:end + b.size]))
+                    pos = end + b.size
+                nets.append((grads, np.empty((batch, net.out_dim))))
+            wide = (len(self._b0), batch)
+            buffers = np.empty(wide), np.empty(wide), flat, nets
+            self._scratch.by_batch[batch] = buffers
+        return buffers
 
     def get_params(self):
         return np.concatenate([self.drift_net.get_params(),
@@ -376,11 +541,8 @@ class AnalyticField(VectorField):
         self._diffusion_vjp_fn = diffusion_vjp_z
         super().__init__()
 
-    def _drift(self, t, z):
-        return self._drift_fn(t, z)
-
-    def _diffusion(self, t, z):
-        return self._diffusion_fn(t, z)
+    def _evaluate(self, t, z):
+        return self._drift_fn(t, z), self._diffusion_fn(t, z)
 
     def _linearize(self, t, z):
         def pullback(d_mu, d_sigma):
@@ -391,7 +553,7 @@ class AnalyticField(VectorField):
             return (self._drift_vjp_fn(t, z, d_mu)
                     + self._diffusion_vjp_fn(t, z, d_sigma)), np.zeros(0)
 
-        return self._drift(t, z), self._diffusion(t, z), pullback
+        return self._drift_fn(t, z), self._diffusion_fn(t, z), pullback
 
 
 @dataclass

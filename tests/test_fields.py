@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -401,6 +402,157 @@ class TestLinearize:
         _assert_linearize_matches_counted_calls(
             field, 0.1, z, rng.standard_normal((3, 2)),
             rng.standard_normal((3, 2, 2)))
+
+
+def _per_network(field, t, z, d_mu, d_sigma):
+    """(mu, sigma, d_z, d_params) from each network's own MLPField.eval and
+    _backward: the reference the fused pass is held to."""
+    batch = z.shape[0]
+    mu = field.drift_net.eval(t, z)
+    flat_sigma = field.diffusion_net.eval(t, z)
+    gz_mu, gp_mu = field.drift_net._backward(
+        field.drift_net._forward(t, z)[1], d_mu)
+    gz_sigma, gp_sigma = field.diffusion_net._backward(
+        field.diffusion_net._forward(t, z)[1], d_sigma.reshape(batch, -1))
+    return (mu, flat_sigma.reshape(d_sigma.shape), gz_mu + gz_sigma,
+            np.concatenate([gp_mu, gp_sigma]))
+
+
+def _assert_fused_matches_per_network(field, t, z, d_mu, d_sigma):
+    # A stacked gemm need not round like two separate ones.
+    mu, sigma, pullback = field.linearize(t, z)
+    got = (mu, sigma, *pullback(d_mu, d_sigma))
+    for a, b in zip(field.evaluate(t, z), got):
+        assert np.array_equal(a, b)
+    for a, b in zip(got, _per_network(field, t, z, d_mu, d_sigma)):
+        assert a.shape == b.shape
+        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-13)
+
+
+class TestFusedPass:
+    @settings(max_examples=40, deadline=None)
+    @given(x=st.integers(1, 4), w=st.integers(1, 3), batch=st.integers(1, 5),
+           hidden=st.tuples(*[st.lists(st.integers(1, 6), max_size=2)] * 2),
+           activations=st.tuples(*[st.sampled_from(ACTIVATIONS)] * 4),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_per_network_passes(self, x, w, batch, hidden,
+                                        activations, seed):
+        # Depths and activations are drawn per network, so a head may sit
+        # in the stacked first layer and the two first layers may differ
+        # in activation.
+        rng = np.random.default_rng(seed)
+        field = NeuralField(
+            MLPField(x, hidden[0], x, activation=activations[0],
+                     final_activation=activations[1], rng=rng),
+            MLPField(x, hidden[1], x * w, activation=activations[2],
+                     final_activation=activations[3], rng=rng))
+        for net in (field.drift_net, field.diffusion_net):
+            for b in net.biases:
+                b += rng.standard_normal(b.shape)
+        _assert_fused_matches_per_network(
+            field, float(rng.uniform(-1.0, 1.0)),
+            rng.standard_normal((batch, x)), rng.standard_normal((batch, x)),
+            rng.standard_normal((batch, x, w)))
+
+    @pytest.mark.parametrize("head", ACTIVATIONS)
+    def test_linear_drift_beside_a_hidden_diffusion(self, head):
+        # The mixed-depth field of _drift_pullback: the drift's head is
+        # its first layer.
+        rng = np.random.default_rng(23)
+        field = NeuralField(_identity_linear_mlp(4, head),
+                            MLPField(4, [4], 4, rng=rng))
+        z = rng.standard_normal((6, 4))
+        _assert_fused_matches_per_network(field, 0.3, z,
+                                          rng.standard_normal((6, 4)),
+                                          rng.standard_normal((6, 4, 1)))
+
+    def test_stacked_weights_follow_set_params_and_clip(self):
+        rng = np.random.default_rng(24)
+        field = NeuralField(MLPField(3, [5], 3, rng=rng),
+                            MLPField(3, [], 6, final_activation="sigmoid",
+                                     rng=rng))
+        z = rng.standard_normal((4, 3))
+        d_mu, d_sigma = rng.standard_normal((4, 3)), rng.standard_normal(
+            (4, 3, 2))
+        before = field.evaluate(0.2, z)[0]
+        field.set_params(5.0 * rng.standard_normal(field.param_count))
+        assert not np.array_equal(field.evaluate(0.2, z)[0], before)
+        _assert_fused_matches_per_network(field, 0.2, z, d_mu, d_sigma)
+        field.clip()
+        _assert_fused_matches_per_network(field, 0.2, z, d_mu, d_sigma)
+        field.drift_net.weights[0] = rng.standard_normal((5, 4))
+        field.diffusion_net.weights[0] *= 0.5
+        _assert_fused_matches_per_network(field, 0.2, z, d_mu, d_sigma)
+
+
+def _scratch_field(drift_hidden=(6, 5)):
+    rng = np.random.default_rng(25)
+    return NeuralField(MLPField(3, list(drift_hidden), 3, rng=rng),
+                       MLPField(3, [6], 6, final_activation="sigmoid",
+                                rng=rng))
+
+
+class TestScratch:
+    def test_threads_sharing_a_field_match_one_thread_bitwise(self):
+        # Each thread has its own scratch; a shared one would let a thread
+        # overwrite another's cotangents mid-pullback. More threads than
+        # cores and a short switch interval force interleaving.
+        field = _scratch_field()
+        rng = np.random.default_rng(26)
+        inputs = [(float(t), rng.standard_normal((8, 3)),
+                   rng.standard_normal((8, 3)), rng.standard_normal((8, 3, 2)))
+                  for t in rng.uniform(0.0, 1.0, 40)]
+
+        def run():
+            out = []
+            for t, z, d_mu, d_sigma in inputs:
+                mu, sigma, pullback = field.linearize(t, z)
+                out.append((*field.evaluate(t, z), mu, sigma,
+                            *pullback(d_mu, d_sigma)))
+            return out
+
+        expected = run()
+        got = {}
+        barrier = threading.Barrier(4)
+
+        def worker(k):
+            barrier.wait()
+            got[k] = run()
+
+        threads = [threading.Thread(target=worker, args=(k,))
+                   for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert sorted(got) == [0, 1, 2, 3]
+        for results in got.values():
+            for row, want in zip(results, expected, strict=True):
+                assert all(np.array_equal(a, b) for a, b in zip(row, want))
+
+    @pytest.mark.parametrize("drift_hidden", [(6, 5), ()])
+    def test_results_share_no_memory_across_calls(self, drift_hidden):
+        # The scratch is reused per batch size; nothing returned may live
+        # in it, whatever the order of batch sizes, not even a head that
+        # is its network's first layer.
+        field = _scratch_field(drift_hidden)
+        rng = np.random.default_rng(27)
+        results = []
+        for batch in (2, 7, 2, 7, 7, 2):
+            z = rng.standard_normal((batch, 3))
+            mu, sigma, pullback = field.linearize(0.5, z)
+            results += [*field.evaluate(0.5, z), mu, sigma,
+                        *pullback(rng.standard_normal((batch, 3)),
+                                  rng.standard_normal((batch, 3, 2)))]
+        for i, a in enumerate(results):
+            for b in results[:i]:
+                assert not np.shares_memory(a, b)
 
 
 class TestFdCheck:

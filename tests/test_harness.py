@@ -374,10 +374,11 @@ class TestFitToy:
         assert not check_fit_toy(rows)
 
     def test_one_forward_pass_per_iteration(self, monkeypatch):
-        # 32 steps: the forward solve evaluates the drift at the start and
-        # after each step; the backward pass linearizes the terminal tuple
-        # and each reconstruction. Before, a second forward solve made 66.
-        calls = {"eval_drift": 0, "linearize": 0}
+        # 32 steps: the forward solve evaluates the drift at the start
+        # (eval_drift) and after each step (evaluate); the backward pass
+        # linearizes the terminal tuple and each reconstruction. Before, a
+        # second forward solve made 66.
+        calls = {"eval_drift": 0, "evaluate": 0, "linearize": 0}
         for name in calls:
             def counted(self, *args, _real=getattr(NeuralField, name),
                         _name=name):
@@ -387,7 +388,7 @@ class TestFitToy:
             monkeypatch.setattr(NeuralField, name, counted)
         fit_toy_sde(ExperimentConfig(seed=0, batch=4, iters=1),
                     grad_check_every=0)
-        assert calls == {"eval_drift": 33, "linearize": 33}
+        assert calls == {"eval_drift": 1, "evaluate": 32, "linearize": 33}
 
     def test_check_flags_oracle_gap_above_1e_12(self):
         rows = [{"iteration": 0, "loss": 1.0, "oracle_rel_l1_gap": 3e-12},

@@ -242,11 +242,11 @@ class TestRevHeunBackwardStep:
                              np.zeros((2, 3)), np.zeros((2, 3, 2)),
                              np.zeros(field.param_count))
         calls = []
-        forward = MLPField._forward
+        layers = MLPField._layers  # each network's part of a field's pass
 
-        def counted(net, t, z):
+        def counted(net, *args):
             calls.append(net)
-            return forward(net, t, z)
+            return layers(net, *args)
 
         def passes():
             counts = (sum(net is field.drift_net for net in calls),
@@ -254,7 +254,7 @@ class TestRevHeunBackwardStep:
             calls.clear()
             return counts
 
-        monkeypatch.setattr(MLPField, "_forward", counted)
+        monkeypatch.setattr(MLPField, "_layers", counted)
         carried, cot1 = revheun_step_backward(s2, cot, 0.1, 0.1, dw, field)
         assert passes() == (2, 2)
         assert carried.pullback is not None
@@ -669,6 +669,7 @@ class TestAdjointGradients:
             finally:
                 tracemalloc.stop()
 
+        peak(16)  # the field's scratch is made on its first call
         assert peak(4096) <= 1.1 * peak(16)
 
     @pytest.mark.parametrize("cps, match", [
@@ -952,13 +953,13 @@ class TestContinuousAdjoint:
         z0 = np.random.default_rng(4).standard_normal((2, 3))
         n = 4
         calls = []
-        forward = MLPField._forward
+        layers = MLPField._layers  # each network's part of a field's pass
 
-        def counted(net, t, z):
+        def counted(net, *args):
             calls.append(net)
-            return forward(net, t, z)
+            return layers(net, *args)
 
-        monkeypatch.setattr(MLPField, "_forward", counted)
+        monkeypatch.setattr(MLPField, "_layers", counted)
         for method in ("midpoint", "heun"):
             tree = BrownianInterval(1.0, 6, dims=2, batch=2)
             calls.clear()
@@ -972,6 +973,35 @@ class TestContinuousAdjoint:
             assert sum(net is field.diffusion_net for net in calls) == 4 * n
             assert field.drift_vjp_calls == 2 * n
             assert field.diffusion_vjp_calls == 2 * n
+
+    @pytest.mark.parametrize("n", [4, 16, 64])
+    def test_reversible_adjoint_halves_evaluations_and_pullbacks(self, n):
+        # The paper's speed claim, counted at equal dt: per step the
+        # reversible adjoint makes one evaluation forward, one backward
+        # and one pullback; each baseline scheme's continuous adjoint makes
+        # twice that. The reversible adjoint's init terms are the start
+        # evaluation, the terminal tuple's linearization and the pullback
+        # at z0.
+        field = reduced_neural_field(seed=3, x=3, w=2)
+        z0 = np.random.default_rng(8).standard_normal((2, 3))
+
+        def counts(method, solve):
+            field.reset_counters()
+            solve(field, z0, SolveConfig(method, 1.0 / n, 1.0,
+                                         BrownianInterval(1.0, 9, dims=2,
+                                                          batch=2)),
+                  np.ones((2, 3)))
+            assert field.drift_evals == field.diffusion_evals
+            assert field.drift_vjp_calls == field.diffusion_vjp_calls
+            return field.drift_evals, field.drift_vjp_calls
+
+        evals, pullbacks = counts("reversible_heun", revheun_adjoint_solve)
+        assert (evals, pullbacks) == (2 * n + 2, n + 1)
+        for method in ("midpoint", "heun"):
+            base_evals, base_pullbacks = counts(
+                method, lambda *args: continuous_adjoint_solve(method, *args))
+            assert 2 * (evals - 2) == base_evals
+            assert 2 * (pullbacks - 1) == base_pullbacks
 
     def test_error_vs_oracle_decreases_with_dt(self):
         field = reduced_neural_field(seed=0)
