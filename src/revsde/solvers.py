@@ -276,6 +276,7 @@ def _revheun_pullback(pullback, cot: CotangentState, dt: float,
     d_sigma_next *= 0.5
     d_sigma_next += cot.d_sigma
     gz, gp = pullback(d_mu_next, d_sigma_next)
+    del d_mu_next, d_sigma_next  # freed before the new d_sigma is made
     b_total = cot.d_zhat + gz
     tmp = 0.5 * cot.d_z + b_total
     return CotangentState(
@@ -285,6 +286,30 @@ def _revheun_pullback(pullback, cot: CotangentState, dt: float,
         d_sigma=_outer(tmp, dw),
         d_params=cot.d_params + gp,
     )
+
+
+def _revheun_step_pullback(next_state, cot_next, dt, dw, field):
+    """`revheun_step_backward`'s first half: the cotangents before the step.
+    Neither the tape nor the round-trip check's (mu, sigma) outlives it."""
+    pullback, next_state.pullback = next_state.pullback, None
+    if pullback is None:
+        mu_lin, sigma_lin, pullback = field.linearize(next_state.t,
+                                                      next_state.zhat)
+        err = max(_mismatch(mu_lin, next_state.mu),
+                  _mismatch(sigma_lin, next_state.sigma))
+        del mu_lin, sigma_lin
+        if err > ROUNDTRIP_TOL:
+            raise SolverDivergence(
+                f"reverse-step round trip error {err:.3e} exceeds "
+                f"{ROUNDTRIP_TOL:.1e}")
+    return _revheun_pullback(pullback, cot_next, dt, dw)
+
+
+def _revheun_reconstruct(next_state, t, dt, dw, field):
+    """`revheun_step_backward`'s second half: the tuple at grid time t."""
+    state = _revheun_update(next_state, t, -dt, -dw, field.linearize)
+    _check_finite(state.z, "reconstructed state")
+    return state
 
 
 def revheun_step_backward(next_state: RevHeunState, cot_next: CotangentState,
@@ -302,22 +327,14 @@ def revheun_step_backward(next_state: RevHeunState, cot_next: CotangentState,
     reconstructs the previous tuple by the update with (-dt, -dW), whose
     evaluation is one `linearize` at (t, zhat); the returned tuple carries
     its pullback.
+
+    At its peak a backward step holds the tape it pulls back, then (that
+    one freed) the reconstruction's tape; the tuples on both sides of the
+    step; one cotangent; and the noise store's LRU. `revheun_backward`
+    runs the two halves itself, so it drops `cot_next` between them.
     """
-    pullback, next_state.pullback = next_state.pullback, None
-    if pullback is None:
-        mu_lin, sigma_lin, pullback = field.linearize(next_state.t,
-                                                      next_state.zhat)
-        err = max(_mismatch(mu_lin, next_state.mu),
-                  _mismatch(sigma_lin, next_state.sigma))
-        if err > ROUNDTRIP_TOL:
-            raise SolverDivergence(
-                f"reverse-step round trip error {err:.3e} exceeds "
-                f"{ROUNDTRIP_TOL:.1e}")
-    cot_prev = _revheun_pullback(pullback, cot_next, dt, dw)
-    del pullback  # frees the field's tapes before the reconstruction
-    state = _revheun_update(next_state, t, -dt, -dw, field.linearize)
-    _check_finite(state.z, "reconstructed state")
-    return state, cot_prev
+    cot_prev = _revheun_step_pullback(next_state, cot_next, dt, dw, field)
+    return _revheun_reconstruct(next_state, t, dt, dw, field), cot_prev
 
 
 def revheun_solve(field: VectorField, z0: np.ndarray, config: SolveConfig,
@@ -364,7 +381,7 @@ def revheun_backward(field: VectorField, terminal: RevHeunState,
     either way, but a keyed tree holds O(1) memory and its reverse sweep
     costs O(1) amortized tree work per step, where a lazy tree holds about
     n split points and, once n outgrows its cache, recomputes chains that
-    grow with n.
+    grow with n. Each step holds what `revheun_step_backward` lists.
     """
     _require_method("reversible_heun", config)
     loss, cps = _cotangents(loss_cotangent, checkpoint_cotangents,
@@ -373,17 +390,21 @@ def revheun_backward(field: VectorField, terminal: RevHeunState,
     state = terminal
     del terminal  # only the current tuple stays alive
     for i, dw in _sweep(config, len(state.z), field.noise_dim, reverse=True):
-        state, cot = _step(i, revheun_step_backward, state, cot,
-                           config.time(i), config.dt, dw, field)
+        # revheun_step_backward, with the old cotangent freed in between.
+        cot = _step(i, _revheun_step_pullback, state, cot, config.dt, dw,
+                    field)
         if i in cps:
             cot.d_z = cot.d_z + cps[i]
+        state = _step(i, _revheun_reconstruct, state, config.time(i),
+                      config.dt, dw, field)
     return _revheun_gradients(field, state, cot)
 
 
 def _terminal_cotangent(field, loss) -> CotangentState:
-    return CotangentState(
-        loss, np.zeros(loss.shape), np.zeros(loss.shape),
-        np.zeros(loss.shape + (field.noise_dim,)), np.zeros(field.param_count))
+    # d_zhat, d_mu and d_sigma are read-only views of one zero.
+    zero = np.broadcast_to(0.0, loss.shape + (field.noise_dim,))
+    return CotangentState(loss, zero[..., 0], zero[..., 0], zero,
+                          np.zeros(field.param_count))
 
 
 def _revheun_gradients(field, first: RevHeunState, cot: CotangentState):

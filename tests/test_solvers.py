@@ -73,6 +73,27 @@ def reduced_neural_field(seed=0, x=8, w=4, width=8):
     )
 
 
+class FixedNoise:
+    """O(1)-memory noise with no tree: every increment is sqrt(t - s) times
+    one fixed (batch, noise_dim) draw."""
+
+    def __init__(self, unit):
+        self.unit = unit
+
+    def query(self, s, t):
+        return np.sqrt(t - s) * self.unit
+
+
+def traced_peak(fn):
+    """tracemalloc's peak, in bytes, over one call of fn()."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def rel_l1(ga, gpa, gb, gpb):
     num = np.abs(ga - gb).sum() + np.abs(gpa - gpb).sum()
     den = max(np.abs(ga).sum() + np.abs(gpa).sum(),
@@ -612,12 +633,7 @@ class TestAdjointGradients:
             return tree.stats()
 
         def peak(n):
-            tracemalloc.start()
-            try:
-                solve(n)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            return traced_peak(lambda: solve(n))
 
         assert peak(1 << 12) <= 1.5 * peak(1 << 8)
         n = 1 << 14
@@ -650,27 +666,80 @@ class TestAdjointGradients:
         # (midpoint) higher at n = 4096 than at n = 16.
         field = reduced_neural_field(seed=0)
         z0 = np.random.default_rng(1).standard_normal((8, 8))
-        unit = np.random.default_rng(2).standard_normal((8, 4))
+        noise = FixedNoise(np.random.default_rng(2).standard_normal((8, 4)))
 
-        class Noise:
-            def query(self, s, t):
-                return np.sqrt(t - s) * unit
+        def solve(n):
+            cfg = SolveConfig(method, 1.0 / n, 1.0, noise)
+            if method == "reversible_heun":
+                revheun_adjoint_solve(field, z0, cfg, np.ones((8, 8)))
+            else:
+                continuous_adjoint_solve(method, field, z0, cfg,
+                                         np.ones((8, 8)))
 
         def peak(n):
-            cfg = SolveConfig(method, 1.0 / n, 1.0, Noise())
-            tracemalloc.start()
-            try:
-                if method == "reversible_heun":
-                    revheun_adjoint_solve(field, z0, cfg, np.ones((8, 8)))
-                else:
-                    continuous_adjoint_solve(method, field, z0, cfg,
-                                             np.ones((8, 8)))
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            return traced_peak(lambda: solve(n))
 
         peak(16)  # the field's scratch is made on its first call
         assert peak(4096) <= 1.1 * peak(16)
+
+    def test_backward_sweep_frees_what_it_has_read(self):
+        # A backward step holds its tape, then the reconstruction's; the
+        # tuples on both sides of the step; one cotangent; and the noise:
+        # 5.32 (batch, x, w) arrays at its peak, flat in n. Also keeping
+        # the round-trip check's (mu, sigma), the old cotangent through the
+        # reconstruction, the pullback's (d_mu', d_sigma') and allocated
+        # terminal zeros alive peaks at 7.56.
+        batch, x, w = 256, 8, 16
+        field = reduced_neural_field(seed=0, x=x, w=w, width=8)
+        rng = np.random.default_rng(1)
+        z0 = rng.standard_normal((batch, x))
+        noise = FixedNoise(rng.standard_normal((batch, w)))
+
+        def solve(n):
+            cfg = SolveConfig("reversible_heun", 1.0 / n, 1.0, noise)
+            revheun_adjoint_solve(field, z0, cfg, np.ones((batch, x)))
+
+        solve(1)  # the field's scratch is made on its first call
+        for n in (1, 8, 64):
+            assert traced_peak(lambda: solve(n)) <= 6 * batch * x * w * 8
+
+    def test_sweep_is_the_public_step_bitwise(self):
+        # revheun_backward runs revheun_step_backward's two halves itself,
+        # from terminal cotangents that are read-only views of one zero; a
+        # loop of public steps from allocated zeros gives the same bits,
+        # checkpoint cotangents included. An in-place edit of a terminal
+        # zero raises rather than writing into the shared zero.
+        field = reduced_neural_field(seed=23, x=3, w=2)
+        rng = np.random.default_rng(8)
+        z0, c_end = rng.standard_normal((2, 4, 3))
+        n = 16
+        cps = {i: rng.standard_normal((4, 3)) for i in (0, 5, n - 1)}
+        tree = BrownianInterval(1.0, 29, dims=2, batch=4)
+        cfg = SolveConfig("reversible_heun", 1.0 / n, 1.0, tree)
+        tree.key_on_grid(n, cfg.time)
+        terminal, _ = revheun_solve(field, z0, cfg)
+        g0, gp = revheun_backward(field, terminal, cfg, c_end, cps)
+
+        state = terminal
+        cot = CotangentState(c_end, np.zeros((4, 3)), np.zeros((4, 3)),
+                             np.zeros((4, 3, 2)), np.zeros(field.param_count))
+        for i in reversed(range(n)):
+            dw = tree.query(cfg.time(i), cfg.time(i + 1))
+            state, cot = revheun_step_backward(state, cot, cfg.time(i),
+                                               cfg.dt, dw, field)
+            if i in cps:
+                cot.d_z = cot.d_z + cps[i]
+        gz, gp_first = state.pullback(cot.d_mu, cot.d_sigma)
+        np.testing.assert_array_equal(cot.d_z + cot.d_zhat + gz, g0)
+        np.testing.assert_array_equal(cot.d_params + gp_first, gp)
+
+        zero = solvers._terminal_cotangent(field, c_end)
+        for name, shape in (("d_zhat", (4, 3)), ("d_mu", (4, 3)),
+                            ("d_sigma", (4, 3, 2))):
+            view = getattr(zero, name)
+            assert view.shape == shape and not view.any()
+            with pytest.raises(ValueError, match="read-only"):
+                view += 1.0
 
     @pytest.mark.parametrize("cps, match", [
         ({4: np.ones((2, 2))}, "checkpoint key 4 .* n = 4"),
