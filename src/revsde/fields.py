@@ -71,7 +71,8 @@ def sigmoid(h, out=None):
 # out) -> dy/dh writes into `out` (a new array if None) from what the
 # forward pass already computed, so a pullback never re-evaluates a
 # nonlinearity and never writes the tape. LipSwish's memo is its sigmoid:
-# dy/dh = 0.909 s + y (1 - s). The identity's derivative is the float 1.0.
+# dy/dh = 0.909 s + y (1 - s), computed in `out` as (0.909 - y) s + y
+# with no temporary. The identity's derivative is the float 1.0.
 def _lipswish_forward(h, out=None):
     s = sigmoid(h, out=out)
     h *= LIPSWISH_SCALE
@@ -80,9 +81,9 @@ def _lipswish_forward(h, out=None):
 
 
 def _lipswish_derivative(y, s, out=None):
-    d = np.subtract(1.0, s, out=out)
-    d *= y
-    d += LIPSWISH_SCALE * s
+    d = np.subtract(LIPSWISH_SCALE, y, out=out)
+    d *= s
+    d += y
     return d
 
 

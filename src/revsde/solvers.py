@@ -5,23 +5,25 @@ a single drift and a single diffusion evaluation per step:
 
     zhat' = 2 z - zhat + mu dt + sigma dW
     mu', sigma' = field(t + dt, zhat')
-    z' = z + (mu + mu') dt / 2 + (sigma + sigma') dW / 2
+    z' = z + (mu + mu') dt / 2 + (sigma dW + sigma' dW) / 2
 
-The update is algebraically reversible: its inverse is the same update,
-`_revheun_update`, run from the tuple after a step with (-dt, -dW), so the
-backward pass needs no stored trajectory. Each backward step pulls the
-cotangents back through the step map with the field's linearization at
-(t', zhat'), then reconstructs the previous tuple by that negated update,
-whose evaluation at (t, zhat) is one `linearize`: one drift and one
-diffusion evaluation, whose tape the tuple carries into the next step. A
-tuple that arrives without a tape (the forward solve's terminal tuple, or
-a caller's own) is linearized first, and its values are checked against
-its (mu', sigma'). Iterating from the terminal state gives gradients that
-match exact reverse-mode differentiation of the forward recurrence to
-floating-point reconstruction error, with O(1) storage: one evaluation
-pair and one pullback per step, and one tape set alive at a time. A loss
-that reads the path takes the states its forward solve saved (`save_at`)
-and `revheun_backward` folds in their cotangents as the sweep passes them.
+The update contracts sigma dW once, for zhat' and z' both, and adds sigma'
+dW to it, so it makes no (batch, x, w) sum. It is algebraically reversible:
+its inverse is the same update, `_revheun_update`, run from the tuple after
+a step with (-dt, -dW), so the backward pass needs no stored trajectory.
+Each backward step pulls the cotangents back through the step map with the
+field's linearization at (t', zhat'), then reconstructs the previous tuple
+by that negated update, whose evaluation at (t, zhat) is one `linearize`:
+one drift and one diffusion evaluation, whose tape the tuple carries into
+the next step. A tuple that arrives without a tape (the forward solve's
+terminal tuple, or a caller's own) is linearized first, and its values are
+checked against its (mu', sigma'). Iterating from the terminal state gives
+gradients that match exact reverse-mode differentiation of the forward
+recurrence to floating-point reconstruction error, with O(1) storage: one
+evaluation pair and one pullback per step, and one tape set alive at a
+time. A loss that reads the path takes the states its forward solve saved
+(`save_at`) and `revheun_backward` folds in their cotangents as the sweep
+passes them.
 
 Also here: midpoint / Heun baseline steps, the continuous (backward-SDE)
 adjoint for the baselines, the O(N)-memory unrolled backpropagation used
@@ -242,10 +244,11 @@ def _revheun_update(state: RevHeunState, t_next: float, dt: float,
     Run from the tuple after a step with (t, -dt, -dW), t the step's start,
     it inverts that step.
     """
-    zhat_next = 2.0 * state.z - state.zhat + state.mu * dt + _sdw(state.sigma, dw)
+    sdw = _sdw(state.sigma, dw)
+    zhat_next = 2.0 * state.z - state.zhat + state.mu * dt + sdw
     mu_next, sigma_next, pullback = evaluate(t_next, zhat_next)
-    z_next = (state.z + 0.5 * dt * (state.mu + mu_next)
-              + 0.5 * _sdw(state.sigma + sigma_next, dw))
+    sdw += _sdw(sigma_next, dw)
+    z_next = state.z + 0.5 * dt * (state.mu + mu_next) + 0.5 * sdw
     return RevHeunState(t_next, z_next, zhat_next, mu_next, sigma_next,
                         pullback)
 
@@ -264,33 +267,15 @@ def _mismatch(got, want):
     return float(np.max(np.abs(got - want))) / (1.0 + float(np.max(np.abs(want))))
 
 
-def _revheun_pullback(pullback, cot: CotangentState, dt: float,
-                      dw: np.ndarray) -> CotangentState:
-    """Pull cotangents on the tuple after a step back to the tuple before it.
+def _revheun_pullback(next_state, cot, dt, dw, field) -> CotangentState:
+    """`revheun_step_backward`'s first half: pull cotangents on the tuple
+    after a step back to the tuple before it.
 
-    `pullback` comes from the field's linearization at that step's
-    (t', zhat').
+    Takes the tape `next_state` carries (leaving None), else linearizes at
+    its (t', zhat') and checks the values against its (mu', sigma'). The
+    tape and the field's cotangents (d_mu', d_sigma') are freed before the
+    new cotangent is made.
     """
-    d_mu_next = cot.d_mu + 0.5 * dt * cot.d_z
-    d_sigma_next = _outer(cot.d_z, dw)
-    d_sigma_next *= 0.5
-    d_sigma_next += cot.d_sigma
-    gz, gp = pullback(d_mu_next, d_sigma_next)
-    del d_mu_next, d_sigma_next  # freed before the new d_sigma is made
-    b_total = cot.d_zhat + gz
-    tmp = 0.5 * cot.d_z + b_total
-    return CotangentState(
-        d_z=cot.d_z + 2.0 * b_total,
-        d_zhat=-b_total,
-        d_mu=dt * tmp,
-        d_sigma=_outer(tmp, dw),
-        d_params=cot.d_params + gp,
-    )
-
-
-def _revheun_step_pullback(next_state, cot_next, dt, dw, field):
-    """`revheun_step_backward`'s first half: the cotangents before the step.
-    Neither the tape nor the round-trip check's (mu, sigma) outlives it."""
     pullback, next_state.pullback = next_state.pullback, None
     if pullback is None:
         mu_lin, sigma_lin, pullback = field.linearize(next_state.t,
@@ -302,7 +287,20 @@ def _revheun_step_pullback(next_state, cot_next, dt, dw, field):
             raise SolverDivergence(
                 f"reverse-step round trip error {err:.3e} exceeds "
                 f"{ROUNDTRIP_TOL:.1e}")
-    return _revheun_pullback(pullback, cot_next, dt, dw)
+    d_mu_next = cot.d_mu + 0.5 * dt * cot.d_z
+    d_sigma_next = _outer(0.5 * cot.d_z, dw)
+    d_sigma_next += cot.d_sigma
+    gz, gp = pullback(d_mu_next, d_sigma_next)
+    del pullback, d_mu_next, d_sigma_next
+    b_total = cot.d_zhat + gz
+    tmp = 0.5 * cot.d_z + b_total
+    return CotangentState(
+        d_z=cot.d_z + 2.0 * b_total,
+        d_zhat=-b_total,
+        d_mu=dt * tmp,
+        d_sigma=_outer(tmp, dw),
+        d_params=cot.d_params + gp,
+    )
 
 
 def _revheun_reconstruct(next_state, t, dt, dw, field):
@@ -328,12 +326,15 @@ def revheun_step_backward(next_state: RevHeunState, cot_next: CotangentState,
     evaluation is one `linearize` at (t, zhat); the returned tuple carries
     its pullback.
 
-    At its peak a backward step holds the tape it pulls back, then (that
-    one freed) the reconstruction's tape; the tuples on both sides of the
-    step; one cotangent; and the noise store's LRU. `revheun_backward`
-    runs the two halves itself, so it drops `cot_next` between them.
+    A backward step holds one tape at a time, and the noise store's LRU.
+    Pulling back, it holds the tuple after the step, its tape, `cot_next`
+    and the field's cotangents (d_mu', d_sigma'); the tape and those
+    cotangents are freed before the new cotangent is made. Reconstructing,
+    it holds the tuples on both sides of the step, the new tape and one
+    cotangent: `revheun_backward` runs the two halves itself, so it drops
+    `cot_next` between them.
     """
-    cot_prev = _revheun_step_pullback(next_state, cot_next, dt, dw, field)
+    cot_prev = _revheun_pullback(next_state, cot_next, dt, dw, field)
     return _revheun_reconstruct(next_state, t, dt, dw, field), cot_prev
 
 
@@ -391,8 +392,7 @@ def revheun_backward(field: VectorField, terminal: RevHeunState,
     del terminal  # only the current tuple stays alive
     for i, dw in _sweep(config, len(state.z), field.noise_dim, reverse=True):
         # revheun_step_backward, with the old cotangent freed in between.
-        cot = _step(i, _revheun_step_pullback, state, cot, config.dt, dw,
-                    field)
+        cot = _step(i, _revheun_pullback, state, cot, config.dt, dw, field)
         if i in cps:
             cot.d_z = cot.d_z + cps[i]
         state = _step(i, _revheun_reconstruct, state, config.time(i),
@@ -584,9 +584,7 @@ def unrolled_backprop(method: str, field: VectorField, z0: np.ndarray,
         _, states = revheun_solve(field, z0, config, range(n + 1))
         cot = _terminal_cotangent(field, loss)
         for i, dw in _sweep(config, batch, w, reverse=True):
-            nxt = states[i + 1]
-            _, _, pullback = field.linearize(nxt.t, nxt.zhat)
-            cot = _revheun_pullback(pullback, cot, dt, dw)
+            cot = _revheun_pullback(states[i + 1], cot, dt, dw, field)
             if i in cps:
                 cot.d_z = cot.d_z + cps[i]
         return _revheun_gradients(field, states[0], cot)

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import textwrap
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,8 @@ from revsde.fields import (
     AnalyticField,
     MLPField,
     NeuralField,
+    _lipswish_derivative,
+    _lipswish_forward,
     clip_weights,
     fd_check,
     lipswish,
@@ -53,6 +56,22 @@ class TestLipswish:
         d_z, _ = _drift_pullback(_identity_linear_mlp(4, "lipswish"), 0.3, z,
                                  np.ones_like(z))
         assert np.array_equal(d_z, lipswish_grad(z))
+
+    def test_derivative_into_a_buffer_allocates_nothing(self):
+        # The pullback hands the derivative a scratch buffer; writing it
+        # there takes no temporary. 0.909 s + y (1 - s) as written makes a
+        # 0.5 MiB LIPSWISH_SCALE * s at this size.
+        h = np.random.default_rng(0).standard_normal((128, 512))
+        y, s = _lipswish_forward(h.copy())
+        out = np.empty_like(h)
+        tracemalloc.start()
+        try:
+            _lipswish_derivative(y, s, out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1024
+        np.testing.assert_array_equal(out, lipswish_grad(h))
 
     def test_caller_array_unchanged_and_float_for_float(self):
         x = np.linspace(-6.0, 6.0, 101)

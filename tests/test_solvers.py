@@ -330,7 +330,7 @@ class TestRevHeunBackwardStep:
         # The reconstruction is the forward update run with (-dt, -dW);
         # pin it to the inverse written out, bit for bit:
         #   zhat = 2 z' - zhat' - mu' dt - sigma' dW
-        #   z = z' - dt (mu + mu') / 2 - (sigma + sigma') dW / 2
+        #   z = z' - dt (mu + mu') / 2 - (sigma' dW + sigma dW) / 2
         def sdw(sigma):
             return np.einsum("bxw,bw->bx", sigma, dw)
 
@@ -338,7 +338,7 @@ class TestRevHeunBackwardStep:
         mu, sigma = (field.eval_drift(t - dt, zhat_prev),
                      field.eval_diffusion(t - dt, zhat_prev))
         z_prev = (nxt.z - 0.5 * dt * (mu + nxt.mu)
-                  - 0.5 * sdw(sigma + nxt.sigma))
+                  - 0.5 * (sdw(nxt.sigma) + sdw(sigma)))
         assert prev.t == t - dt
         for got, want in ((prev.z, z_prev), (prev.zhat, zhat_prev),
                           (prev.mu, mu), (prev.sigma, sigma)):
@@ -682,15 +682,12 @@ class TestAdjointGradients:
         peak(16)  # the field's scratch is made on its first call
         assert peak(4096) <= 1.1 * peak(16)
 
-    def test_backward_sweep_frees_what_it_has_read(self):
-        # A backward step holds its tape, then the reconstruction's; the
-        # tuples on both sides of the step; one cotangent; and the noise:
-        # 5.32 (batch, x, w) arrays at its peak, flat in n. Also keeping
-        # the round-trip check's (mu, sigma), the old cotangent through the
-        # reconstruction, the pullback's (d_mu', d_sigma') and allocated
-        # terminal zeros alive peaks at 7.56.
+    @staticmethod
+    def sweep_peaks(width):
+        """The adjoint's traced peak at n in (1, 8, 64), in (batch, x, w)
+        float64 arrays, for batch 256, x 8, w 16 and a width-`width` MLP."""
         batch, x, w = 256, 8, 16
-        field = reduced_neural_field(seed=0, x=x, w=w, width=8)
+        field = reduced_neural_field(seed=0, x=x, w=w, width=width)
         rng = np.random.default_rng(1)
         z0 = rng.standard_normal((batch, x))
         noise = FixedNoise(rng.standard_normal((batch, w)))
@@ -700,8 +697,27 @@ class TestAdjointGradients:
             revheun_adjoint_solve(field, z0, cfg, np.ones((batch, x)))
 
         solve(1)  # the field's scratch is made on its first call
-        for n in (1, 8, 64):
-            assert traced_peak(lambda: solve(n)) <= 6 * batch * x * w * 8
+        return [traced_peak(lambda: solve(n)) / (batch * x * w * 8)
+                for n in (1, 8, 64)]
+
+    def test_backward_sweep_frees_what_it_has_read(self):
+        # A backward step holds one tape at a time; pulling back, the tuple
+        # after the step, the old cotangent and (d_mu', d_sigma'), with the
+        # tape and those freed before the new cotangent is made;
+        # reconstructing, the tuples on both sides and one cotangent; and
+        # the noise: 4.82 (batch, x, w) arrays at the peak, flat in n.
+        # Summing sigma + sigma' in the update peaks at 5.32; also keeping
+        # the round-trip check's (mu, sigma), the old cotangent through the
+        # reconstruction, (d_mu', d_sigma') and allocated terminal zeros
+        # alive peaks at 7.56.
+        assert max(self.sweep_peaks(width=8)) <= 5
+
+    def test_backward_sweep_holds_one_wide_tape(self):
+        # At width 64 the tape's stacked hidden state and the LipSwish
+        # derivative are (batch, x, w)-sized too: 6.83 arrays at the peak,
+        # flat in n. Summing sigma + sigma' in the update instead peaks at
+        # 7.34, and a LipSwish derivative with a 0.909 s temporary at 7.02.
+        assert max(self.sweep_peaks(width=64)) <= 7
 
     def test_sweep_is_the_public_step_bitwise(self):
         # revheun_backward runs revheun_step_backward's two halves itself,
