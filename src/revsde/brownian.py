@@ -220,12 +220,15 @@ class BrownianInterval:
         is held under a time key. Queries off the grid then raise ValueError.
 
         n must be an int >= 1. A no-op on a tree that queries have split or
-        that is keyed, and for a grid not ending at t1; otherwise it changes
-        the tree topology, and so the realized path, for a given seed.
+        that is keyed; otherwise time(n) must be t1 (else ValueError), and
+        it changes the tree topology, and so the realized path, for a seed.
         """
         n = _count(n, "a grid needs n >= 1 steps")
-        if self._splits or self._n is not None or time(n) != self.t1:
+        if self._splits or self._n is not None:
             return
+        if time(n) != self.t1:
+            raise ValueError(f"the grid ends at time({n}) = {time(n)!r}, "
+                             f"not at t1 = {self.t1!r}")
         self._n, self._time = n, time
         self._path = [((0, n), self._path[0][1], None)]
         self._cache._data.clear()

@@ -6,16 +6,17 @@ diffusion with respect to the state and the (flat) parameter vector, and
 those are small, fixed computations that are written out here and verified
 against central finite differences by `fd_check`.
 
-Each field writes its evaluation and derivative once, as `_linearize(t,
-z)` -> (mu, sigma, pullback), pullback(d_mu, d_sigma) -> (d_z, d_params)
-with the parameter gradient summed over the batch. Every solver
-differentiates through its counted form `VectorField.linearize`, and
-`fd_check` pulls its probes back through that same `linearize`, so it
-checks the derivative the solvers run. The solvers' forward-only passes
-call `evaluate` -> (mu, sigma), one pass for both. `eval_drift`,
-`eval_diffusion`, `vjp_drift` and `vjp_diffusion` are halves of that pass
-and of its pullback (with the other cotangent zero); they stay for outside
-callers that time the drift and diffusion apart. A `NeuralField` runs its
+Each field writes its evaluation and derivative once, over a tape:
+`_linearize(t, z)` -> (mu, sigma, tape) and `_pullback(tape, d_mu,
+d_sigma)` -> (d_z, d_params), the parameter gradient summed over the
+batch. Every solver differentiates through the counted `linearize`, one
+pullback closure over the tape, and `fd_check` probes that same
+`linearize`, so it checks the derivative the solvers run. Forward-only
+passes call `evaluate` -> (mu, sigma). `eval_drift`, `eval_diffusion`,
+`vjp_drift` and `vjp_diffusion`, halves of that pass and of its pullback,
+stay with their counters because the benchmark's field proxy
+(`_TracedField`, `perfbench/tracing.py`) binds them and divides its field
+metrics by their time (ROADMAP items 1a and 2). A `NeuralField` runs its
 two networks as one pass with a stacked first layer (see its docstring).
 
 The layers run on numpy alone. Each activation may overwrite its own
@@ -251,12 +252,13 @@ def clip_weights(net: MLPField):
 class VectorField:
     """Drift/diffusion pair with one derivative and evaluation counters.
 
-    Subclasses implement `_linearize` (see the module docstring), and may
-    override `_evaluate`, the same pass without a pullback. The public
-    methods are views of these two and count their calls, so solvers can
-    assert their per-step evaluation budgets: `evaluate` gives the pair
-    (mu, sigma), `eval_drift` and `eval_diffusion` one half of the same
-    pass, and `vjp_drift` and `vjp_diffusion` one half of its pullback.
+    Subclasses implement `_linearize` and `_pullback`, the tape protocol
+    of the module docstring, and may override `_evaluate`, the same pass
+    without a tape. The public methods are views of these and count their
+    calls, so solvers can assert their per-step evaluation budgets:
+    `evaluate` gives (mu, sigma), `linearize` also a pullback over the
+    tape, `eval_drift` and `eval_diffusion` one half of the pass, and
+    `vjp_drift` and `vjp_diffusion` one half of its pullback.
     Evaluation is pure per thread: a field may reuse scratch buffers, but
     no two threads share them. Parameter mutation (set_params, clipping)
     requires exclusive access.
@@ -302,26 +304,26 @@ class VectorField:
         """
         self.drift_evals += 1
         self.diffusion_evals += 1
-        mu, sigma, pull = self._linearize(t, z)
+        mu, sigma, tape = self._linearize(t, z)
 
         def pullback(d_mu, d_sigma):
             self.drift_vjp_calls += 1
             self.diffusion_vjp_calls += 1
-            return pull(d_mu, d_sigma)
+            return self._pullback(tape, d_mu, d_sigma)
 
         return mu, sigma, pullback
 
     def vjp_drift(self, t, z, cotangent):
         """Gradient of <cotangent, mu>: the pullback of (cotangent, 0)."""
         self.drift_vjp_calls += 1
-        _, sigma, pull = self._linearize(t, z)
-        return pull(cotangent, np.zeros_like(sigma))
+        _, sigma, tape = self._linearize(t, z)
+        return self._pullback(tape, cotangent, np.zeros_like(sigma))
 
     def vjp_diffusion(self, t, z, cotangent):
         """Gradient of <cotangent, sigma>: the pullback of (0, cotangent)."""
         self.diffusion_vjp_calls += 1
-        mu, _, pull = self._linearize(t, z)
-        return pull(np.zeros_like(mu), cotangent)
+        mu, _, tape = self._linearize(t, z)
+        return self._pullback(tape, np.zeros_like(mu), cotangent)
 
     def get_params(self):
         return np.zeros(0)
@@ -416,12 +418,7 @@ class NeuralField(VectorField):
 
     def _linearize(self, t, z):
         x = _time_appended(t, np.asarray(z), self.state_dim)
-        mu, sigma, tape = self._forward(x, None, [None] * 2)
-
-        def pullback(d_mu, d_sigma):
-            return self._pullback(tape, d_mu, d_sigma)
-
-        return mu, sigma, pullback
+        return self._forward(x, None, [None] * 2)
 
     def _forward(self, x, hidden, memos):
         """(mu, sigma, tape) of one pass through both networks on x = [z | t].
@@ -435,8 +432,8 @@ class NeuralField(VectorField):
         tapes = [net._layers(h[rows].T, 1)
                  for net, rows in zip(self._nets, self._rows)]
         # A head in the first layer is copied out of the hidden state.
-        mu, flat_sigma = (ins[-1] if len(ins) > 1 else ins[-1].copy()
-                          for _, ins in tapes)
+        mu, flat_sigma = [ins[-1] if len(ins) > 1 else ins[-1].copy()
+                          for _, ins in tapes]
         sigma = flat_sigma.reshape(len(x), self.state_dim, self.noise_dim)
         return mu, sigma, (x, w0, h, first, tapes)
 
@@ -546,15 +543,16 @@ class AnalyticField(VectorField):
         return self._drift_fn(t, z), self._diffusion_fn(t, z)
 
     def _linearize(self, t, z):
-        def pullback(d_mu, d_sigma):
-            if self._drift_vjp_fn is None:
-                raise NotImplementedError("no drift_vjp_z closure")
-            if self._diffusion_vjp_fn is None:
-                raise NotImplementedError("no diffusion_vjp_z closure")
-            return (self._drift_vjp_fn(t, z, d_mu)
-                    + self._diffusion_vjp_fn(t, z, d_sigma)), np.zeros(0)
+        return self._drift_fn(t, z), self._diffusion_fn(t, z), (t, z)
 
-        return self._drift_fn(t, z), self._diffusion_fn(t, z), pullback
+    def _pullback(self, tape, d_mu, d_sigma):
+        if self._drift_vjp_fn is None:
+            raise NotImplementedError("no drift_vjp_z closure")
+        if self._diffusion_vjp_fn is None:
+            raise NotImplementedError("no diffusion_vjp_z closure")
+        t, z = tape
+        return (self._drift_vjp_fn(t, z, d_mu)
+                + self._diffusion_vjp_fn(t, z, d_sigma)), np.zeros(0)
 
 
 @dataclass

@@ -36,10 +36,10 @@ adjoint, parameter-gradient) vector backward with it. Every gradient path,
 the continuous adjoint included, differentiates the field through
 `field.linearize`.
 
-One grid walk, `_sweep`, queries the noise at `SolveConfig.time` (i*dt,
-end pinned to t1) for every pass and checks each increment's shape, so
-forward and backward passes hit bitwise-identical tree intervals; each
-step is handed the grid time it ends at, so states sit on the grid too.
+One grid walk, `_sweep`, yields every pass its steps' grid times
+(`SolveConfig.time`: i*dt, end pinned to t1) with the noise over them, its
+shape checked, so forward and backward passes hit bitwise-identical tree
+intervals and states sit on the grid. A SolverDivergence names its step.
 The oracle differentiates the public forward solves. Every solve that
 sweeps the grid backward first keys a fresh noise tree on its grid
 (`BrownianInterval.key_on_grid`), so the tree holds O(1) memory and the
@@ -157,36 +157,33 @@ def _check_finite(arr: np.ndarray, what: str):
         raise SolverDivergence(f"non-finite {what}")
 
 
-def _step(i, step, *args):
-    """step(*args), naming step i in any SolverDivergence it raises."""
-    try:
-        return step(*args)
-    except SolverDivergence as exc:
-        raise SolverDivergence(f"{exc} at step {i}") from None
-
-
 def _sweep(config, batch, noise_dim, reverse):
-    """Yield (i, dW over step i) along the grid, last step first if reverse;
-    each dW must have shape (batch, noise_dim)."""
+    """Yield (i, t, t_next, dW over [t, t_next]) per grid step i, the last
+    first if reverse; each dW must have shape (batch, noise_dim)."""
     steps = range(config.n_steps)
     for i in reversed(steps) if reverse else steps:
-        dw = config.noise.query(config.time(i), config.time(i + 1))
+        t, t_next = config.time(i), config.time(i + 1)
+        dw = config.noise.query(t, t_next)
         if np.shape(dw) != (batch, noise_dim):
             raise ValueError(f"noise increment at step {i} has shape "
                              f"{np.shape(dw)}, expected (batch, noise_dim) "
                              f"= {(batch, noise_dim)}")
-        yield i, dw
+        yield i, t, t_next, dw
 
 
-def _march(step, state, config, save_at, noise_dim):
+def _march(step, state, config, save_at, field):
     """(terminal, [state after step i for i in save_at, in step order])."""
     save_at = _step_indices(save_at, config.n_steps + 1, config.n_steps,
                             "save_at index")
     saved = [state] if 0 in save_at else []
-    for i, dw in _sweep(config, len(state.z), noise_dim, reverse=False):
-        state = _step(i, step, state, config.time(i + 1), config.dt, dw)
-        if i + 1 in save_at:
-            saved.append(state)
+    try:
+        for i, _, t_next, dw in _sweep(config, len(state.z), field.noise_dim,
+                                       reverse=False):
+            state = step(state, t_next, config.dt, dw, field)
+            if i + 1 in save_at:
+                saved.append(state)
+    except SolverDivergence as exc:
+        raise SolverDivergence(f"{exc} at step {i}") from None
     return state, saved
 
 
@@ -227,9 +224,9 @@ def _cotangents(loss_cotangent, checkpoint_cotangents, n, shape):
 def initial_state(field: VectorField, z0: np.ndarray) -> RevHeunState:
     """Start tuple (0, z0, z0, field(0, z0)); one eval of each kind.
 
-    Two passes, not one `evaluate`: `eval_drift` and `eval_diffusion` are
-    the field methods the benchmark's field proxy times, and its per-layer
-    metrics divide by their time.
+    Two passes, not one `evaluate`: `perfbench/tracing.py`'s
+    `_TracedField` times `eval_drift` and `eval_diffusion` and divides its
+    field metrics by their time (ROADMAP items 1a and 2).
     """
     z0 = np.atleast_2d(np.asarray(z0, dtype=float))
     return RevHeunState(0.0, z0, z0.copy(), field.eval_drift(0.0, z0),
@@ -239,32 +236,33 @@ def initial_state(field: VectorField, z0: np.ndarray) -> RevHeunState:
 def _revheun_update(state: RevHeunState, t_next: float, dt: float,
                     dw: np.ndarray, evaluate) -> RevHeunState:
     """The reversible Heun update to time t_next; evaluate(t, zhat) ->
-    (mu, sigma, pullback).
+    (mu, sigma) or (mu, sigma, pullback), which the new tuple carries.
 
     Run from the tuple after a step with (t, -dt, -dW), t the step's start,
     it inverts that step.
     """
     sdw = _sdw(state.sigma, dw)
     zhat_next = 2.0 * state.z - state.zhat + state.mu * dt + sdw
-    mu_next, sigma_next, pullback = evaluate(t_next, zhat_next)
+    mu_next, sigma_next, *tape = evaluate(t_next, zhat_next)
     sdw += _sdw(sigma_next, dw)
     z_next = state.z + 0.5 * dt * (state.mu + mu_next) + 0.5 * sdw
     return RevHeunState(t_next, z_next, zhat_next, mu_next, sigma_next,
-                        pullback)
+                        *tape)
 
 
 def revheun_step_forward(state: RevHeunState, t_next: float, dt: float,
                          dw: np.ndarray, field: VectorField) -> RevHeunState:
     """One reversible Heun step to grid time t_next; exactly one
     `evaluate` (one drift and one diffusion eval)."""
-    state = _revheun_update(state, t_next, dt, dw,
-                            lambda t, z: (*field.evaluate(t, z), None))
+    state = _revheun_update(state, t_next, dt, dw, field.evaluate)
     _check_finite(state.z, "state after forward step")
     return state
 
 
 def _mismatch(got, want):
-    return float(np.max(np.abs(got - want))) / (1.0 + float(np.max(np.abs(want))))
+    d = got - want
+    np.abs(d, out=d)
+    return float(d.max()) / (1.0 + max(float(want.max()), -float(want.min())))
 
 
 def _revheun_pullback(next_state, cot, dt, dw, field) -> CotangentState:
@@ -280,10 +278,10 @@ def _revheun_pullback(next_state, cot, dt, dw, field) -> CotangentState:
     if pullback is None:
         mu_lin, sigma_lin, pullback = field.linearize(next_state.t,
                                                       next_state.zhat)
-        err = max(_mismatch(mu_lin, next_state.mu),
-                  _mismatch(sigma_lin, next_state.sigma))
+        err = np.maximum(_mismatch(mu_lin, next_state.mu),
+                         _mismatch(sigma_lin, next_state.sigma))
         del mu_lin, sigma_lin
-        if err > ROUNDTRIP_TOL:
+        if not err <= ROUNDTRIP_TOL:  # a NaN fails too
             raise SolverDivergence(
                 f"reverse-step round trip error {err:.3e} exceeds "
                 f"{ROUNDTRIP_TOL:.1e}")
@@ -346,10 +344,8 @@ def revheun_solve(field: VectorField, z0: np.ndarray, config: SolveConfig,
     i in `save_at`, 0 <= i <= n, in step order]); O(1) memory beyond them.
     """
     _require_method("reversible_heun", config)
-    return _march(
-        lambda state, t_next, dt, dw: revheun_step_forward(state, t_next, dt,
-                                                           dw, field),
-        initial_state(field, z0), config, save_at, field.noise_dim)
+    return _march(revheun_step_forward, initial_state(field, z0), config,
+                  save_at, field)
 
 
 def revheun_adjoint_solve(field: VectorField, z0: np.ndarray,
@@ -390,13 +386,16 @@ def revheun_backward(field: VectorField, terminal: RevHeunState,
     cot = _terminal_cotangent(field, loss)
     state = terminal
     del terminal  # only the current tuple stays alive
-    for i, dw in _sweep(config, len(state.z), field.noise_dim, reverse=True):
-        # revheun_step_backward, with the old cotangent freed in between.
-        cot = _step(i, _revheun_pullback, state, cot, config.dt, dw, field)
-        if i in cps:
-            cot.d_z = cot.d_z + cps[i]
-        state = _step(i, _revheun_reconstruct, state, config.time(i),
-                      config.dt, dw, field)
+    try:
+        for i, t, _, dw in _sweep(config, len(state.z), field.noise_dim,
+                                  reverse=True):
+            # revheun_step_backward, with the old cotangent freed in between.
+            cot = _revheun_pullback(state, cot, config.dt, dw, field)
+            if i in cps:
+                cot.d_z = cot.d_z + cps[i]
+            state = _revheun_reconstruct(state, t, config.dt, dw, field)
+    except SolverDivergence as exc:
+        raise SolverDivergence(f"{exc} at step {i}") from None
     return _revheun_gradients(field, state, cot)
 
 
@@ -509,10 +508,8 @@ def baseline_solve(method: str, field: VectorField, z0: np.ndarray,
     """Iterate a baseline step over the grid; mirrors revheun_solve."""
     _require_method(method, config)
     z0 = np.atleast_2d(np.asarray(z0, dtype=float))
-    return _march(
-        lambda state, t_next, dt, dw: baseline_step(method, state, t_next, dt,
-                                                    dw, field),
-        PathState(0.0, z0), config, save_at, field.noise_dim)
+    return _march(functools.partial(baseline_step, method),
+                  PathState(0.0, z0), config, save_at, field)
 
 
 def continuous_adjoint_solve(method: str, field: VectorField, z0: np.ndarray,
@@ -541,9 +538,10 @@ def continuous_adjoint_solve(method: str, field: VectorField, z0: np.ndarray,
     scheme = _BASELINE_SCHEMES[method]
     y = np.concatenate([terminal.z.ravel(), loss.ravel(),
                         np.zeros(field.param_count)])
-    for i, dw in _sweep(config, shape[0], field.noise_dim, reverse=True):
+    for i, t, t_next, dw in _sweep(config, shape[0], field.noise_dim,
+                                   reverse=True):
         inc = _adjoint_increment(field, -config.dt, -dw, shape)
-        y, _ = scheme(inc, config.time(i + 1), config.time(i), y)
+        y, _ = scheme(inc, t_next, t, y)
         _check_finite(y, f"adjoint state at backward step {i}")
     return y[n:2 * n].reshape(shape), y[2 * n:]
 
@@ -583,7 +581,7 @@ def unrolled_backprop(method: str, field: VectorField, z0: np.ndarray,
     if method == "reversible_heun":
         _, states = revheun_solve(field, z0, config, range(n + 1))
         cot = _terminal_cotangent(field, loss)
-        for i, dw in _sweep(config, batch, w, reverse=True):
+        for i, _, _, dw in _sweep(config, batch, w, reverse=True):
             cot = _revheun_pullback(states[i + 1], cot, dt, dw, field)
             if i in cps:
                 cot.d_z = cot.d_z + cps[i]
@@ -591,9 +589,9 @@ def unrolled_backprop(method: str, field: VectorField, z0: np.ndarray,
     _, states = baseline_solve(method, field, z0, config, range(n + 1))
     scheme = _BASELINE_SCHEMES[method]
     a, gp = loss, np.zeros(field.param_count)
-    for i, dw in _sweep(config, batch, w, reverse=True):
+    for i, t, t_next, dw in _sweep(config, batch, w, reverse=True):
         inc = _linearized_increment(field, dt, dw)
-        _, pullback = scheme(inc, states[i].t, states[i + 1].t, states[i].z)
+        _, pullback = scheme(inc, t, t_next, states[i].z)
         a, g = pullback(a)
         gp = gp + g
         if i in cps:

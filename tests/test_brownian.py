@@ -354,11 +354,13 @@ class TestPrebuildDyadic:
     def _time(n):
         return lambda k: k / n
 
-    def test_degenerate_target_is_noop(self):
-        # A grid that does not end at t1 is no target to key on: the tree
-        # stays lazy and answers queries off that grid.
+    def test_grid_not_ending_at_t1_rejected(self):
+        # A grid that does not end at t1 is no target to key on: keying
+        # raises, naming both ends, and leaves the tree lazy.
         tree = BrownianInterval(1.0, 5)
-        tree.key_on_grid(4, lambda k: k / 8)
+        with pytest.raises(ValueError, match=r"time\(4\) = 0\.5, not at "
+                                             r"t1 = 1\.0$"):
+            tree.key_on_grid(4, lambda k: k / 8)
         tree.query(0.1, 0.2)
         assert tree.stats().node_count > 1
 

@@ -629,19 +629,14 @@ class TestFdCheck:
         field = NeuralField(MLPField(4, [8], 4, rng=rng),
                             MLPField(4, [8], 8, rng=rng))
         z = rng.standard_normal((2, 4))
-        linearize = NeuralField._linearize
+        pullback = NeuralField._pullback
 
-        def corrupted(self, t, z):
-            mu, sigma, pull = linearize(self, t, z)
-
-            def pullback(d_mu, d_sigma):
-                d_z, d_params = pull(d_mu, d_sigma)
-                return 1.01 * d_z, d_params
-
-            return mu, sigma, pullback
+        def corrupted(self, tape, d_mu, d_sigma):
+            d_z, d_params = pullback(self, tape, d_mu, d_sigma)
+            return 1.01 * d_z, d_params
 
         assert fd_check(field, 0.4, z).ok
-        monkeypatch.setattr(NeuralField, "_linearize", corrupted)
+        monkeypatch.setattr(NeuralField, "_pullback", corrupted)
         assert not fd_check(field, 0.4, z).ok
 
     def test_vjp_directional_consistency(self):
