@@ -9,15 +9,16 @@ against central finite differences by `fd_check`.
 Each field writes its evaluation and derivative once, over a tape:
 `_linearize(t, z)` -> (mu, sigma, tape) and `_pullback(tape, d_mu,
 d_sigma)` -> (d_z, d_params), the parameter gradient summed over the
-batch. Every solver differentiates through the counted `linearize`, one
-pullback closure over the tape, and `fd_check` probes that same
-`linearize`, so it checks the derivative the solvers run. Forward-only
-passes call `evaluate` -> (mu, sigma). `eval_drift`, `eval_diffusion`,
-`vjp_drift` and `vjp_diffusion`, halves of that pass and of its pullback,
-stay with their counters because the benchmark's field proxy
-(`_TracedField`, `perfbench/tracing.py`) binds them and divides its field
-metrics by their time (ROADMAP items 1a and 2). A `NeuralField` runs its
-two networks as one pass with a stacked first layer (see its docstring).
+batch. The tape is the public form of the derivative: every solver and
+`fd_check` differentiate through the counted `linearize` -> (mu, sigma,
+tape) and `pullback(tape, d_mu, d_sigma)`, so `fd_check` checks the
+derivative the solvers run. Forward-only passes call `evaluate` -> (mu,
+sigma). `eval_drift`, `eval_diffusion`, `vjp_drift` and `vjp_diffusion`,
+halves of that pass and of its pullback, stay with their counters because
+the benchmark's field proxy (`_TracedField`, `perfbench/tracing.py`)
+binds them and divides its field metrics by their time (ROADMAP items 1a
+and 2). A `NeuralField` runs its two networks as one pass with a stacked
+first layer (see its docstring).
 
 The layers run on numpy alone. Each activation may overwrite its own
 pre-activation, and nothing else: a layer computes x @ W.T into a new
@@ -256,12 +257,12 @@ class VectorField:
     of the module docstring, and may override `_evaluate`, the same pass
     without a tape. The public methods are views of these and count their
     calls, so solvers can assert their per-step evaluation budgets:
-    `evaluate` gives (mu, sigma), `linearize` also a pullback over the
-    tape, `eval_drift` and `eval_diffusion` one half of the pass, and
-    `vjp_drift` and `vjp_diffusion` one half of its pullback.
+    `evaluate` gives (mu, sigma), `linearize` also the tape, which
+    `pullback` reads, `eval_drift` and `eval_diffusion` one half of the
+    pass, and `vjp_drift` and `vjp_diffusion` one half of its pullback.
     Evaluation is pure per thread: a field may reuse scratch buffers, but
-    no two threads share them. Parameter mutation (set_params, clipping)
-    requires exclusive access.
+    no two threads share them and no tape holds one. Parameter mutation
+    (set_params, clipping) requires exclusive access.
     """
 
     state_dim: int
@@ -297,21 +298,17 @@ class VectorField:
         return self._linearize(t, z)[:2]
 
     def linearize(self, t, z):
-        """Evaluate (mu, sigma) at (t, z) and return their joint pullback.
-
-        pullback(d_mu, d_sigma) returns (d_z, d_params), the gradient of
-        <d_mu, mu> + <d_sigma, sigma>, and counts one VJP of each kind.
-        """
+        """(mu, sigma, tape) at (t, z); counts one evaluation of each kind."""
         self.drift_evals += 1
         self.diffusion_evals += 1
-        mu, sigma, tape = self._linearize(t, z)
+        return self._linearize(t, z)
 
-        def pullback(d_mu, d_sigma):
-            self.drift_vjp_calls += 1
-            self.diffusion_vjp_calls += 1
-            return self._pullback(tape, d_mu, d_sigma)
-
-        return mu, sigma, pullback
+    def pullback(self, tape, d_mu, d_sigma):
+        """(d_z, d_params), the gradient of <d_mu, mu> + <d_sigma, sigma> at
+        the tape's linearization; counts one VJP of each kind."""
+        self.drift_vjp_calls += 1
+        self.diffusion_vjp_calls += 1
+        return self._pullback(tape, d_mu, d_sigma)
 
     def vjp_drift(self, t, z, cotangent):
         """Gradient of <cotangent, mu>: the pullback of (cotangent, 0)."""
@@ -539,9 +536,6 @@ class AnalyticField(VectorField):
         self._diffusion_vjp_fn = diffusion_vjp_z
         super().__init__()
 
-    def _evaluate(self, t, z):
-        return self._drift_fn(t, z), self._diffusion_fn(t, z)
-
     def _linearize(self, t, z):
         return self._drift_fn(t, z), self._diffusion_fn(t, z), (t, z)
 
@@ -568,10 +562,11 @@ def fd_check(field: VectorField, t, z, tolerance=1e-5, step=1e-6):
     """Compare the field's pullback against central finite differences.
 
     Pulls fixed random probes (c_mu, 0) and (0, c_sigma) back through
-    `field.linearize`, then bumps each flat coordinate of a copy of the
-    state and each parameter (written back through `set_params`); one
-    `linearize` per bump serves both probes. Relative errors use an
-    absolute floor of 1e-8 so near-zero entries do not blow up the ratio.
+    `field.pullback` over the tape of `field.linearize`, then bumps each
+    flat coordinate of a copy of the state and each parameter (written
+    back through `set_params`); one `linearize` per bump serves both
+    probes. Relative errors use an absolute floor of 1e-8 so near-zero
+    entries do not blow up the ratio.
     """
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
@@ -579,9 +574,9 @@ def fd_check(field: VectorField, t, z, tolerance=1e-5, step=1e-6):
     rng = np.random.default_rng(12345)
     c_mu = rng.standard_normal((z.shape[0], field.state_dim))
     c_sigma = rng.standard_normal(c_mu.shape + (field.noise_dim,))
-    _, _, pullback = field.linearize(t, z)
-    grads = [pullback(c_mu, np.zeros_like(c_sigma)),
-             pullback(np.zeros_like(c_mu), c_sigma)]
+    _, _, tape = field.linearize(t, z)
+    grads = [field.pullback(tape, c_mu, np.zeros_like(c_sigma)),
+             field.pullback(tape, np.zeros_like(c_mu), c_sigma)]
     params = field.get_params()
     worst = 0.0
     for block, (x, write_back) in enumerate(

@@ -448,8 +448,8 @@ def _toy_model(seed):
     )
 
 
-def _toy_gradients(field, tree, means, seconds):
-    """Moment loss, its parameter gradient and an oracle, for one tree.
+def _toy_gradients(field, cfg, means, seconds):
+    """Moment loss, its parameter gradient and an oracle, for one config.
 
     One forward solve saves the checkpoint states alone; the loss's
     cotangents at the interior checkpoints enter the reversible backward
@@ -458,15 +458,15 @@ def _toy_gradients(field, tree, means, seconds):
     """
     steps_per = round(TOY_HORIZON / TOY_CHECKPOINTS / TOY_DT)
     checkpoints = [(k + 1) * steps_per for k in range(TOY_CHECKPOINTS)]
-    cfg = SolveConfig("reversible_heun", TOY_DT, TOY_HORIZON, tree)
-    z0 = np.zeros((tree.batch, 1))
+    batch = cfg.noise.batch
+    z0 = np.zeros((batch, 1))
     terminal, saved = revheun_solve(field, z0, cfg, save_at=checkpoints)
     loss, cots = 0.0, []
     for state, m, v in zip(saved, means, seconds):
         dm = float(state.z.mean() - m)
         dv = float(np.mean(state.z ** 2) - v)
         loss += dm * dm + dv * dv
-        cots.append(2.0 * dm / tree.batch + 4.0 * dv * state.z / tree.batch)
+        cots.append(2.0 * dm / batch + 4.0 * dv * state.z / batch)
     interior = dict(zip(checkpoints[:-1], cots[:-1]))
     _, gp = revheun_backward(field, terminal, cfg, cots[-1], interior)
     return loss, gp, lambda: unrolled_backprop(
@@ -476,7 +476,7 @@ def _toy_gradients(field, tree, means, seconds):
 def fit_toy_sde(config: ExperimentConfig, grad_check_every=100):
     """Fit the toy SDE to the exact OU moments; returns learning-curve rows.
 
-    One fixed noise realization (a single Brownian tree, whose repeated
+    One fixed noise realization (one Brownian tree keyed on the grid, whose
     queries are bitwise stable) serves every iteration, so the fit is a
     deterministic sample-average problem and a zero learning rate yields a
     bitwise-flat loss curve. Adam updates with weight clipping after every
@@ -489,13 +489,15 @@ def fit_toy_sde(config: ExperimentConfig, grad_check_every=100):
     tree = BrownianInterval(TOY_HORIZON, _tree_seed(config.seed, 50_000),
                             dims=1, batch=config.batch,
                             cache_capacity=config.cache_capacity)
+    cfg = SolveConfig("reversible_heun", TOY_DT, TOY_HORIZON, tree)
+    tree.key_on_grid(cfg.n_steps, cfg.time)
     params = field.get_params()
     m = np.zeros_like(params)
     v = np.zeros_like(params)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     rows = []
     for it in range(config.iters):
-        loss, grad, oracle = _toy_gradients(field, tree, means, seconds)
+        loss, grad, oracle = _toy_gradients(field, cfg, means, seconds)
         if not math.isfinite(loss):
             raise RuntimeError(f"non-finite loss at iteration {it}")
         gap = ""

@@ -15,15 +15,15 @@ Each backward step pulls the cotangents back through the step map with the
 field's linearization at (t', zhat'), then reconstructs the previous tuple
 by that negated update, whose evaluation at (t, zhat) is one `linearize`:
 one drift and one diffusion evaluation, whose tape the tuple carries into
-the next step. A tuple that arrives without a tape (the forward solve's
-terminal tuple, or a caller's own) is linearized first, and its values are
-checked against its (mu', sigma'). Iterating from the terminal state gives
-gradients that match exact reverse-mode differentiation of the forward
-recurrence to floating-point reconstruction error, with O(1) storage: one
-evaluation pair and one pullback per step, and one tape set alive at a
-time. A loss that reads the path takes the states its forward solve saved
-(`save_at`) and `revheun_backward` folds in their cotangents as the sweep
-passes them.
+the next step's `field.pullback`. A tuple arriving without a tape (the
+forward solve's terminal tuple, or a caller's own) is linearized first,
+and its values are checked against its (mu', sigma'). Iterating from the
+terminal state gives gradients that match exact reverse-mode
+differentiation of the forward recurrence to floating-point
+reconstruction error, with O(1) storage: one evaluation pair and one
+pullback per step, and one tape set alive at a time. A loss that reads
+the path takes the states its forward solve saved (`save_at`) and
+`revheun_backward` folds in their cotangents as the sweep passes them.
 
 Also here: midpoint / Heun baseline steps, the continuous (backward-SDE)
 adjoint for the baselines, the O(N)-memory unrolled backpropagation used
@@ -34,7 +34,7 @@ increment mu dt + sigma dW, so one scheme serves the forward solve, the
 oracle and the continuous adjoint, which integrates the flat (state,
 adjoint, parameter-gradient) vector backward with it. Every gradient path,
 the continuous adjoint included, differentiates the field through
-`field.linearize`.
+`field.linearize`'s tape and `field.pullback`.
 
 One grid walk, `_sweep`, yields every pass its steps' grid times
 (`SolveConfig.time`: i*dt, end pinned to t1) with the noise over them, its
@@ -72,10 +72,10 @@ class SolverDivergence(RuntimeError):
 class RevHeunState:
     """Solver 5-tuple; mu/sigma are the field evaluated at (t, zhat).
 
-    `pullback`, when set, is the pullback of the field's linearization at
-    (t, zhat) that produced mu/sigma. A backward-step reconstruction sets
-    it and the next backward step takes it (leaving None behind), so that
-    step pulls back without evaluating the field again.
+    `tape`, when set, is the tape of `field.linearize` at (t, zhat) that
+    produced mu/sigma. A backward-step reconstruction sets it and the next
+    backward step takes it (leaving None behind), so that step calls
+    `field.pullback(tape, ...)` without evaluating the field again.
     """
 
     t: float
@@ -83,8 +83,7 @@ class RevHeunState:
     zhat: np.ndarray   # (batch, x)
     mu: np.ndarray     # (batch, x)
     sigma: np.ndarray  # (batch, x, w)
-    pullback: object = dataclass_field(default=None, repr=False,
-                                       compare=False)
+    tape: object = dataclass_field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -236,7 +235,7 @@ def initial_state(field: VectorField, z0: np.ndarray) -> RevHeunState:
 def _revheun_update(state: RevHeunState, t_next: float, dt: float,
                     dw: np.ndarray, evaluate) -> RevHeunState:
     """The reversible Heun update to time t_next; evaluate(t, zhat) ->
-    (mu, sigma) or (mu, sigma, pullback), which the new tuple carries.
+    (mu, sigma) or (mu, sigma, tape), which the new tuple carries.
 
     Run from the tuple after a step with (t, -dt, -dW), t the step's start,
     it inverts that step.
@@ -274,10 +273,10 @@ def _revheun_pullback(next_state, cot, dt, dw, field) -> CotangentState:
     tape and the field's cotangents (d_mu', d_sigma') are freed before the
     new cotangent is made.
     """
-    pullback, next_state.pullback = next_state.pullback, None
-    if pullback is None:
-        mu_lin, sigma_lin, pullback = field.linearize(next_state.t,
-                                                      next_state.zhat)
+    tape, next_state.tape = next_state.tape, None
+    if tape is None:
+        mu_lin, sigma_lin, tape = field.linearize(next_state.t,
+                                                  next_state.zhat)
         err = np.maximum(_mismatch(mu_lin, next_state.mu),
                          _mismatch(sigma_lin, next_state.sigma))
         del mu_lin, sigma_lin
@@ -288,8 +287,8 @@ def _revheun_pullback(next_state, cot, dt, dw, field) -> CotangentState:
     d_mu_next = cot.d_mu + 0.5 * dt * cot.d_z
     d_sigma_next = _outer(0.5 * cot.d_z, dw)
     d_sigma_next += cot.d_sigma
-    gz, gp = pullback(d_mu_next, d_sigma_next)
-    del pullback, d_mu_next, d_sigma_next
+    gz, gp = field.pullback(tape, d_mu_next, d_sigma_next)
+    del tape, d_mu_next, d_sigma_next
     b_total = cot.d_zhat + gz
     tmp = 0.5 * cot.d_z + b_total
     return CotangentState(
@@ -315,14 +314,14 @@ def revheun_step_backward(next_state: RevHeunState, cot_next: CotangentState,
     """Invert one forward step, back to grid time t, and pull cotangents
     through it.
 
-    Takes the tuple's carried pullback (leaving None), else linearizes at
+    Takes the tuple's carried tape (leaving None), else linearizes at
     (t', zhat') and raises SolverDivergence if the values differ from its
     (mu', sigma') by more than ROUNDTRIP_TOL (relative): then the tuple did
     not come from a forward step with this field. Pulls the cotangents
-    back through the step map, accumulating parameter gradients, then
-    reconstructs the previous tuple by the update with (-dt, -dW), whose
-    evaluation is one `linearize` at (t, zhat); the returned tuple carries
-    its pullback.
+    back through the step map with `field.pullback(tape, ...)`,
+    accumulating parameter gradients, then reconstructs the previous tuple
+    by the update with (-dt, -dW), whose evaluation is one `linearize` at
+    (t, zhat); the returned tuple carries its tape.
 
     A backward step holds one tape at a time, and the noise store's LRU.
     Pulling back, it holds the tuple after the step, its tape, `cot_next`
@@ -411,10 +410,10 @@ def _revheun_gradients(field, first: RevHeunState, cot: CotangentState):
 
     Pulls back through the tape `first` carries, else linearizes at z0.
     """
-    pullback = first.pullback
-    if pullback is None:
-        _, _, pullback = field.linearize(first.t, first.z)
-    gz, gp = pullback(cot.d_mu, cot.d_sigma)
+    tape = first.tape
+    if tape is None:
+        _, _, tape = field.linearize(first.t, first.z)
+    gz, gp = field.pullback(tape, cot.d_mu, cot.d_sigma)
     return cot.d_z + cot.d_zhat + gz, cot.d_params + gp
 
 
@@ -467,9 +466,9 @@ def _increment(field, dt, dw):
 def _linearized_increment(field, dt, dw):
     """Increment mu dt + sigma dW with the pullback of a cotangent on it."""
     def inc(t, z):
-        mu, sigma, pull = field.linearize(t, z)
+        mu, sigma, tape = field.linearize(t, z)
         return (mu * dt + _sdw(sigma, dw),
-                lambda c: pull(dt * c, _outer(c, dw)))
+                lambda c: field.pullback(tape, dt * c, _outer(c, dw)))
 
     return inc
 
@@ -538,11 +537,14 @@ def continuous_adjoint_solve(method: str, field: VectorField, z0: np.ndarray,
     scheme = _BASELINE_SCHEMES[method]
     y = np.concatenate([terminal.z.ravel(), loss.ravel(),
                         np.zeros(field.param_count)])
-    for i, t, t_next, dw in _sweep(config, shape[0], field.noise_dim,
-                                   reverse=True):
-        inc = _adjoint_increment(field, -config.dt, -dw, shape)
-        y, _ = scheme(inc, t_next, t, y)
-        _check_finite(y, f"adjoint state at backward step {i}")
+    try:
+        for i, t, t_next, dw in _sweep(config, shape[0], field.noise_dim,
+                                       reverse=True):
+            inc = _adjoint_increment(field, -config.dt, -dw, shape)
+            y, _ = scheme(inc, t_next, t, y)
+            _check_finite(y, "adjoint state")
+    except SolverDivergence as exc:
+        raise SolverDivergence(f"{exc} at step {i}") from None
     return y[n:2 * n].reshape(shape), y[2 * n:]
 
 

@@ -123,11 +123,11 @@ def _identity_linear_mlp(dim, final_activation="identity"):
 
 
 def _drift_pullback(drift_net, t, z, cot):
-    """The drift block of NeuralField.linearize's pullback of (cot, 0)."""
+    """The drift block of NeuralField.pullback of (cot, 0)."""
     dim = drift_net.state_dim
     field = NeuralField(drift_net, MLPField(dim, [4], dim))
-    _, sigma, pullback = field.linearize(t, z)
-    d_z, d_params = pullback(cot, np.zeros_like(sigma))
+    _, sigma, tape = field.linearize(t, z)
+    d_z, d_params = field.pullback(tape, cot, np.zeros_like(sigma))
     return d_z, d_params[:drift_net.n_params]
 
 
@@ -321,12 +321,12 @@ def _counters(field):
 
 
 def _assert_linearize_matches_counted_calls(field, t, z, d_mu, d_sigma):
-    """linearize and its pullback reproduce eval_* and vjp_* bitwise."""
+    """linearize and pullback reproduce eval_* and vjp_* bitwise."""
     field.reset_counters()
-    mu, sigma, pullback = field.linearize(t, z)
+    mu, sigma, tape = field.linearize(t, z)
     assert (field.drift_evals, field.diffusion_evals) == (1, 1)
     assert (field.drift_vjp_calls, field.diffusion_vjp_calls) == (0, 0)
-    d_z, d_params = pullback(d_mu, d_sigma)
+    d_z, d_params = field.pullback(tape, d_mu, d_sigma)
     assert (field.drift_vjp_calls, field.diffusion_vjp_calls) == (1, 1)
 
     assert np.array_equal(mu, field.eval_drift(t, z))
@@ -386,10 +386,10 @@ class TestLinearize:
         d_sigma = rng.standard_normal((5, 3, 2))
         inputs = [a.copy() for a in (z, d_mu, d_sigma)]
         field.drift_net.eval(0.2, z)
-        mu, sigma, pullback = field.linearize(0.2, z)
+        mu, sigma, tape = field.linearize(0.2, z)
         values = [mu.copy(), sigma.copy()]
-        first = pullback(d_mu, d_sigma)
-        second = pullback(d_mu, d_sigma)
+        first = field.pullback(tape, d_mu, d_sigma)
+        second = field.pullback(tape, d_mu, d_sigma)
         for got, want in zip([z, d_mu, d_sigma, mu, sigma, *second],
                              inputs + values + list(first)):
             assert got.tobytes() == want.tobytes()
@@ -439,8 +439,8 @@ def _per_network(field, t, z, d_mu, d_sigma):
 
 def _assert_fused_matches_per_network(field, t, z, d_mu, d_sigma):
     # A stacked gemm need not round like two separate ones.
-    mu, sigma, pullback = field.linearize(t, z)
-    got = (mu, sigma, *pullback(d_mu, d_sigma))
+    mu, sigma, tape = field.linearize(t, z)
+    got = (mu, sigma, *field.pullback(tape, d_mu, d_sigma))
     for a, b in zip(field.evaluate(t, z), got):
         assert np.array_equal(a, b)
     for a, b in zip(got, _per_network(field, t, z, d_mu, d_sigma)):
@@ -525,9 +525,9 @@ class TestScratch:
         def run():
             out = []
             for t, z, d_mu, d_sigma in inputs:
-                mu, sigma, pullback = field.linearize(t, z)
+                mu, sigma, tape = field.linearize(t, z)
                 out.append((*field.evaluate(t, z), mu, sigma,
-                            *pullback(d_mu, d_sigma)))
+                            *field.pullback(tape, d_mu, d_sigma)))
             return out
 
         expected = run()
@@ -565,13 +565,36 @@ class TestScratch:
         results = []
         for batch in (2, 7, 2, 7, 7, 2):
             z = rng.standard_normal((batch, 3))
-            mu, sigma, pullback = field.linearize(0.5, z)
+            mu, sigma, tape = field.linearize(0.5, z)
             results += [*field.evaluate(0.5, z), mu, sigma,
-                        *pullback(rng.standard_normal((batch, 3)),
-                                  rng.standard_normal((batch, 3, 2)))]
+                        *field.pullback(tape, rng.standard_normal((batch, 3)),
+                                        rng.standard_normal((batch, 3, 2)))]
         for i, a in enumerate(results):
             for b in results[:i]:
                 assert not np.shares_memory(a, b)
+
+    @pytest.mark.parametrize("make_field", [
+        _scratch_field,
+        lambda: AnalyticField(
+            3, 2, drift=lambda t, z: np.sin(t * z),
+            diffusion=lambda t, z: np.cos(z)[:, :, None] * np.ones(2),
+            drift_vjp_z=lambda t, z, c: t * np.cos(t * z) * c,
+            diffusion_vjp_z=lambda t, z, c: -np.sin(z) * c.sum(axis=2))])
+    def test_tape_is_independent_of_later_calls(self, make_field):
+        # A tape is data: calls at another point, at the same batch size
+        # and so on the same scratch, leave its pullback bitwise unchanged.
+        field = make_field()
+        rng = np.random.default_rng(28)
+        z_a, z_b, d_mu, d_mu_b = rng.standard_normal((4, 6, 3))
+        d_sigma, d_sigma_b = rng.standard_normal((2, 6, 3, 2))
+        _, _, tape = field.linearize(0.3, z_a)
+        want = field.pullback(tape, d_mu, d_sigma)
+        _, _, tape_b = field.linearize(0.7, z_b)
+        field.evaluate(0.7, z_b)
+        field.pullback(tape_b, d_mu_b, d_sigma_b)
+        got = field.pullback(tape, d_mu, d_sigma)
+        for a, b in zip(got, want, strict=True):
+            assert a.tobytes() == b.tobytes()
 
 
 class TestFdCheck:
@@ -665,8 +688,9 @@ def test_imports_and_differentiates_without_scipy():
         field = NeuralField(
             MLPField(2, [4], 2, final_activation="tanh"),
             MLPField(2, [4], 4, final_activation="sigmoid"))
-        mu, sigma, pullback = field.linearize(0.1, np.ones((3, 2)))
-        d_z, d_params = pullback(np.ones_like(mu), np.ones_like(sigma))
+        mu, sigma, tape = field.linearize(0.1, np.ones((3, 2)))
+        d_z, d_params = field.pullback(tape, np.ones_like(mu),
+                                       np.ones_like(sigma))
         assert d_z.shape == (3, 2) and d_params.shape == (field.param_count,)
     """)
     src = str(Path(revsde.__file__).resolve().parent.parent)

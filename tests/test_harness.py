@@ -390,6 +390,22 @@ class TestFitToy:
                     grad_check_every=0)
         assert calls == {"eval_drift": 1, "evaluate": 32, "linearize": 33}
 
+    def test_noise_tree_is_keyed_on_the_grid(self, monkeypatch):
+        # A keyed tree stores no split points (node_count 1); a lazy one
+        # holds 63 nodes after one iteration's 32 steps.
+        trees = []
+
+        class Recorded(harness.BrownianInterval):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                trees.append(self)
+
+        monkeypatch.setattr(harness, "BrownianInterval", Recorded)
+        fit_toy_sde(ExperimentConfig(seed=0, batch=4, iters=1),
+                    grad_check_every=0)
+        assert len(trees) == 1
+        assert trees[0].stats().node_count == 1
+
     def test_check_flags_oracle_gap_above_1e_12(self):
         rows = [{"iteration": 0, "loss": 1.0, "oracle_rel_l1_gap": 3e-12},
                 {"iteration": 1, "loss": 0.1, "oracle_rel_l1_gap": ""}]

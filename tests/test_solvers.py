@@ -15,7 +15,9 @@ import revsde
 from revsde import solvers
 from revsde.brownian import BrownianInterval
 from revsde.fields import AnalyticField, MLPField, NeuralField
+from revsde.harness import cross_cosine_field
 from revsde.solvers import (
+    BASELINE_METHODS,
     CotangentState,
     METHODS,
     PathState,
@@ -312,13 +314,13 @@ class TestRevHeunBackwardStep:
         monkeypatch.setattr(MLPField, "_layers", counted)
         carried, cot1 = revheun_step_backward(s2, cot, 0.1, 0.1, dw, field)
         assert passes() == (2, 2)
-        assert carried.pullback is not None
+        assert carried.tape is not None
         revheun_step_backward(carried, cot1, 0.0, 0.1, dw, field)
         assert passes() == (1, 1)
 
     def test_step_takes_the_input_tuples_tape(self):
         # Only one tape set is alive at a time: the step leaves the input
-        # tuple without its pullback. The carried tape pulls back bitwise
+        # tuple without its tape. The carried tape pulls back bitwise
         # what a fresh linearization of the same tuple would.
         field = reduced_neural_field(seed=7, x=3, w=2)
         rng = np.random.default_rng(0)
@@ -332,10 +334,10 @@ class TestRevHeunBackwardStep:
                                              field)
         fresh = RevHeunState(carried.t, carried.z, carried.zhat, carried.mu,
                              carried.sigma)
-        assert s2.pullback is None
+        assert s2.tape is None
         _, via_tape = revheun_step_backward(carried, cot1, 0.0, 0.1, dws[0],
                                             field)
-        assert carried.pullback is None
+        assert carried.tape is None
         _, via_fresh = revheun_step_backward(fresh, cot1, 0.0, 0.1, dws[0],
                                              field)
         for name in ("d_z", "d_zhat", "d_mu", "d_sigma", "d_params"):
@@ -841,7 +843,7 @@ class TestAdjointGradients:
                                                cfg.dt, dw, field)
             if i in cps:
                 cot.d_z = cot.d_z + cps[i]
-        gz, gp_first = state.pullback(cot.d_mu, cot.d_sigma)
+        gz, gp_first = field.pullback(state.tape, cot.d_mu, cot.d_sigma)
         np.testing.assert_array_equal(cot.d_z + cot.d_zhat + gz, g0)
         np.testing.assert_array_equal(cot.d_params + gp_first, gp)
 
@@ -1067,26 +1069,6 @@ class TestBaselineSteps:
         assert 0.35 <= slope <= 0.75
 
 
-def cross_cosine_field():
-    def diffusion(t, z):
-        out = np.zeros((z.shape[0], 2, 2))
-        out[:, 0, 0] = np.cos(z[:, 1])
-        out[:, 1, 1] = np.cos(z[:, 0])
-        return out
-
-    def diffusion_vjp_z(t, z, c):
-        return np.stack([-c[:, 1, 1] * np.sin(z[:, 0]),
-                         -c[:, 0, 0] * np.sin(z[:, 1])], axis=1)
-
-    return AnalyticField(
-        2, 2,
-        drift=lambda t, z: np.sin(z),
-        diffusion=diffusion,
-        drift_vjp_z=lambda t, z, c: np.cos(z) * c,
-        diffusion_vjp_z=diffusion_vjp_z,
-    )
-
-
 class TestContinuousAdjoint:
     def test_zero_cotangent(self):
         field = reduced_neural_field(seed=5, x=3, w=2)
@@ -1125,6 +1107,26 @@ class TestContinuousAdjoint:
                                             np.ones((1, 1)))
             errs.append(abs(g[0, 0] - math.exp(lam)))
         assert errs[1] < errs[0] / 8.0
+
+    @pytest.mark.parametrize("method", BASELINE_METHODS)
+    def test_divergence_names_its_step(self, method):
+        # At dt = 1/8 the drift's VJP is infinite before t = 0.2. Backward
+        # step 1 (from 0.25 to 0.125) is the first whose stages linearize
+        # there: at 0.125 (Heun), at 0.1875 (midpoint).
+        field = AnalyticField(
+            1, 1,
+            drift=lambda t, z: np.zeros_like(z),
+            diffusion=lambda t, z: np.zeros((z.shape[0], 1, 1)),
+            drift_vjp_z=lambda t, z, c: np.full_like(z, np.inf if t < 0.2
+                                                     else 0.0),
+            diffusion_vjp_z=lambda t, z, c: np.zeros_like(z),
+        )
+        cfg = SolveConfig(method, 0.125, 1.0,
+                          BrownianInterval(1.0, 3, dims=1, batch=1))
+        with pytest.raises(SolverDivergence,
+                           match="^non-finite adjoint state at step 1$"):
+            continuous_adjoint_solve(method, field, np.zeros((1, 1)), cfg,
+                                     np.ones((1, 1)))
 
     def test_one_forward_pass_per_network_per_backward_stage(self,
                                                              monkeypatch):
