@@ -13,7 +13,10 @@ Two interchangeable noise sources are provided:
   seeds as a hint, which makes the sequential access pattern of an SDE
   solver O(1) amortized. A keyed node of at most `BLOCK_STEPS` grid steps
   is a leaf block: its step increments are drawn at once, conditioned
-  exactly on the node's value, and a step query returns one row.
+  exactly on the node's value, and a step query returns a copy of one
+  row. A step query that moves into the block next to the last one used
+  forgets the block it leaves and the values its walk cuts off the hint
+  path, so a solver's sweep holds one block and the values on its path.
 
 * `VirtualBrownianTree` -- the classical baseline: query points are rounded
   to a dyadic grid of resolution `tol` and each evaluation descends from
@@ -76,7 +79,8 @@ class _LRUCache:
     its index range (lo, hi) -- to its increment, and from a leaf block's
     first step index to its (m, batch, dims) step increments. `capacity`
     and `size` count step increments of `unit` values each, so a block
-    costs m; one larger than the capacity is cached alone."""
+    costs m; one larger than the capacity is cached alone. `drop` removes
+    what a sweep has passed before the LRU order would."""
 
     __slots__ = ("capacity", "unit", "size", "hits", "misses", "_data")
 
@@ -98,6 +102,13 @@ class _LRUCache:
     def peek(self, node):
         """The cached value or None; recency and counters untouched."""
         return self._data.get(node)
+
+    def drop(self, node):
+        """Remove `node`'s value if cached; recency of the rest and the
+        counters untouched."""
+        value = self._data.pop(node, None)
+        if value is not None:
+            self.size -= value.size // self.unit
 
     def put(self, node, value):
         """Evict the least recent entries until `value` fits, then insert it
@@ -145,7 +156,9 @@ class BrownianInterval:
     * keyed (`key_on_grid`): keys are grid indices, node (lo, hi) splits at
       (lo + hi) // 2, and nothing is stored. A node of at most BLOCK_STEPS
       steps is a leaf block: its steps are drawn at once (`_step`), and a
-      one-step query returns one row of them.
+      one-step query returns a copy of one row of them. A step query in
+      the block next to the last one used drops the block it leaves and
+      the hint path values its walk cuts; a jump drops nothing.
 
     The increment of a node is recovered from its parent: left children by
     bridge conditioning (normals drawn from the left child's seed), right
@@ -165,7 +178,8 @@ class BrownianInterval:
 
     Queries mutate the split map, cache and hint: an instance needs
     exclusive access during `query`; distinct instances are independent.
-    Returned arrays are owned by the cache -- do not mutate. The path
+    Arrays returned by node and spanning queries are owned by the cache --
+    do not mutate; a keyed tree's step increment is the caller's. The path
     realized for a seed depends on the query order (the topology) of a
     lazy tree and on the grid alone for a keyed one; only the distribution
     and per-instance determinism are guaranteed.
@@ -216,8 +230,10 @@ class BrownianInterval:
         blocks of at most BLOCK_STEPS steps. No node is stored: an evicted
         value regrows bitwise from its nearest cached ancestor on the hint
         path, at most ceil(log2(n / BLOCK_STEPS)) bridges down, then its
-        block in one draw. The LRU is emptied: a value drawn before keying
-        is held under a time key. Queries off the grid then raise ValueError.
+        block in one draw. A step sweep forgets what it passes: it holds one
+        block and about two values a level above it, whatever the capacity.
+        The LRU is emptied: a value drawn before keying is held under a time
+        key. Queries off the grid then raise ValueError.
 
         n must be an int >= 1. A no-op on a tree that queries have split or
         that is keyed; otherwise time(n) must be t1 (else ValueError), and
@@ -288,7 +304,7 @@ class BrownianInterval:
                     stack.append(((lo, mid), qa, min(qb, mid)))
         return out
 
-    def _sample(self, node: tuple) -> np.ndarray:
+    def _sample(self, node: tuple, forget: bool = False) -> np.ndarray:
         """Increment of `node`: cut the hint path below its deepest entry
         holding the node and extend it down (the first step reuses the cut
         entry's pair), then walk up the path to the nearest cached entry
@@ -297,7 +313,9 @@ class BrownianInterval:
         subtracting the left sibling's value. A cached left sibling is
         bitwise its bridge value, so it is read with `peek` (no recency or
         counter change); one drawn for a right child is cached, as a
-        reverse sweep asks for it next.
+        reverse sweep asks for it next. With `forget`, the values of the
+        cut path entries are dropped once the walk is done: none is on the
+        new path, and the first may be the left sibling it subtracts.
         """
         path = self._path
         a, b = node
@@ -305,6 +323,7 @@ class BrownianInterval:
         (lo, hi), seed, _ = path[k]
         ascent = len(path) - 1 - k
         pair = path[k + 1][2] if ascent else None
+        cut = [key for key, _, _ in path[k + 1:]] if forget else ()
         del path[k + 1:]
         while lo != a or hi != b:
             pair = pair or split(seed)
@@ -345,6 +364,8 @@ class BrownianInterval:
                 value = value - w_left
             cache.put(key, value)
             p_lo, p_hi = key
+        for key in cut:
+            cache.drop(key)
         return value
 
     def _step(self, k: int) -> np.ndarray:
@@ -353,8 +374,15 @@ class BrownianInterval:
         increment W over [a, b], T = b - a, as X_i = sqrt(dt_i) xi_i -
         (dt_i / T)(sum_j sqrt(dt_j) xi_j - W), whose covariance diag(dt) -
         dt dt^T / T is the Brownian bridge's. xi comes from the node seed's
-        left child: a left node's own seed drew its bridge normals."""
+        left child: a left node's own seed drew its bridge normals. A step
+        next to the last block (k == hi or k == lo - 1) is a sweep's: the
+        last block is dropped, and so are the path values the new block's
+        walk cuts. The row is returned as a copy, so the caller's increment
+        keeps no dropped block alive."""
         lo, hi = self._block
+        forget = k == hi or k == lo - 1
+        if forget:
+            self._cache.drop(lo)
         if not lo <= k < hi:
             lo, hi = self._path[self._holder(k, k + 1)][0]
             while hi - lo > BLOCK_STEPS:
@@ -363,7 +391,7 @@ class BrownianInterval:
             self._block = lo, hi
         rows = self._cache.get(lo)
         if rows is None:
-            w = self._sample((lo, hi))
+            w = self._sample((lo, hi), forget)
             t = np.array([self._time(i) for i in range(lo, hi + 1)])
             dt = np.diff(t)[:, None, None]
             rows = standard_normals(split(self._path[-1][1])[0],
@@ -371,7 +399,7 @@ class BrownianInterval:
             rows *= np.sqrt(dt)
             rows -= dt / (t[-1] - t[0]) * (rows.sum(axis=0) - w)
             self._cache.put(lo, rows)
-        return rows[k - lo]
+        return rows[k - lo].copy()
 
 
 class VirtualBrownianTree:

@@ -42,9 +42,9 @@ shape checked, so forward and backward passes hit bitwise-identical tree
 intervals and states sit on the grid. A SolverDivergence names its step.
 The oracle differentiates the public forward solves. Every solve that
 sweeps the grid backward first keys a fresh noise tree on its grid
-(`BrownianInterval.key_on_grid`), so the tree holds O(1) memory and the
-reverse sweep's tree work stays O(1) amortized per query; forward-only
-solves leave the tree shape to their queries.
+(`BrownianInterval.key_on_grid`): a sweep then holds one leaf block and
+O(log n) path values, with O(1) amortized tree work per query;
+forward-only solves leave the tree shape to their queries.
 """
 
 from __future__ import annotations

@@ -18,6 +18,19 @@ from revsde.prng import new_seed, split, standard_normals
 from revsde.solvers import SolveConfig
 
 
+def _count_draws(monkeypatch) -> list:
+    """The sizes of the normal draws the tree makes from now on."""
+    draws = []
+    counted = standard_normals
+
+    def counting(seed, count):
+        draws.append(count)
+        return counted(seed, count)
+
+    monkeypatch.setattr(brownian, "standard_normals", counting)
+    return draws
+
+
 class TestBridgeSample:
     def test_deterministic(self):
         w = np.array([0.7, -1.2, 0.1])
@@ -299,14 +312,7 @@ class TestBrownianIntervalQueries:
 
     def _sweeps(self, monkeypatch, capacity, n):
         """Forward then reverse sweep of n steps; (values, stats, draws)."""
-        draws = []
-        counted = standard_normals
-
-        def counting(seed, count):
-            draws.append(count)
-            return counted(seed, count)
-
-        monkeypatch.setattr(brownian, "standard_normals", counting)
+        draws = _count_draws(monkeypatch)
         tree = BrownianInterval(1.0, 9, dims=2, batch=3,
                                 cache_capacity=capacity)
         steps = [(k / n, (k + 1) / n if k + 1 < n else 1.0) for k in range(n)]
@@ -609,14 +615,7 @@ class TestKeyedTree:
         # Forward then reverse over n = 1,024 steps at capacity 128: one
         # bridge per upper node and one draw per block, each way, plus the
         # regrowth of evicted ancestors; one bridge per step without blocks.
-        draws = []
-        counted = standard_normals
-
-        def counting(seed, count):
-            draws.append(count)
-            return counted(seed, count)
-
-        monkeypatch.setattr(brownian, "standard_normals", counting)
+        draws = _count_draws(monkeypatch)
         n = 1024
         tree = BrownianInterval(1.0, 9, dims=4, batch=8, cache_capacity=128)
         tree.key_on_grid(n, self._time(n))
@@ -642,6 +641,60 @@ class TestKeyedTree:
             held = sum(len(v) if v.ndim == 3 else 1 for v in cached)
             assert held == tree._cache.size
             assert held <= max(capacity, brownian.BLOCK_STEPS)
+
+    @pytest.mark.parametrize("n, batch, dims",
+                             [(4 * brownian.BLOCK_STEPS, 256, 4),
+                              (1 << 12, 1, 1)])
+    def test_sweep_holds_one_block(self, n, batch, dims):
+        # A step sweep drops each block as it enters the next, and the
+        # values of the hint path nodes its walk cuts: after every query
+        # of a forward then reverse sweep the cache holds one block and
+        # about two values per upper level, whatever its capacity.
+        B = brownian.BLOCK_STEPS
+        bound = B + 2 * math.ceil(math.log2(n / B)) + 2
+        order = list(range(n)) + list(reversed(range(n)))
+
+        def sweep(capacity, check):
+            tree = BrownianInterval(1.0, 8, dims=dims, batch=batch,
+                                    cache_capacity=capacity)
+            tree.key_on_grid(n, self._time(n))
+            values = []
+            for k in order:
+                values.append(tree.query(k / n, (k + 1) / n))
+                if check:
+                    cached = tree._cache._data.values()
+                    assert sum(v.ndim == 3 for v in cached) <= 1
+                    assert tree._cache.size <= bound
+            return np.stack(values)
+
+        swept = sweep(128, True)
+        assert np.array_equal(swept, sweep(1, False))
+        assert np.array_equal(swept, sweep(10_000, False))
+
+    def test_jump_keeps_the_cache(self, monkeypatch):
+        # Random access is no sweep: a step two blocks away drops nothing,
+        # so a return to the first block is answered from the cache.
+        draws = _count_draws(monkeypatch)
+        B = brownian.BLOCK_STEPS
+        n = 4 * B
+        tree = BrownianInterval(1.0, 6, dims=2, batch=3)
+        tree.key_on_grid(n, self._time(n))
+        first = tree.query(3 / n, 4 / n)
+        tree.query((2 * B + 5) / n, (2 * B + 6) / n)
+        before = len(draws)
+        assert np.array_equal(tree.query(3 / n, 4 / n), first)
+        assert len(draws) == before
+
+    def test_returned_step_belongs_to_the_caller(self):
+        # A step increment is a copy of its block's row: writing to it
+        # changes no later answer.
+        n = 2 * brownian.BLOCK_STEPS
+        tree = BrownianInterval(1.0, 2, dims=2, batch=3)
+        tree.key_on_grid(n, self._time(n))
+        step = tree.query(5 / n, 6 / n)
+        first = step.copy()
+        step += 1.0
+        assert np.array_equal(tree.query(5 / n, 6 / n), first)
 
 
 class TestVirtualBrownianTree:
