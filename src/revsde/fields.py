@@ -17,8 +17,9 @@ sigma). `eval_drift`, `eval_diffusion`, `vjp_drift` and `vjp_diffusion`,
 halves of that pass and of its pullback, stay with their counters because
 the benchmark's field proxy (`_TracedField`, `perfbench/tracing.py`)
 binds them and divides its field metrics by their time (ROADMAP items 1a
-and 2). A `NeuralField` runs its two networks as one pass with a stacked
-first layer (see its docstring).
+and 2). A `NeuralField` runs its two networks, LipSwish MLPs with at least
+one hidden layer each, as one pass with a stacked first layer (see its
+docstring); an `MLPField` only holds a network's parameters.
 
 The layers run on numpy alone. Each activation may overwrite its own
 pre-activation, and nothing else: a layer computes x @ W.T into a new
@@ -47,6 +48,8 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
+
+from .brownian import _count
 
 LIPSWISH_SCALE = 0.909
 
@@ -100,12 +103,11 @@ def _sigmoid_derivative(y, _, out=None):
     return d
 
 
-_ACTIVATIONS = {
+_HEADS = {  # the choices of `MLPField(final_activation=)`
     "lipswish": (_lipswish_forward, _lipswish_derivative),
-    "tanh": (lambda h, _=None: (np.tanh(h, out=h), None), _tanh_derivative),
-    "sigmoid": (lambda h, _=None: (sigmoid(h, out=h), None),
-                _sigmoid_derivative),
-    "identity": (lambda h, _=None: (h, None), lambda y, _, out=None: 1.0),
+    "tanh": (lambda h: (np.tanh(h, out=h), None), _tanh_derivative),
+    "sigmoid": (lambda h: (sigmoid(h, out=h), None), _sigmoid_derivative),
+    "identity": (lambda h: (h, None), lambda y, _, out=None: 1.0),
 }
 
 
@@ -145,20 +147,24 @@ class MLPField:
     """Fully connected network from (t, state) to a flat output vector.
 
     Weights are stored (fan_out, fan_in); a layer computes x @ W.T + b.
-    The hidden activation applies to all but the last layer; the final
-    layer gets `final_activation` ("identity" for a plain linear head).
+    Every hidden layer is LipSwish; the last layer gets `final_activation`
+    ("identity" for a plain linear head). The network holds parameters and
+    nothing else: `NeuralField` runs it, and needs at least one hidden
+    layer. `hidden=[]` gives a single linear layer, which can be clipped
+    but not run. `state_dim`, `out_dim` and each hidden width must be ints
+    >= 1.
     """
 
-    def __init__(self, state_dim, hidden, out_dim, *, activation="lipswish",
+    def __init__(self, state_dim, hidden, out_dim, *,
                  final_activation="identity", rng=None):
         if isinstance(hidden, int):
             hidden = [hidden]
-        self.state_dim = int(state_dim)
-        self.out_dim = int(out_dim)
-        self.activation = activation
+        self.state_dim = _count(state_dim, "state_dim must be an int >= 1")
+        self.out_dim = _count(out_dim, "out_dim must be an int >= 1")
+        hidden = [_count(width, f"hidden[{i}] must be an int >= 1")
+                  for i, width in enumerate(hidden)]
         self.final_activation = final_activation
-        self._act, self._act_grad = _ACTIVATIONS[activation]
-        self._final, self._final_grad = _ACTIVATIONS[final_activation]
+        self._final, self._final_grad = _HEADS[final_activation]
         if rng is None:
             rng = np.random.default_rng(0)
         widths = [self.state_dim + 1, *hidden, self.out_dim]
@@ -173,52 +179,16 @@ class MLPField:
     def n_params(self):
         return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
 
-    def eval(self, t, z):
-        """Forward pass; z is (batch, state_dim), returns (batch, out_dim)."""
-        y, _ = self._forward(t, np.asarray(z))
-        return y
-
-    def _backward(self, tape, cotangent):
-        """Pull an output cotangent back over the tape of one `_forward`.
-
-        Returns (cot_z, cot_params) where cot_params is the flat gradient
-        of <cotangent, output>, summed over the batch.
-        """
-        memos, inputs = tape
-        batch = inputs[0].shape[0]
-        cot = np.asarray(cotangent)
-        if cot.shape != (batch, self.out_dim):
-            raise ValueError(
-                f"cotangent shape {cot.shape} does not match output "
-                f"({batch}, {self.out_dim})")
-        n_layers = len(self.weights)
-        grads_w = [None] * n_layers
-        grads_b = [None] * n_layers
-        g = self._final_grad(inputs[-1], memos[-1])
-        g *= cot  # a new array: cot and the tape are only read
-        for i in reversed(range(n_layers)):
-            grads_w[i] = g.T @ inputs[i]
-            grads_b[i] = g.sum(axis=0)
-            g = g @ self.weights[i]
-            if i > 0:
-                g *= self._act_grad(inputs[i], memos[i - 1])
-        cot_z = g[:, :self.state_dim]  # drop the time column
-        return cot_z, _flatten(grads_w, grads_b)
-
-    def _forward(self, t, z):
-        memos, inputs = self._layers(_time_appended(t, z, self.state_dim), 0)
-        return inputs[-1], (memos, inputs)
-
-    def _layers(self, x, first):
-        """Layers first, first + 1, ... on input x: (memos, inputs), where
-        inputs[0] is x and inputs[-1] the network's output."""
+    def _layers(self, x):
+        """Layers 1, 2, ... on x, the first hidden layer's output: (memos,
+        inputs), where inputs[0] is x and inputs[-1] the network's output."""
         memos = []
         inputs = [x]
         last = len(self.weights) - 1
-        for i in range(first, last + 1):
+        for i in range(1, last + 1):
             h = inputs[-1].dot(self.weights[i].T)
             h += self.biases[i]
-            y, memo = (self._final if i == last else self._act)(h)
+            y, memo = (self._final if i == last else _lipswish_forward)(h)
             memos.append(memo)
             inputs.append(y)
         return memos, inputs
@@ -340,23 +310,24 @@ class _Scratch(threading.local):
 class NeuralField(VectorField):
     """Vector field whose drift and diffusion are MLPs, run as one pass.
 
-    The flat parameter vector is the drift network's parameters followed by
-    the diffusion network's. Diffusion output is reshaped row-major to
-    (batch, state_dim, noise_dim).
+    Each network needs at least one hidden layer, and every hidden layer is
+    LipSwish; a network without one raises ValueError here. The flat
+    parameter vector is the drift network's parameters followed by the
+    diffusion network's. Diffusion output is reshaped row-major to (batch,
+    state_dim, noise_dim).
 
     Both networks read the same [z | t], so their first layers run as one:
-    one matmul, bias add and activation against the two first layers
-    stacked (drift rows first). The hidden state is kept (hidden, batch),
-    so each network's block is a run of rows, which its later layers read
+    one matmul, bias add and LipSwish against the two first layers stacked
+    (drift rows first). The hidden state is kept (hidden, batch), so each
+    network's block is a run of rows, which its later layers read
     transposed as a view and every product is a plain BLAS call on
-    contiguous or transposed operands. A network with no hidden layer has
-    its head as its first layer. The networks' `weights[0]` and
+    contiguous or transposed operands. The networks' `weights[0]` and
     `biases[0]` are views of the stacked arrays, so in-place writes
     (`clip`, `clip_weights`) reach the pass, and a network that rebinds
     them (`set_params`) is stacked anew at the next pass.
 
     The pullback stacks the two cotangents on the hidden state in one
-    buffer and applies the activation derivative once. It sums the input
+    buffer and applies the LipSwish derivative once. It sums the input
     cotangent per network, so the pullback of (d_mu, d_sigma) is bitwise
     the sum of those of (d_mu, 0) and (0, d_sigma). Its temporaries, the
     flat parameter gradient it fills and `evaluate`'s hidden state are
@@ -371,6 +342,11 @@ class NeuralField(VectorField):
             raise ValueError("drift output must match state_dim")
         if diffusion_net.out_dim % drift_net.state_dim != 0:
             raise ValueError("diffusion output must be state_dim x noise_dim")
+        for name, net in (("drift", drift_net), ("diffusion", diffusion_net)):
+            if len(net.weights) < 2:
+                raise ValueError(
+                    f"the {name} network has no hidden layer; a NeuralField "
+                    f"needs at least one LipSwish hidden layer per network")
         self.drift_net = drift_net
         self.diffusion_net = diffusion_net
         self.state_dim = drift_net.state_dim
@@ -379,13 +355,6 @@ class NeuralField(VectorField):
         self._nets = (drift_net, diffusion_net)
         cut = len(drift_net.biases[0])
         self._rows = (slice(0, cut), slice(cut, None))
-        # The first layer's activation: the head's for a network without
-        # a hidden layer. One segment when both networks share it.
-        acts = [_ACTIVATIONS[net.activation if len(net.weights) > 1
-                             else net.final_activation] for net in self._nets]
-        self._segments = ([(slice(None), *acts[0])] if acts[0] == acts[1]
-                          else [(rows, *act)
-                                for rows, act in zip(self._rows, acts)])
         self._views = (None,) * 4
         self._scratch = _Scratch()
         self._stacked()
@@ -410,32 +379,28 @@ class NeuralField(VectorField):
     def _evaluate(self, t, z):
         x = _time_appended(t, np.asarray(z), self.state_dim)
         hidden, memo = self._buffers(len(x))[:2]
-        return self._forward(x, hidden, [memo[rows] for rows, _, _ in
-                                         self._segments])[:2]
+        return self._forward(x, hidden, memo)[:2]
 
     def _linearize(self, t, z):
         x = _time_appended(t, np.asarray(z), self.state_dim)
-        return self._forward(x, None, [None] * 2)
+        return self._forward(x, None, None)
 
-    def _forward(self, x, hidden, memos):
+    def _forward(self, x, hidden, memo):
         """(mu, sigma, tape) of one pass through both networks on x = [z | t].
-        The stacked hidden state goes into `hidden` and each segment's
-        activation memo into `memos` (new arrays where None)."""
+        The stacked hidden state goes into `hidden` and its LipSwish memo
+        into `memo` (new arrays where None)."""
         w0, b0 = self._stacked()
         h = np.dot(w0, x.T, out=hidden)
         h += b0
-        first = [forward(h[rows], out)[1]
-                 for (rows, forward, _), out in zip(self._segments, memos)]
-        tapes = [net._layers(h[rows].T, 1)
+        memo = _lipswish_forward(h, memo)[1]
+        tapes = [net._layers(h[rows].T)
                  for net, rows in zip(self._nets, self._rows)]
-        # A head in the first layer is copied out of the hidden state.
-        mu, flat_sigma = [ins[-1] if len(ins) > 1 else ins[-1].copy()
-                          for _, ins in tapes]
+        mu, flat_sigma = [inputs[-1] for _, inputs in tapes]
         sigma = flat_sigma.reshape(len(x), self.state_dim, self.noise_dim)
-        return mu, sigma, (x, w0, h, first, tapes)
+        return mu, sigma, (x, w0, h, memo, tapes)
 
     def _pullback(self, tape, d_mu, d_sigma):
-        x, w0, h, first, tapes = tape
+        x, w0, h, memo, tapes = tape
         batch = len(x)
         d_mu, d_sigma = np.asarray(d_mu), np.asarray(d_sigma)
         shapes = ((batch, self.state_dim),
@@ -448,9 +413,6 @@ class NeuralField(VectorField):
         for net, rows, cot, (memos, inputs), (grads, head) in zip(
                 self._nets, self._rows, (d_mu, d_sigma.reshape(batch, -1)),
                 tapes, nets):
-            if len(inputs) == 1:  # the head is in the first layer
-                g0[rows] = cot.T
-                continue
             # Layer i's input is inputs[i - 1], its memo memos[i - 1].
             g = net._final_grad(inputs[-1], memos[-1], head)
             g *= cot
@@ -460,11 +422,9 @@ class NeuralField(VectorField):
                 g.sum(axis=0, out=gb)
                 if i > 1:
                     g = g.dot(net.weights[i])
-                    g *= net._act_grad(inputs[i - 1], memos[i - 2])
+                    g *= _lipswish_derivative(inputs[i - 1], memos[i - 2])
             np.dot(net.weights[1].T, g.T, out=g0[rows])
-        for (rows, _, derivative), memo in zip(self._segments, first):
-            g = g0[rows]
-            g *= derivative(h[rows], memo, d0[rows])
+        g0 *= _lipswish_derivative(h, memo, d0)
         for rows, (grads, _) in zip(self._rows, nets):
             gw, gb = grads[0]
             np.dot(g0[rows], x, out=gw)

@@ -151,8 +151,7 @@ def run_gradient_error(config: ExperimentConfig):
     for run, (method, dt) in enumerate(itertools.product(config.methods,
                                                          config.step_sizes)):
         tree = BrownianInterval(1.0, _tree_seed(config.seed, run),
-                                dims=field.noise_dim, batch=z0.shape[0],
-                                cache_capacity=config.cache_capacity)
+                                dims=field.noise_dim, batch=z0.shape[0])
         cfg = SolveConfig(method, dt, 1.0, tree)
         if method == "reversible_heun":
             g_od, p_od = revheun_adjoint_solve(field, z0, cfg, cot)
@@ -487,8 +486,7 @@ def fit_toy_sde(config: ExperimentConfig, grad_check_every=100):
     field = _toy_model(config.seed)
     field.clip()
     tree = BrownianInterval(TOY_HORIZON, _tree_seed(config.seed, 50_000),
-                            dims=1, batch=config.batch,
-                            cache_capacity=config.cache_capacity)
+                            dims=1, batch=config.batch)
     cfg = SolveConfig("reversible_heun", TOY_DT, TOY_HORIZON, tree)
     tree.key_on_grid(cfg.n_steps, cfg.time)
     params = field.get_params()
@@ -649,7 +647,7 @@ _KEYS = {
 # only these keys and `out`. The list defaults are copied for each run.
 _COMMANDS = {
     "gradient-error": ("adjoint-vs-oracle gradient gap",
-                       ("seed", "step_sizes", "methods", "cache_capacity"),
+                       ("seed", "step_sizes", "methods"),
                        {}),
     "convergence": ("strong/weak order estimation",
                     ("seed", "step_sizes", "paths", "cases", "weak_paths",
@@ -661,7 +659,7 @@ _COMMANDS = {
                        {}),
     "stability": ("linear stability sweep", (), {}),
     "fit-toy": ("neural SDE moment-matching fit",
-                ("seed", "batch", "cache_capacity", "iters", "lr"), {}),
+                ("seed", "batch", "iters", "lr"), {}),
 }
 
 

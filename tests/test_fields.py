@@ -14,11 +14,14 @@ from hypothesis import given, settings, strategies as st
 
 import revsde
 from revsde.fields import (
+    _HEADS,
     AnalyticField,
     MLPField,
     NeuralField,
+    _flatten,
     _lipswish_derivative,
     _lipswish_forward,
+    _time_appended,
     clip_weights,
     fd_check,
     lipswish,
@@ -26,7 +29,44 @@ from revsde.fields import (
     sigmoid,
 )
 
-ACTIVATIONS = ["lipswish", "tanh", "sigmoid", "identity"]
+HEADS = list(_HEADS)
+
+
+def _reference(net, t, z):
+    """One network's own pass over its `weights` and `biases`, layer by
+    layer, with LipSwish hidden layers: (output, tape). The per-network
+    reference the fused pass is held to; it also runs a net with no hidden
+    layer, whose head is then its only layer."""
+    final = _HEADS[net.final_activation][0]
+    memos = []
+    inputs = [_time_appended(t, np.asarray(z), net.state_dim)]
+    last = len(net.weights) - 1
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        h = inputs[-1].dot(w.T)
+        h += b
+        y, memo = (final if i == last else _lipswish_forward)(h)
+        memos.append(memo)
+        inputs.append(y)
+    return inputs[-1], (memos, inputs)
+
+
+def _reference_pullback(net, tape, cotangent):
+    """(cot_z, cot_params) over the tape of one `_reference`: the gradient
+    of <cotangent, output>, the parameter part flat and summed over the
+    batch."""
+    memos, inputs = tape
+    n_layers = len(net.weights)
+    grads_w = [None] * n_layers
+    grads_b = [None] * n_layers
+    g = _HEADS[net.final_activation][1](inputs[-1], memos[-1])
+    g *= cotangent  # a new array: cotangent and the tape are only read
+    for i in reversed(range(n_layers)):
+        grads_w[i] = g.T @ inputs[i]
+        grads_b[i] = g.sum(axis=0)
+        g = g @ net.weights[i]
+        if i > 0:
+            g *= _lipswish_derivative(inputs[i], memos[i - 1])
+    return g[:, :net.state_dim], _flatten(grads_w, grads_b)
 
 
 class TestLipswish:
@@ -51,9 +91,10 @@ class TestLipswish:
         np.testing.assert_allclose(lipswish_grad(x), fd, atol=1e-8)
 
     def test_grad_is_the_derivative_the_pullback_runs_bitwise(self):
-        # A LipSwish head on [I | 0] pulls ones back to lipswish'(z).
+        # A LipSwish hidden layer on [I | 0] under an identity head pulls
+        # ones back to lipswish'(z).
         z = np.linspace(-6.0, 6.0, 1000).reshape(250, 4)
-        d_z, _ = _drift_pullback(_identity_linear_mlp(4, "lipswish"), 0.3, z,
+        d_z, _ = _drift_pullback(_identity_mlp(4, hidden=1), 0.3, z,
                                  np.ones_like(z))
         assert np.array_equal(d_z, lipswish_grad(z))
 
@@ -96,8 +137,8 @@ class TestSigmoid:
         # The sigmoid head and LipSwish's gate are the same tanh form.
         z = self.GRID
         expect = self.logistic(z)
-        head = _identity_linear_mlp(4, "sigmoid").eval(0.3, z)
-        _, (memos, _) = _identity_linear_mlp(4, "lipswish")._forward(0.3, z)
+        head, _ = _reference(_identity_mlp(4, "sigmoid"), 0.3, z)
+        _, (memos, _) = _reference(_identity_mlp(4, "lipswish"), 0.3, z)
         for got in (sigmoid(z), head, memos[-1]):
             assert np.abs(got - expect).max() <= 4.5e-16
 
@@ -114,11 +155,14 @@ class TestSigmoid:
         assert h.tobytes() == s.tobytes()
 
 
-def _identity_linear_mlp(dim, final_activation="identity"):
-    """Single linear layer passing the state through and ignoring time."""
-    net = MLPField(dim, [], dim, final_activation=final_activation)
+def _identity_mlp(dim, final_activation="identity", hidden=0):
+    """A net whose first layer passes the state through and ignores time,
+    then `hidden` LipSwish layers of width dim, each later weight I; all
+    biases zero. With hidden=0 it is one linear layer under its head."""
+    net = MLPField(dim, [dim] * hidden, dim, final_activation=final_activation)
     net.weights[0] = np.concatenate([np.eye(dim), np.zeros((dim, 1))], axis=1)
-    net.biases[0] = np.zeros(dim)
+    for i in range(1, hidden + 1):
+        net.weights[i] = np.eye(dim)
     return net
 
 
@@ -132,30 +176,35 @@ def _drift_pullback(drift_net, t, z, cot):
 
 
 class TestMLPForward:
+    """The network's forward pass: the reference, and the field's drift."""
+
     def test_zero_parameters_give_zero_output(self):
-        net = MLPField(3, [8], 5, rng=np.random.default_rng(1))
+        net = MLPField(3, [8], 6, rng=np.random.default_rng(1))
         net.set_params(np.zeros(net.n_params))
         z = np.random.default_rng(2).standard_normal((4, 3))
-        assert np.array_equal(net.eval(0.7, z), np.zeros((4, 5)))
+        assert np.array_equal(_reference(net, 0.7, z)[0], np.zeros((4, 6)))
+        _, sigma = NeuralField(MLPField(3, [8], 3), net).evaluate(0.7, z)
+        assert np.array_equal(sigma, np.zeros((4, 3, 2)))
 
     def test_identity_linear_layer(self):
-        net = _identity_linear_mlp(3)
+        net = _identity_mlp(3)
         z = np.random.default_rng(3).standard_normal((6, 3))
-        np.testing.assert_array_equal(net.eval(0.5, z), z)
+        np.testing.assert_array_equal(_reference(net, 0.5, z)[0], z)
 
     def test_against_handwritten_forward(self):
-        # Independent re-implementation with explicit loops.
+        # Independent re-implementation with explicit loops, against the
+        # reference and against the fused pass's drift.
         rng = np.random.default_rng(7)
-        net = MLPField(3, [8], 4, activation="lipswish",
-                       final_activation="tanh", rng=rng)
+        net = MLPField(3, [8], 3, final_activation="tanh", rng=rng)
+        field = NeuralField(net, MLPField(3, [4], 6, rng=rng))
         z = rng.standard_normal((5, 3))
         t = 0.37
-        got = net.eval(t, z)
+        got = [_reference(net, t, z)[0], field.evaluate(t, z)[0]]
 
         def sig(v):
             return 1.0 / (1.0 + np.exp(-v))
 
-        expect = np.empty((5, 4))
+        expect = np.empty((5, 3))
         for b in range(5):
             x = np.append(z[b], t)
             h = np.empty(8)
@@ -164,21 +213,40 @@ class TestMLPForward:
                 for i in range(4):
                     acc += net.weights[0][o, i] * x[i]
                 h[o] = 0.909 * acc * sig(acc)
-            for o in range(4):
+            for o in range(3):
                 acc = net.biases[1][o]
                 for i in range(8):
                     acc += net.weights[1][o, i] * h[i]
                 expect[b, o] = np.tanh(acc)
-        np.testing.assert_allclose(got, expect, rtol=1e-12, atol=1e-12)
+        for mu in got:
+            np.testing.assert_allclose(mu, expect, rtol=1e-12, atol=1e-12)
 
     def test_shape_mismatch_rejected(self):
-        net = MLPField(3, [4], 2)
-        with pytest.raises(ValueError):
-            net.eval(0.0, np.zeros((2, 5)))
+        field = NeuralField(MLPField(3, [4], 3), MLPField(3, [4], 6))
+        with pytest.raises(ValueError, match=r"state must be \(batch, 3\)"):
+            field.evaluate(0.0, np.zeros((2, 5)))
+
+    @pytest.mark.parametrize("args, message", [
+        ((0, [4], 2), "state_dim must be an int >= 1, got 0"),
+        ((2.5, [4], 2), "state_dim must be an int >= 1, got 2.5"),
+        ((3, [4], 0), "out_dim must be an int >= 1, got 0"),
+        ((3, [4], True), "out_dim must be an int >= 1, got True"),
+        ((3, [0], 2), "hidden[0] must be an int >= 1, got 0"),
+        ((3, [True], 2), "hidden[0] must be an int >= 1, got True"),
+        ((3, [4, -1], 2), "hidden[1] must be an int >= 1, got -1"),
+        ((3, 0, 2), "hidden[0] must be an int >= 1, got 0"),
+    ], ids=["zero-state", "fractional-state", "zero-out", "bool-out",
+            "zero-width", "bool-width", "negative-second-width",
+            "zero-int-hidden"])
+    def test_bad_shape_rejected(self, args, message):
+        with pytest.raises(ValueError) as err:
+            MLPField(*args)
+        assert str(err.value) == message
 
 
 class TestMLPVjp:
-    """The MLP's VJP, as the drift block of NeuralField.linearize's pullback."""
+    """The MLP's VJP: the drift block of NeuralField.linearize's pullback,
+    and the reference's pullback for a net with no hidden layer."""
 
     def test_zero_cotangent_gives_zero_gradients(self):
         net = MLPField(3, [8], 3, rng=np.random.default_rng(4))
@@ -188,13 +256,13 @@ class TestMLPVjp:
         assert not cot_p.any()
 
     def test_linear_layer_adjoint_is_transpose(self):
-        net = _identity_linear_mlp(3)
+        net = _identity_mlp(3)
         rng = np.random.default_rng(6)
         a = rng.standard_normal((3, 3))
         net.weights[0][:, :3] = a
         z = rng.standard_normal((4, 3))
         cot = rng.standard_normal((4, 3))
-        cot_z, _ = _drift_pullback(net, 0.0, z, cot)
+        cot_z, _ = _reference_pullback(net, _reference(net, 0.0, z)[1], cot)
         np.testing.assert_allclose(cot_z, cot @ a, rtol=1e-14, atol=1e-14)
 
     def test_against_central_differences(self):
@@ -206,7 +274,7 @@ class TestMLPVjp:
         h = 1e-6
 
         def loss():
-            return float(np.sum(cot * net.eval(0.2, z)))
+            return float(np.sum(cot * _reference(net, 0.2, z)[0]))
 
         for b in range(2):
             for i in range(4):
@@ -355,37 +423,31 @@ class TestLinearize:
     @settings(max_examples=30, deadline=None)
     @given(x=st.integers(1, 4), w=st.integers(1, 3), batch=st.integers(1, 4),
            hidden=st.lists(st.integers(1, 6), min_size=1, max_size=2),
-           activations=st.tuples(*[st.sampled_from(ACTIVATIONS)] * 3),
+           heads=st.tuples(*[st.sampled_from(HEADS)] * 2),
            seed=st.integers(0, 2 ** 32 - 1))
     def test_random_neural_fields_match_eval_and_vjp_bitwise(
-            self, x, w, batch, hidden, activations, seed):
-        act, drift_head, diffusion_head = activations
+            self, x, w, batch, hidden, heads, seed):
         rng = np.random.default_rng(seed)
         field = NeuralField(
-            MLPField(x, hidden, x, activation=act,
-                     final_activation=drift_head, rng=rng),
-            MLPField(x, hidden, x * w, activation=act,
-                     final_activation=diffusion_head, rng=rng))
+            MLPField(x, hidden, x, final_activation=heads[0], rng=rng),
+            MLPField(x, hidden, x * w, final_activation=heads[1], rng=rng))
         _assert_linearize_matches_counted_calls(
             field, float(rng.uniform(-1.0, 1.0)),
             rng.standard_normal((batch, x)), rng.standard_normal((batch, x)),
             rng.standard_normal((batch, x, w)))
 
-    @pytest.mark.parametrize("activation", ACTIVATIONS)
-    def test_inputs_tape_and_values_never_written(self, activation):
+    @pytest.mark.parametrize("head", HEADS)
+    def test_inputs_tape_and_values_never_written(self, head):
         # Layers work in place; the caller's z and cotangents, the returned
         # (mu, sigma) and the tape a second pullback reads must not move.
         rng = np.random.default_rng(21)
         field = NeuralField(
-            MLPField(3, [6], 3, activation=activation,
-                     final_activation=activation, rng=rng),
-            MLPField(3, [6], 6, activation=activation,
-                     final_activation=activation, rng=rng))
+            MLPField(3, [6], 3, final_activation=head, rng=rng),
+            MLPField(3, [6], 6, final_activation=head, rng=rng))
         z = rng.standard_normal((5, 3))
         d_mu = rng.standard_normal((5, 3))
         d_sigma = rng.standard_normal((5, 3, 2))
         inputs = [a.copy() for a in (z, d_mu, d_sigma)]
-        field.drift_net.eval(0.2, z)
         mu, sigma, tape = field.linearize(0.2, z)
         values = [mu.copy(), sigma.copy()]
         first = field.pullback(tape, d_mu, d_sigma)
@@ -424,15 +486,13 @@ class TestLinearize:
 
 
 def _per_network(field, t, z, d_mu, d_sigma):
-    """(mu, sigma, d_z, d_params) from each network's own MLPField.eval and
-    _backward: the reference the fused pass is held to."""
-    batch = z.shape[0]
-    mu = field.drift_net.eval(t, z)
-    flat_sigma = field.diffusion_net.eval(t, z)
-    gz_mu, gp_mu = field.drift_net._backward(
-        field.drift_net._forward(t, z)[1], d_mu)
-    gz_sigma, gp_sigma = field.diffusion_net._backward(
-        field.diffusion_net._forward(t, z)[1], d_sigma.reshape(batch, -1))
+    """(mu, sigma, d_z, d_params) from each network's own `_reference` pass
+    and pullback: the reference the fused pass is held to."""
+    mu, mu_tape = _reference(field.drift_net, t, z)
+    flat_sigma, sigma_tape = _reference(field.diffusion_net, t, z)
+    gz_mu, gp_mu = _reference_pullback(field.drift_net, mu_tape, d_mu)
+    gz_sigma, gp_sigma = _reference_pullback(
+        field.diffusion_net, sigma_tape, d_sigma.reshape(z.shape[0], -1))
     return (mu, flat_sigma.reshape(d_sigma.shape), gz_mu + gz_sigma,
             np.concatenate([gp_mu, gp_sigma]))
 
@@ -443,6 +503,10 @@ def _assert_fused_matches_per_network(field, t, z, d_mu, d_sigma):
     got = (mu, sigma, *field.pullback(tape, d_mu, d_sigma))
     for a, b in zip(field.evaluate(t, z), got):
         assert np.array_equal(a, b)
+    # d_z is summed per network: bitwise the sum of the one-sided pullbacks.
+    d_z_mu = field.pullback(tape, d_mu, np.zeros_like(d_sigma))[0]
+    d_z_sigma = field.pullback(tape, np.zeros_like(d_mu), d_sigma)[0]
+    assert np.array_equal(got[2], d_z_mu + d_z_sigma)
     for a, b in zip(got, _per_network(field, t, z, d_mu, d_sigma)):
         assert a.shape == b.shape
         np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-13)
@@ -451,20 +515,19 @@ def _assert_fused_matches_per_network(field, t, z, d_mu, d_sigma):
 class TestFusedPass:
     @settings(max_examples=40, deadline=None)
     @given(x=st.integers(1, 4), w=st.integers(1, 3), batch=st.integers(1, 5),
-           hidden=st.tuples(*[st.lists(st.integers(1, 6), max_size=2)] * 2),
-           activations=st.tuples(*[st.sampled_from(ACTIVATIONS)] * 4),
+           hidden=st.tuples(*[st.lists(st.integers(1, 6), min_size=1,
+                                       max_size=2)] * 2),
+           heads=st.tuples(*[st.sampled_from(HEADS)] * 2),
            seed=st.integers(0, 2 ** 32 - 1))
-    def test_matches_per_network_passes(self, x, w, batch, hidden,
-                                        activations, seed):
-        # Depths and activations are drawn per network, so a head may sit
-        # in the stacked first layer and the two first layers may differ
-        # in activation.
+    def test_matches_per_network_passes(self, x, w, batch, hidden, heads,
+                                        seed):
+        # Depths and heads are drawn per network, so the two networks'
+        # rows of the stacked hidden state may feed layers of any depth.
         rng = np.random.default_rng(seed)
         field = NeuralField(
-            MLPField(x, hidden[0], x, activation=activations[0],
-                     final_activation=activations[1], rng=rng),
-            MLPField(x, hidden[1], x * w, activation=activations[2],
-                     final_activation=activations[3], rng=rng))
+            MLPField(x, hidden[0], x, final_activation=heads[0], rng=rng),
+            MLPField(x, hidden[1], x * w, final_activation=heads[1],
+                     rng=rng))
         for net in (field.drift_net, field.diffusion_net):
             for b in net.biases:
                 b += rng.standard_normal(b.shape)
@@ -473,22 +536,26 @@ class TestFusedPass:
             rng.standard_normal((batch, x)), rng.standard_normal((batch, x)),
             rng.standard_normal((batch, x, w)))
 
-    @pytest.mark.parametrize("head", ACTIVATIONS)
+    @pytest.mark.parametrize("head", HEADS)
     def test_linear_drift_beside_a_hidden_diffusion(self, head):
-        # The mixed-depth field of _drift_pullback: the drift's head is
-        # its first layer.
+        # A network whose head is its first layer has no LipSwish rows in
+        # the stacked hidden state: the field refuses it, either side, and
+        # names the network and the cause.
         rng = np.random.default_rng(23)
-        field = NeuralField(_identity_linear_mlp(4, head),
-                            MLPField(4, [4], 4, rng=rng))
-        z = rng.standard_normal((6, 4))
-        _assert_fused_matches_per_network(field, 0.3, z,
-                                          rng.standard_normal((6, 4)),
-                                          rng.standard_normal((6, 4, 1)))
+        linear = MLPField(4, [], 4, final_activation=head, rng=rng)
+        hidden = MLPField(4, [4], 4, final_activation=head, rng=rng)
+        for name, nets in (("drift", (linear, hidden)),
+                           ("diffusion", (hidden, linear))):
+            with pytest.raises(ValueError,
+                               match=f"^the {name} network has no hidden "
+                                     f"layer; a NeuralField needs at least "
+                                     f"one LipSwish hidden layer"):
+                NeuralField(*nets)
 
     def test_stacked_weights_follow_set_params_and_clip(self):
         rng = np.random.default_rng(24)
         field = NeuralField(MLPField(3, [5], 3, rng=rng),
-                            MLPField(3, [], 6, final_activation="sigmoid",
+                            MLPField(3, [4], 6, final_activation="sigmoid",
                                      rng=rng))
         z = rng.standard_normal((4, 3))
         d_mu, d_sigma = rng.standard_normal((4, 3)), rng.standard_normal(
@@ -555,11 +622,11 @@ class TestScratch:
             for row, want in zip(results, expected, strict=True):
                 assert all(np.array_equal(a, b) for a, b in zip(row, want))
 
-    @pytest.mark.parametrize("drift_hidden", [(6, 5), ()])
+    @pytest.mark.parametrize("drift_hidden", [(6, 5), (4,)])
     def test_results_share_no_memory_across_calls(self, drift_hidden):
         # The scratch is reused per batch size; nothing returned may live
         # in it, whatever the order of batch sizes, not even a head that
-        # is its network's first layer.
+        # reads the stacked hidden state directly.
         field = _scratch_field(drift_hidden)
         rng = np.random.default_rng(27)
         results = []
@@ -621,15 +688,13 @@ class TestFdCheck:
         assert rep.ok
         assert rep.max_rel_error <= 1e-5
 
-    @pytest.mark.parametrize("activation", ACTIVATIONS)
-    def test_every_activation_as_hidden_layer_and_head(self, activation):
+    @pytest.mark.parametrize("head", HEADS)
+    def test_every_head_over_lipswish_hidden_layers(self, head):
         # The pullback reads each derivative from the forward pass's tape.
         rng = np.random.default_rng(19)
         field = NeuralField(
-            MLPField(3, [6], 3, activation=activation,
-                     final_activation=activation, rng=rng),
-            MLPField(3, [6], 6, activation=activation,
-                     final_activation=activation, rng=rng))
+            MLPField(3, [6], 3, final_activation=head, rng=rng),
+            MLPField(3, [6], 6, final_activation=head, rng=rng))
         rep = fd_check(field, 0.3, rng.standard_normal((2, 3)))
         assert rep.ok
         assert rep.max_rel_error <= 1e-5

@@ -84,7 +84,7 @@ class TestConfig:
          "vbt_eps must lie in 0 < eps < 1, got -1.0"),
         (["brownian-bench", "--vbt-eps", "1"],
          "vbt_eps must lie in 0 < eps < 1, got 1.0"),
-        (["fit-toy", "--cache-capacity", "0"],
+        (["brownian-bench", "--cache-capacity", "0"],
          "cache_capacity must be >= 1, got 0"),
     ], ids=["negative-step", "nan-step", "unknown-case", "unknown-pattern",
             "zero-vbt-eps", "negative-vbt-eps", "vbt-eps-at-horizon",
@@ -158,6 +158,8 @@ class TestConfig:
         ("stability", "--seed"), ("stability", "--batch"),
         ("gradient-error", "--paths"), ("convergence", "--batch"),
         ("brownian-bench", "--steps"), ("fit-toy", "--vbt-eps"),
+        ("gradient-error", "--cache-capacity"),
+        ("fit-toy", "--cache-capacity"),
     ])
     def test_flag_not_read_by_subcommand_rejected(self, command, flag,
                                                   tmp_path):
