@@ -13,10 +13,12 @@ Two interchangeable noise sources are provided:
   seeds as a hint, which makes the sequential access pattern of an SDE
   solver O(1) amortized. A keyed node of at most `BLOCK_STEPS` grid steps
   is a leaf block: its step increments are drawn at once, conditioned
-  exactly on the node's value, and a step query returns a copy of one
-  row. A step query that moves into the block next to the last one used
-  forgets the block it leaves and the values its walk cuts off the hint
-  path, so a solver's sweep holds one block and the values on its path.
+  exactly on the node's value, and kept with their excess over that
+  value, whose share a step query subtracts from one row into a new
+  array. A step query that moves into the block next to the last one
+  used forgets the block it leaves and the values its walk cuts off the
+  hint path, so a solver's sweep holds one block and the values on its
+  path.
 
 * `VirtualBrownianTree` -- the classical baseline: query points are rounded
   to a dyadic grid of resolution `tol` and each evaluation descends from
@@ -77,10 +79,10 @@ def bridge_sample(u: float, t: float, s: float, w_ut: np.ndarray,
 class _LRUCache:
     """LRU map from a node's key -- its interval (a, b), or in a keyed tree
     its index range (lo, hi) -- to its increment, and from a leaf block's
-    first step index to its (m, batch, dims) step increments. `capacity`
-    and `size` count step increments of `unit` values each, so a block
-    costs m; one larger than the capacity is cached alone. `drop` removes
-    what a sweep has passed before the LRU order would."""
+    first step index to its (m + 1, batch, dims) scaled normals and excess.
+    `capacity` and `size` count step increments of `unit` values each, so
+    a block costs m + 1; one larger than the capacity is cached alone.
+    `drop` removes what a sweep has passed before the LRU order would."""
 
     __slots__ = ("capacity", "unit", "size", "hits", "misses", "_data")
 
@@ -155,10 +157,12 @@ class BrownianInterval:
       cycles.
     * keyed (`key_on_grid`): keys are grid indices, node (lo, hi) splits at
       (lo + hi) // 2, and nothing is stored. A node of at most BLOCK_STEPS
-      steps is a leaf block: its steps are drawn at once (`_step`), and a
-      one-step query returns a copy of one row of them. A step query in
-      the block next to the last one used drops the block it leaves and
-      the hint path values its walk cuts; a jump drops nothing.
+      steps is a leaf block: its steps are drawn at once (`_step`) and
+      held with their excess over the node's value, and a one-step query
+      returns one row corrected by its share of that excess, as a new
+      array. A step query in the block next to the last one used drops
+      the block it leaves and the hint path values its walk cuts; a jump
+      drops nothing.
 
     The increment of a node is recovered from its parent: left children by
     bridge conditioning (normals drawn from the left child's seed), right
@@ -197,6 +201,7 @@ class BrownianInterval:
         self._time = lambda x: x
         self._path = [((0.0, self.t1), _as_seed(seed), None)]
         self._block = (0, 0)  # steps [lo, hi) of the last leaf block used
+        self._dt = self._share = None  # its steps' dt_i and dt_i / T
         self._cache = _LRUCache(cache_capacity, self.batch * self.dims)
         self.reset_stats()
 
@@ -369,16 +374,18 @@ class BrownianInterval:
         return value
 
     def _step(self, k: int) -> np.ndarray:
-        """Increment of grid step k: a row of its leaf block, the last one
+        """Increment of grid step k, read from its leaf block, the last one
         used or found below the hint path. A block is drawn from its node's
         increment W over [a, b], T = b - a, as X_i = sqrt(dt_i) xi_i -
-        (dt_i / T)(sum_j sqrt(dt_j) xi_j - W), whose covariance diag(dt) -
-        dt dt^T / T is the Brownian bridge's. xi comes from the node seed's
-        left child: a left node's own seed drew its bridge normals. A step
-        next to the last block (k == hi or k == lo - 1) is a sweep's: the
-        last block is dropped, and so are the path values the new block's
-        walk cuts. The row is returned as a copy, so the caller's increment
-        keeps no dropped block alive."""
+        (dt_i / T) e, e = sum_j sqrt(dt_j) xi_j - W, whose covariance
+        diag(dt) - dt dt^T / T is the Brownian bridge's. xi comes from the
+        node seed's left child: a left node's own seed drew its bridge
+        normals. The block holds its m scaled normals and, as row m, the
+        excess e; a step is corrected as it is read, into a new array, so a
+        draw holds one block and the caller's increment keeps no dropped
+        block alive. A step next to the last block (k == hi or k == lo - 1)
+        is a sweep's: the last block is dropped, and so are the path values
+        the new block's walk cuts."""
         lo, hi = self._block
         forget = k == hi or k == lo - 1
         if forget:
@@ -388,18 +395,21 @@ class BrownianInterval:
             while hi - lo > BLOCK_STEPS:
                 mid = (lo + hi) >> 1
                 lo, hi = (lo, mid) if k < mid else (mid, hi)
+            t = np.array([self._time(i) for i in range(lo, hi + 1)])
+            self._dt = np.diff(t)
+            self._share = (self._dt / (t[-1] - t[0])).tolist()
             self._block = lo, hi
         rows = self._cache.get(lo)
         if rows is None:
             w = self._sample((lo, hi), forget)
-            t = np.array([self._time(i) for i in range(lo, hi + 1)])
-            dt = np.diff(t)[:, None, None]
+            m = hi - lo
             rows = standard_normals(split(self._path[-1][1])[0],
-                                    (hi - lo) * w.size).reshape(-1, *w.shape)
-            rows *= np.sqrt(dt)
-            rows -= dt / (t[-1] - t[0]) * (rows.sum(axis=0) - w)
+                                    (m + 1) * w.size).reshape(-1, *w.shape)
+            rows[:m] *= np.sqrt(self._dt)[:, None, None]
+            np.subtract(rows[:m].sum(axis=0), w, out=rows[m])
             self._cache.put(lo, rows)
-        return rows[k - lo].copy()
+        out = self._share[k - lo] * rows[-1]
+        return np.subtract(rows[k - lo], out, out=out)
 
 
 class VirtualBrownianTree:

@@ -43,6 +43,7 @@ Conventions, shared with the solvers:
 
 from __future__ import annotations
 
+import numbers
 import operator
 import threading
 from dataclasses import dataclass
@@ -157,12 +158,16 @@ class MLPField:
 
     def __init__(self, state_dim, hidden, out_dim, *,
                  final_activation="identity", rng=None):
-        if isinstance(hidden, int):
+        if isinstance(hidden, numbers.Integral):
             hidden = [hidden]
         self.state_dim = _count(state_dim, "state_dim must be an int >= 1")
         self.out_dim = _count(out_dim, "out_dim must be an int >= 1")
         hidden = [_count(width, f"hidden[{i}] must be an int >= 1")
                   for i, width in enumerate(hidden)]
+        if final_activation not in _HEADS:
+            raise ValueError(f"final_activation must be one of "
+                             f"{', '.join(map(repr, _HEADS))}, got "
+                             f"{final_activation!r}")
         self.final_activation = final_activation
         self._final, self._final_grad = _HEADS[final_activation]
         if rng is None:

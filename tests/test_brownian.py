@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -625,8 +626,10 @@ class TestKeyedTree:
 
     @pytest.mark.parametrize("capacity", [1, 2, 40, 128])
     def test_cache_holds_at_most_capacity_or_one_block(self, capacity):
-        # The LRU counts step increments: a block of m steps costs m, and
-        # one larger than the capacity is cached alone.
+        # The LRU counts step increments: a block of m steps costs m + 1,
+        # its rows and its excess, and one larger than the capacity is
+        # cached alone. The blocks of n = 200 hold 25 steps, so even that
+        # one stays within BLOCK_STEPS.
         n = 200
         tree = BrownianInterval(1.0, 4, dims=2, batch=3,
                                 cache_capacity=capacity)
@@ -671,6 +674,31 @@ class TestKeyedTree:
         assert np.array_equal(swept, sweep(1, False))
         assert np.array_equal(swept, sweep(10_000, False))
 
+    def test_block_draw_holds_one_block(self):
+        # A block is corrected row by row as its steps are read, so neither
+        # its draw nor a reverse sweep's redraws hold a second block-sized
+        # array: tracemalloc's peak stays within 1.6 blocks (a block-wide
+        # correction reads about 2.7).
+        n, batch, dims = 4 * brownian.BLOCK_STEPS, 256, 4
+        block = brownian.BLOCK_STEPS * batch * dims * 8
+
+        def peak(fn):
+            tree = BrownianInterval(1.0, 5, dims=dims, batch=batch)
+            tree.key_on_grid(n, self._time(n))
+            tracemalloc.start()
+            try:
+                fn(tree)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        def reverse_sweep(tree):
+            for k in reversed(range(n)):
+                tree.query(k / n, (k + 1) / n)
+
+        assert peak(lambda tree: tree.query(0.0, 1 / n)) <= 1.6 * block
+        assert peak(reverse_sweep) <= 1.6 * block
+
     def test_jump_keeps_the_cache(self, monkeypatch):
         # Random access is no sweep: a step two blocks away drops nothing,
         # so a return to the first block is answered from the cache.
@@ -686,8 +714,8 @@ class TestKeyedTree:
         assert len(draws) == before
 
     def test_returned_step_belongs_to_the_caller(self):
-        # A step increment is a copy of its block's row: writing to it
-        # changes no later answer.
+        # A step increment is a new array, its block's row corrected as it
+        # is read: writing to it changes no later answer.
         n = 2 * brownian.BLOCK_STEPS
         tree = BrownianInterval(1.0, 2, dims=2, batch=3)
         tree.key_on_grid(n, self._time(n))

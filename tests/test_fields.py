@@ -243,6 +243,18 @@ class TestMLPForward:
             MLPField(*args)
         assert str(err.value) == message
 
+    def test_integral_scalar_hidden_is_one_layer(self):
+        # Any integral scalar width is wrapped, as a listed one is checked.
+        net = MLPField(3, np.int64(4), 2)
+        assert [w.shape for w in net.weights] == [(4, 4), (2, 4)]
+
+    def test_unknown_head_rejected(self):
+        with pytest.raises(ValueError) as err:
+            MLPField(3, [4], 2, final_activation="relu")
+        assert str(err.value) == (
+            "final_activation must be one of 'lipswish', 'tanh', 'sigmoid', "
+            "'identity', got 'relu'")
+
 
 class TestMLPVjp:
     """The MLP's VJP: the drift block of NeuralField.linearize's pullback,
