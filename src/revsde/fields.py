@@ -9,9 +9,14 @@ against central finite differences by `fd_check`.
 Each field writes its evaluation and derivative once, over a tape:
 `_linearize(t, z)` -> (mu, sigma, tape) and `_pullback(tape, d_mu,
 d_sigma)` -> (d_z, d_params), the parameter gradient summed over the
-batch. The tape is the public form of the derivative: every solver and
-`fd_check` differentiate through the counted `linearize` -> (mu, sigma,
-tape) and `pullback(tape, d_mu, d_sigma)`, so `fd_check` checks the
+batch. The public methods count their calls. `vjp(t, z, d_mu, d_sigma)`
+-> (mu, sigma, d_z, d_params) runs one linearization and its pullback
+in one call, so no tape outlives it: the reversible adjoint, its
+unrolled oracle and the public backward step differentiate through it.
+The baseline schemes, the continuous adjoint and `fd_check` pull one
+linearization back more than once or later, through the counted
+`linearize` -> (mu, sigma, tape) and `pullback(tape, d_mu, d_sigma)`;
+both run the same `_linearize` and `_pullback`, so `fd_check` checks the
 derivative the solvers run. Forward-only passes call `evaluate` -> (mu,
 sigma). `eval_drift`, `eval_diffusion`, `vjp_drift` and `vjp_diffusion`,
 halves of that pass and of its pullback, stay with their counters because
@@ -25,11 +30,11 @@ The layers run on numpy alone. Each activation may overwrite its own
 pre-activation, and nothing else: a layer computes x @ W.T into a new
 buffer, adds the bias in place and hands the buffer to its activation,
 and no pullback ever writes an array that its tape, its caller or the
-returned (mu, sigma) holds. The one exception is scratch: `evaluate`'s
-stacked hidden state and the pullback's temporaries live in buffers of
-the calling thread, which nothing returned shares. The sigmoid (the
-diffusion head and LipSwish's gate) is the tanh form 0.5 + 0.5 tanh(h /
-2); see `sigmoid` for its accuracy.
+returned (mu, sigma) holds. The one exception is scratch: the stacked
+hidden state of `evaluate` and `vjp` and the pullback's temporaries live
+in buffers of the calling thread, which nothing returned shares. The
+sigmoid (the diffusion head and LipSwish's gate) is the tanh form 0.5 +
+0.5 tanh(h / 2); see `sigmoid` for its accuracy.
 
 Conventions, shared with the solvers:
   * states are batch-major arrays of shape (batch, state_dim);
@@ -230,14 +235,16 @@ class VectorField:
 
     Subclasses implement `_linearize` and `_pullback`, the tape protocol
     of the module docstring, and may override `_evaluate`, the same pass
-    without a tape. The public methods are views of these and count their
-    calls, so solvers can assert their per-step evaluation budgets:
-    `evaluate` gives (mu, sigma), `linearize` also the tape, which
-    `pullback` reads, `eval_drift` and `eval_diffusion` one half of the
-    pass, and `vjp_drift` and `vjp_diffusion` one half of its pullback.
-    Evaluation is pure per thread: a field may reuse scratch buffers, but
-    no two threads share them and no tape holds one. Parameter mutation
-    (set_params, clipping) requires exclusive access.
+    without a tape, and `_vjp`, a linearization and its pullback in one.
+    The public methods are views of these and count their calls, so
+    solvers can assert their per-step evaluation budgets: `evaluate`
+    gives (mu, sigma), `linearize` also the tape, which `pullback` reads,
+    `vjp` the values and the pullback of one linearization, `eval_drift`
+    and `eval_diffusion` one half of the pass, and `vjp_drift` and
+    `vjp_diffusion` one half of its pullback. Evaluation is pure per
+    thread: a field may reuse scratch buffers, but no two threads share
+    them and no tape holds one. Parameter mutation (set_params, clipping)
+    requires exclusive access.
     """
 
     state_dim: int
@@ -284,6 +291,20 @@ class VectorField:
         self.drift_vjp_calls += 1
         self.diffusion_vjp_calls += 1
         return self._pullback(tape, d_mu, d_sigma)
+
+    def vjp(self, t, z, d_mu, d_sigma):
+        """(mu, sigma, d_z, d_params): the values at (t, z) and the pullback
+        of (d_mu, d_sigma) through them, bitwise `linearize` then
+        `pullback`; counts one evaluation and one VJP of each kind."""
+        self.drift_evals += 1
+        self.diffusion_evals += 1
+        self.drift_vjp_calls += 1
+        self.diffusion_vjp_calls += 1
+        return self._vjp(t, z, d_mu, d_sigma)
+
+    def _vjp(self, t, z, d_mu, d_sigma):
+        mu, sigma, tape = self._linearize(t, z)
+        return (mu, sigma, *self._pullback(tape, d_mu, d_sigma))
 
     def vjp_drift(self, t, z, cotangent):
         """Gradient of <cotangent, mu>: the pullback of (cotangent, 0)."""
@@ -335,9 +356,14 @@ class NeuralField(VectorField):
     buffer and applies the LipSwish derivative once. It sums the input
     cotangent per network, so the pullback of (d_mu, d_sigma) is bitwise
     the sum of those of (d_mu, 0) and (0, d_sigma). Its temporaries, the
-    flat parameter gradient it fills and `evaluate`'s hidden state are
-    buffers of the calling thread, one set per batch size, so freeing and
-    refaulting them per call is avoided; every array returned is new.
+    flat parameter gradient it fills and the hidden state and LipSwish
+    memo of `evaluate` and `vjp` are buffers of the calling thread, one
+    set per batch size, so freeing and refaulting them per call is
+    avoided; every array returned is new. `vjp` runs `_forward` and
+    `_pullback` on that scratch alone: the pullback reads the memo into
+    the LipSwish derivative before it writes the stacked cotangent over
+    the memo, so a fused pass holds one (hidden, batch) buffer more than
+    `evaluate` and allocates no tape.
     """
 
     def __init__(self, drift_net: MLPField, diffusion_net: MLPField):
@@ -390,6 +416,12 @@ class NeuralField(VectorField):
         x = _time_appended(t, np.asarray(z), self.state_dim)
         return self._forward(x, None, None)
 
+    def _vjp(self, t, z, d_mu, d_sigma):
+        x = _time_appended(t, np.asarray(z), self.state_dim)
+        buffers = self._buffers(len(x))
+        mu, sigma, tape = self._forward(x, *buffers[:2])
+        return (mu, sigma, *self._pullback(tape, d_mu, d_sigma, buffers))
+
     def _forward(self, x, hidden, memo):
         """(mu, sigma, tape) of one pass through both networks on x = [z | t].
         The stacked hidden state goes into `hidden` and its LipSwish memo
@@ -404,7 +436,10 @@ class NeuralField(VectorField):
         sigma = flat_sigma.reshape(len(x), self.state_dim, self.noise_dim)
         return mu, sigma, (x, w0, h, memo, tapes)
 
-    def _pullback(self, tape, d_mu, d_sigma):
+    def _pullback(self, tape, d_mu, d_sigma, buffers=None):
+        """(d_z, d_params) over the tape, in `buffers` (this thread's scratch
+        for the batch if None). The memo may be the scratch's second buffer,
+        the stacked cotangent's: the derivative reads it first."""
         x, w0, h, memo, tapes = tape
         batch = len(x)
         d_mu, d_sigma = np.asarray(d_mu), np.asarray(d_sigma)
@@ -414,7 +449,8 @@ class NeuralField(VectorField):
             raise ValueError(f"cotangent shapes {d_mu.shape} and "
                              f"{d_sigma.shape} do not match (mu, sigma) "
                              f"shapes {shapes[0]} and {shapes[1]}")
-        g0, d0, flat, nets = self._buffers(batch)
+        _, g0, d0, flat, nets = buffers or self._buffers(batch)
+        _lipswish_derivative(h, memo, d0)
         for net, rows, cot, (memos, inputs), (grads, head) in zip(
                 self._nets, self._rows, (d_mu, d_sigma.reshape(batch, -1)),
                 tapes, nets):
@@ -429,7 +465,7 @@ class NeuralField(VectorField):
                     g = g.dot(net.weights[i])
                     g *= _lipswish_derivative(inputs[i - 1], memos[i - 2])
             np.dot(net.weights[1].T, g.T, out=g0[rows])
-        g0 *= _lipswish_derivative(h, memo, d0)
+        g0 *= d0
         for rows, (grads, _) in zip(self._rows, nets):
             gw, gb = grads[0]
             np.dot(g0[rows], x, out=gw)
@@ -444,11 +480,12 @@ class NeuralField(VectorField):
     def _buffers(self, batch):
         """This thread's scratch for `batch` rows, made on first use.
 
-        Two (hidden, batch) arrays, which hold `_evaluate`'s hidden state
-        and memo, or the pullback's stacked cotangent and derivative; the
-        flat parameter gradient; and per network its layers' (weight,
-        bias) views of that gradient and its head's cotangent. Each lives
-        only within one call.
+        Three (hidden, batch) arrays: the forward pass's hidden state and
+        LipSwish memo (`_evaluate`, `_vjp`), the pullback's stacked
+        cotangent in the second (over the memo it has read) and its
+        LipSwish derivative in the third; the flat parameter gradient; and
+        per network its layers' (weight, bias) views of that gradient and
+        its head's cotangent. Each lives only within one call.
         """
         buffers = self._scratch.by_batch.get(batch)
         if buffers is None:
@@ -463,7 +500,8 @@ class NeuralField(VectorField):
                     pos = end + b.size
                 nets.append((grads, np.empty((batch, net.out_dim))))
             wide = (len(self._b0), batch)
-            buffers = np.empty(wide), np.empty(wide), flat, nets
+            buffers = (np.empty(wide), np.empty(wide), np.empty(wide), flat,
+                       nets)
             self._scratch.by_batch[batch] = buffers
         return buffers
 

@@ -13,16 +13,17 @@ its inverse is the same update, `_revheun_update`, run from the tuple after
 a step with (-dt, -dW), so the backward pass needs no stored trajectory.
 Each backward step pulls the cotangents back through the step map with the
 field's linearization at (t', zhat'), then reconstructs the previous tuple
-by that negated update, whose evaluation at (t, zhat) is one `linearize`:
-one drift and one diffusion evaluation, whose tape the tuple carries into
-the next step's `field.pullback`. A tuple arriving without a tape (the
-forward solve's terminal tuple, or a caller's own) is linearized first,
-and its values are checked against its (mu', sigma'). Iterating from the
-terminal state gives gradients that match exact reverse-mode
+by that negated update, which evaluates the field at (t, zhat). The sweep
+(`revheun_backward`) queries each dW one step ahead, so that evaluation
+is one `field.vjp`: one drift and one diffusion evaluation fused with the
+pullback the step before needs, fed that step's cotangents (at the first
+grid time, the initial evaluation's). No tape crosses a step. The
+terminal tuple's vjp is checked against its (mu', sigma'). Iterating from
+the terminal state gives gradients that match exact reverse-mode
 differentiation of the forward recurrence to floating-point
 reconstruction error, with O(1) storage: one evaluation pair and one
-pullback per step, and one tape set alive at a time. A loss that reads
-the path takes the states its forward solve saved (`save_at`) and
+pullback per step, n + 1 `vjp` calls in all. A loss that reads the path
+takes the states its forward solve saved (`save_at`) and
 `revheun_backward` folds in their cotangents as the sweep passes them.
 
 Also here: midpoint / Heun baseline steps, the continuous (backward-SDE)
@@ -32,9 +33,9 @@ algebra and its pullback are written once. The baseline schemes are
 written in increment form, seeing the field only through the step's
 increment mu dt + sigma dW, so one scheme serves the forward solve, the
 oracle and the continuous adjoint, which integrates the flat (state,
-adjoint, parameter-gradient) vector backward with it. Every gradient path,
-the continuous adjoint included, differentiates the field through
-`field.linearize`'s tape and `field.pullback`.
+adjoint, parameter-gradient) vector backward with it. The baseline
+gradient paths differentiate the field through `field.linearize`'s tape
+and `field.pullback`, the reversible ones through `field.vjp`.
 
 One grid walk, `_sweep`, yields every pass its steps' grid times
 (`SolveConfig.time`: i*dt, end pinned to t1) with the noise over them, its
@@ -50,6 +51,7 @@ forward-only solves leave the tree shape to their queries.
 from __future__ import annotations
 
 import functools
+import itertools
 import numbers
 from dataclasses import dataclass, field as dataclass_field, replace
 
@@ -72,10 +74,8 @@ class SolverDivergence(RuntimeError):
 class RevHeunState:
     """Solver 5-tuple; mu/sigma are the field evaluated at (t, zhat).
 
-    `tape`, when set, is the tape of `field.linearize` at (t, zhat) that
-    produced mu/sigma. A backward-step reconstruction sets it and the next
-    backward step takes it (leaving None behind), so that step calls
-    `field.pullback(tape, ...)` without evaluating the field again.
+    It holds values only: a backward step evaluates the field at both of
+    its ends, so no derivative travels with a tuple.
     """
 
     t: float
@@ -83,7 +83,6 @@ class RevHeunState:
     zhat: np.ndarray   # (batch, x)
     mu: np.ndarray     # (batch, x)
     sigma: np.ndarray  # (batch, x, w)
-    tape: object = dataclass_field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -233,62 +232,53 @@ def initial_state(field: VectorField, z0: np.ndarray) -> RevHeunState:
 
 
 def _revheun_update(state: RevHeunState, t_next: float, dt: float,
-                    dw: np.ndarray, evaluate) -> RevHeunState:
-    """The reversible Heun update to time t_next; evaluate(t, zhat) ->
-    (mu, sigma) or (mu, sigma, tape), which the new tuple carries.
+                    dw: np.ndarray, evaluate):
+    """The reversible Heun update to time t_next: (new tuple, rest), where
+    evaluate(t, zhat) -> (mu, sigma, *rest) runs once the update has read
+    the tuple's zhat and its sigma, which it reads nowhere else.
 
     Run from the tuple after a step with (t, -dt, -dW), t the step's start,
     it inverts that step.
     """
     sdw = _sdw(state.sigma, dw)
     zhat_next = 2.0 * state.z - state.zhat + state.mu * dt + sdw
-    mu_next, sigma_next, *tape = evaluate(t_next, zhat_next)
+    mu_next, sigma_next, *rest = evaluate(t_next, zhat_next)
     sdw += _sdw(sigma_next, dw)
     z_next = state.z + 0.5 * dt * (state.mu + mu_next) + 0.5 * sdw
-    return RevHeunState(t_next, z_next, zhat_next, mu_next, sigma_next,
-                        *tape)
+    return RevHeunState(t_next, z_next, zhat_next, mu_next, sigma_next), rest
 
 
 def revheun_step_forward(state: RevHeunState, t_next: float, dt: float,
                          dw: np.ndarray, field: VectorField) -> RevHeunState:
     """One reversible Heun step to grid time t_next; exactly one
     `evaluate` (one drift and one diffusion eval)."""
-    state = _revheun_update(state, t_next, dt, dw, field.evaluate)
+    state, _ = _revheun_update(state, t_next, dt, dw, field.evaluate)
     _check_finite(state.z, "state after forward step")
     return state
 
 
 def _mismatch(got, want):
-    d = got - want
+    """max |got - want| / (1 + max |want|), computed in `got`."""
+    d = np.subtract(got, want, out=got)
     np.abs(d, out=d)
     return float(d.max()) / (1.0 + max(float(want.max()), -float(want.min())))
 
 
-def _revheun_pullback(next_state, cot, dt, dw, field) -> CotangentState:
-    """`revheun_step_backward`'s first half: pull cotangents on the tuple
-    after a step back to the tuple before it.
+def _field_cotangents(cot, dt, dw):
+    """(d_mu', d_sigma'), the cotangents on the field's values at the tuple
+    after a step over dw, from the cotangent on that tuple; with dw None,
+    the tuple's own (d_mu, d_sigma), those of the initial evaluation."""
+    if dw is None:
+        return cot.d_mu, cot.d_sigma
+    d_sigma = _outer(0.5 * cot.d_z, dw)
+    d_sigma += cot.d_sigma
+    return cot.d_mu + 0.5 * dt * cot.d_z, d_sigma
 
-    Takes the tape `next_state` carries (leaving None), else linearizes at
-    its (t', zhat') and checks the values against its (mu', sigma'). The
-    tape and the field's cotangents (d_mu', d_sigma') are freed before the
-    new cotangent is made.
-    """
-    tape, next_state.tape = next_state.tape, None
-    if tape is None:
-        mu_lin, sigma_lin, tape = field.linearize(next_state.t,
-                                                  next_state.zhat)
-        err = np.maximum(_mismatch(mu_lin, next_state.mu),
-                         _mismatch(sigma_lin, next_state.sigma))
-        del mu_lin, sigma_lin
-        if not err <= ROUNDTRIP_TOL:  # a NaN fails too
-            raise SolverDivergence(
-                f"reverse-step round trip error {err:.3e} exceeds "
-                f"{ROUNDTRIP_TOL:.1e}")
-    d_mu_next = cot.d_mu + 0.5 * dt * cot.d_z
-    d_sigma_next = _outer(0.5 * cot.d_z, dw)
-    d_sigma_next += cot.d_sigma
-    gz, gp = field.pullback(tape, d_mu_next, d_sigma_next)
-    del tape, d_mu_next, d_sigma_next
+
+def _pulled_back(cot, gz, gp, dt, dw) -> CotangentState:
+    """The cotangent on the tuple before a step over dw, from the one after
+    it, of which only d_z, d_zhat and d_params are read, and (gz, gp), the
+    field's pullback of `_field_cotangents(cot, dt, dw)` at that tuple."""
     b_total = cot.d_zhat + gz
     tmp = 0.5 * cot.d_z + b_total
     return CotangentState(
@@ -300,11 +290,42 @@ def _revheun_pullback(next_state, cot, dt, dw, field) -> CotangentState:
     )
 
 
-def _revheun_reconstruct(next_state, t, dt, dw, field):
-    """`revheun_step_backward`'s second half: the tuple at grid time t."""
-    state = _revheun_update(next_state, t, -dt, -dw, field.linearize)
+def _revheun_pullback(next_state, cot, dt, dw, field) -> CotangentState:
+    """`revheun_step_backward`'s first half: pull cotangents on the tuple
+    after a step back to the tuple before it.
+
+    One `vjp` at its (t', zhat'), whose values are checked against its
+    (mu', sigma') and freed before the new cotangent is made.
+    """
+    mu, sigma, gz, gp = field.vjp(next_state.t, next_state.zhat,
+                                  *_field_cotangents(cot, dt, dw))
+    err = np.maximum(_mismatch(mu, next_state.mu),
+                     _mismatch(sigma, next_state.sigma))
+    del mu, sigma
+    if not err <= ROUNDTRIP_TOL:  # a NaN fails too
+        raise SolverDivergence(
+            f"reverse-step round trip error {err:.3e} exceeds "
+            f"{ROUNDTRIP_TOL:.1e}")
+    return _pulled_back(cot, gz, gp, dt, dw)
+
+
+def _revheun_reconstruct(next_state, t, dt, dw, evaluate):
+    """`revheun_step_backward`'s second half: (the tuple at grid time t,
+    what else `evaluate` returned there)."""
+    state, rest = _revheun_update(next_state, t, -dt, -dw, evaluate)
     _check_finite(state.z, "reconstructed state")
-    return state
+    return state, rest
+
+
+def _sweep_vjp(field, state, cot, dt, dw, t, zhat):
+    """The sweep's evaluation at a reconstructed (t, zhat): one `vjp` fed
+    `_field_cotangents(cot, dt, dw)`. The update calls it once it has
+    contracted `state.sigma`; it drops that and cot's (d_mu, d_sigma),
+    which nothing reads again, before the field allocates."""
+    state.sigma = None
+    d_mu, d_sigma = _field_cotangents(cot, dt, dw)
+    cot.d_mu = cot.d_sigma = None
+    return field.vjp(t, zhat, d_mu, d_sigma)
 
 
 def revheun_step_backward(next_state: RevHeunState, cot_next: CotangentState,
@@ -314,25 +335,26 @@ def revheun_step_backward(next_state: RevHeunState, cot_next: CotangentState,
     """Invert one forward step, back to grid time t, and pull cotangents
     through it.
 
-    Takes the tuple's carried tape (leaving None), else linearizes at
-    (t', zhat') and raises SolverDivergence if the values differ from its
-    (mu', sigma') by more than ROUNDTRIP_TOL (relative): then the tuple did
-    not come from a forward step with this field. Pulls the cotangents
-    back through the step map with `field.pullback(tape, ...)`,
-    accumulating parameter gradients, then reconstructs the previous tuple
-    by the update with (-dt, -dW), whose evaluation is one `linearize` at
-    (t, zhat); the returned tuple carries its tape.
+    Evaluates the field at both ends of the step. One `field.vjp` at
+    (t', zhat') pulls the cotangents back through the step map,
+    accumulating parameter gradients; it raises SolverDivergence if its
+    values differ from the tuple's (mu', sigma') by more than
+    ROUNDTRIP_TOL (relative): then the tuple did not come from a forward
+    step with this field. Then one `field.evaluate` at (t, zhat)
+    reconstructs the previous tuple by the update with (-dt, -dW). So a
+    public step costs two evaluation pairs and one pullback, where
+    `revheun_backward`, which knows the next step's dW, fuses each
+    reconstruction's evaluation with the following pullback in one `vjp`.
 
-    A backward step holds one tape at a time, and the noise store's LRU.
-    Pulling back, it holds the tuple after the step, its tape, `cot_next`
-    and the field's cotangents (d_mu', d_sigma'); the tape and those
-    cotangents are freed before the new cotangent is made. Reconstructing,
-    it holds the tuples on both sides of the step, the new tape and one
-    cotangent: `revheun_backward` runs the two halves itself, so it drops
-    `cot_next` between them.
+    Pulling back, a step holds the tuple after it, `cot_next`, the
+    field's cotangents (d_mu', d_sigma') and the vjp's values, which are
+    freed before the new cotangent is made; reconstructing, the tuples on
+    both sides of the step and both cotangents; and the noise store's
+    block throughout.
     """
     cot_prev = _revheun_pullback(next_state, cot_next, dt, dw, field)
-    return _revheun_reconstruct(next_state, t, dt, dw, field), cot_prev
+    state, _ = _revheun_reconstruct(next_state, t, dt, dw, field.evaluate)
+    return state, cot_prev
 
 
 def revheun_solve(field: VectorField, z0: np.ndarray, config: SolveConfig,
@@ -377,25 +399,47 @@ def revheun_backward(field: VectorField, terminal: RevHeunState,
     either way, but a keyed tree holds O(1) memory and its reverse sweep
     costs O(1) amortized tree work per step, where a lazy tree holds about
     n split points and, once n outgrows its cache, recomputes chains that
-    grow with n. Each step holds what `revheun_step_backward` lists.
+    grow with n.
+
+    The sweep makes n + 1 `field.vjp` calls and no other field call: the
+    terminal tuple's, checked against its values, and one per
+    reconstruction, fed the cotangents of the step before (at grid time
+    0, the initial evaluation's). It works on its own copy of the
+    terminal tuple and drops each array once it has read it: a tuple's
+    sigma once the reconstruction has contracted it, a cotangent's
+    (d_mu, d_sigma) once the vjp's cotangents are made, and the vjp's
+    values at the terminal tuple once checked. So a step holds at most
+    two (batch, x, w) arrays beside the field's scratch and the noise
+    store's block, and the terminal check three.
     """
     _require_method("reversible_heun", config)
     loss, cps = _cotangents(loss_cotangent, checkpoint_cotangents,
                             config.n_steps, terminal.z.shape)
+    dt = config.dt
     cot = _terminal_cotangent(field, loss)
-    state = terminal
+    state = replace(terminal)
     del terminal  # only the current tuple stays alive
+    # Each step with the dW of the step before it (None at step 0), which
+    # its reconstruction's vjp needs: the sweep queries one step ahead.
+    steps = itertools.chain(
+        _sweep(config, len(state.z), field.noise_dim, reverse=True),
+        [(None,) * 4])
+    pulled = None
     try:
-        for i, t, _, dw in _sweep(config, len(state.z), field.noise_dim,
-                                  reverse=True):
-            # revheun_step_backward, with the old cotangent freed in between.
-            cot = _revheun_pullback(state, cot, config.dt, dw, field)
+        for (i, t, _, dw), (*_, dw_ahead) in itertools.pairwise(steps):
+            if pulled is None:  # the terminal tuple: its vjp is checked
+                cot = _revheun_pullback(state, cot, dt, dw, field)
+            else:
+                cot = _pulled_back(cot, *pulled, dt, dw)
+                pulled = None  # read: (gz, gp) go before the next vjp
             if i in cps:
                 cot.d_z = cot.d_z + cps[i]
-            state = _revheun_reconstruct(state, t, config.dt, dw, field)
+            state, pulled = _revheun_reconstruct(
+                state, t, dt, dw, functools.partial(
+                    _sweep_vjp, field, state, cot, dt, dw_ahead))
     except SolverDivergence as exc:
         raise SolverDivergence(f"{exc} at step {i}") from None
-    return _revheun_gradients(field, state, cot)
+    return _revheun_gradients(cot, *pulled)
 
 
 def _terminal_cotangent(field, loss) -> CotangentState:
@@ -405,15 +449,10 @@ def _terminal_cotangent(field, loss) -> CotangentState:
                           np.zeros(field.param_count))
 
 
-def _revheun_gradients(field, first: RevHeunState, cot: CotangentState):
-    """(grad_z0, grad_params), folding in the initial (mu, sigma) evaluation.
-
-    Pulls back through the tape `first` carries, else linearizes at z0.
-    """
-    tape = first.tape
-    if tape is None:
-        _, _, tape = field.linearize(first.t, first.z)
-    gz, gp = field.pullback(tape, cot.d_mu, cot.d_sigma)
+def _revheun_gradients(cot: CotangentState, gz, gp):
+    """(grad_z0, grad_params) from the cotangent on the first tuple and
+    (gz, gp), the pullback of its (d_mu, d_sigma) through the initial
+    evaluation."""
     return cot.d_z + cot.d_zhat + gz, cot.d_params + gp
 
 
@@ -587,7 +626,9 @@ def unrolled_backprop(method: str, field: VectorField, z0: np.ndarray,
             cot = _revheun_pullback(states[i + 1], cot, dt, dw, field)
             if i in cps:
                 cot.d_z = cot.d_z + cps[i]
-        return _revheun_gradients(field, states[0], cot)
+        first = states[0]
+        return _revheun_gradients(cot, *field.vjp(
+            first.t, first.z, cot.d_mu, cot.d_sigma)[2:])
     _, states = baseline_solve(method, field, z0, config, range(n + 1))
     scheme = _BASELINE_SCHEMES[method]
     a, gp = loss, np.zeros(field.param_count)

@@ -400,8 +400,23 @@ def _counters(field):
             field.diffusion_vjp_calls)
 
 
+def _assert_vjp_is_linearize_then_pullback(field, t, z, d_mu, d_sigma):
+    """vjp gives linearize's values and pullback's gradients bitwise, and
+    counts one evaluation and one VJP of each kind."""
+    mu, sigma, tape = field.linearize(t, z)
+    want = (mu, sigma, *field.pullback(tape, d_mu, d_sigma))
+    field.reset_counters()
+    got = field.vjp(t, z, d_mu, d_sigma)
+    assert _counters(field) == (1, 1, 1, 1)
+    assert len(got) == 4
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def _assert_linearize_matches_counted_calls(field, t, z, d_mu, d_sigma):
-    """linearize and pullback reproduce eval_* and vjp_* bitwise."""
+    """linearize and pullback reproduce eval_* and vjp_* bitwise, and vjp
+    reproduces linearize then pullback."""
+    _assert_vjp_is_linearize_then_pullback(field, t, z, d_mu, d_sigma)
     field.reset_counters()
     mu, sigma, tape = field.linearize(t, z)
     assert (field.drift_evals, field.diffusion_evals) == (1, 1)
@@ -515,6 +530,7 @@ def _assert_fused_matches_per_network(field, t, z, d_mu, d_sigma):
     got = (mu, sigma, *field.pullback(tape, d_mu, d_sigma))
     for a, b in zip(field.evaluate(t, z), got):
         assert np.array_equal(a, b)
+    _assert_vjp_is_linearize_then_pullback(field, t, z, d_mu, d_sigma)
     # d_z is summed per network: bitwise the sum of the one-sided pullbacks.
     d_z_mu = field.pullback(tape, d_mu, np.zeros_like(d_sigma))[0]
     d_z_sigma = field.pullback(tape, np.zeros_like(d_mu), d_sigma)[0]
@@ -606,7 +622,8 @@ class TestScratch:
             for t, z, d_mu, d_sigma in inputs:
                 mu, sigma, tape = field.linearize(t, z)
                 out.append((*field.evaluate(t, z), mu, sigma,
-                            *field.pullback(tape, d_mu, d_sigma)))
+                            *field.pullback(tape, d_mu, d_sigma),
+                            *field.vjp(t, z, d_mu, d_sigma)))
             return out
 
         expected = run()
@@ -644,10 +661,12 @@ class TestScratch:
         results = []
         for batch in (2, 7, 2, 7, 7, 2):
             z = rng.standard_normal((batch, 3))
+            d_mu = rng.standard_normal((batch, 3))
+            d_sigma = rng.standard_normal((batch, 3, 2))
             mu, sigma, tape = field.linearize(0.5, z)
             results += [*field.evaluate(0.5, z), mu, sigma,
-                        *field.pullback(tape, rng.standard_normal((batch, 3)),
-                                        rng.standard_normal((batch, 3, 2)))]
+                        *field.pullback(tape, d_mu, d_sigma),
+                        *field.vjp(0.5, z, d_mu, d_sigma)]
         for i, a in enumerate(results):
             for b in results[:i]:
                 assert not np.shares_memory(a, b)

@@ -113,6 +113,18 @@ def traced_peak(fn):
         tracemalloc.stop()
 
 
+def _owned_bytes(obj):
+    """Bytes of the arrays in a nest of dicts, lists and tuples that own
+    their data (views of another array are not counted again)."""
+    if isinstance(obj, np.ndarray):
+        return obj.nbytes if obj.base is None else 0
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, (list, tuple)):
+        return sum(_owned_bytes(item) for item in obj)
+    return 0
+
+
 def rel_l1(ga, gpa, gb, gpb):
     num = np.abs(ga - gb).sum() + np.abs(gpa - gpb).sum()
     den = max(np.abs(ga).sum() + np.abs(gpa).sum(),
@@ -284,12 +296,11 @@ class TestRevHeunBackwardStep:
             revheun_step_backward(replace(nxt, **{part: value}), cot, 0.0,
                                   0.1, dw, field)
 
-    def test_one_forward_pass_per_network_on_a_carried_tuple(self,
-                                                             monkeypatch):
-        # A tuple from a backward step carries its reconstruction's tape:
-        # the next step pulls back through it and runs one forward pass
-        # per network, for its own reconstruction. A tuple without a tape
-        # is linearized first, so it costs two.
+    def test_public_step_evaluates_at_both_ends(self, monkeypatch):
+        # A tuple holds values only, so every public step, on a tuple from
+        # a forward or a backward step alike, runs one vjp at (t', zhat')
+        # and one evaluate at (t, zhat): two forward passes per network
+        # and one pullback.
         field = reduced_neural_field(seed=6, x=3, w=2)
         state = initial_state(field, np.zeros((2, 3)))
         dw = np.full((2, 2), 0.1)
@@ -312,38 +323,13 @@ class TestRevHeunBackwardStep:
             return counts
 
         monkeypatch.setattr(MLPField, "_layers", counted)
-        carried, cot1 = revheun_step_backward(s2, cot, 0.1, 0.1, dw, field)
+        field.reset_counters()
+        s1_back, cot1 = revheun_step_backward(s2, cot, 0.1, 0.1, dw, field)
         assert passes() == (2, 2)
-        assert carried.tape is not None
-        revheun_step_backward(carried, cot1, 0.0, 0.1, dw, field)
-        assert passes() == (1, 1)
-
-    def test_step_takes_the_input_tuples_tape(self):
-        # Only one tape set is alive at a time: the step leaves the input
-        # tuple without its tape. The carried tape pulls back bitwise
-        # what a fresh linearization of the same tuple would.
-        field = reduced_neural_field(seed=7, x=3, w=2)
-        rng = np.random.default_rng(0)
-        state = initial_state(field, rng.standard_normal((2, 3)))
-        dws = [rng.standard_normal((2, 2)) * 0.3 for _ in range(2)]
-        s1 = revheun_step_forward(state, 0.1, 0.1, dws[0], field)
-        s2 = revheun_step_forward(s1, 0.2, 0.1, dws[1], field)
-        cot = CotangentState(*(rng.standard_normal(a.shape) for a in (
-            s2.z, s2.zhat, s2.mu, s2.sigma)), np.zeros(field.param_count))
-        carried, cot1 = revheun_step_backward(s2, cot, 0.1, 0.1, dws[1],
-                                             field)
-        fresh = RevHeunState(carried.t, carried.z, carried.zhat, carried.mu,
-                             carried.sigma)
-        assert s2.tape is None
-        _, via_tape = revheun_step_backward(carried, cot1, 0.0, 0.1, dws[0],
-                                            field)
-        assert carried.tape is None
-        _, via_fresh = revheun_step_backward(fresh, cot1, 0.0, 0.1, dws[0],
-                                             field)
-        for name in ("d_z", "d_zhat", "d_mu", "d_sigma", "d_params"):
-            np.testing.assert_array_equal(getattr(via_tape, name),
-                                          getattr(via_fresh, name))
-
+        revheun_step_backward(s1_back, cot1, 0.0, 0.1, dw, field)
+        assert passes() == (2, 2)
+        assert (field.drift_evals, field.drift_vjp_calls) == (4, 2)
+        assert (field.diffusion_evals, field.diffusion_vjp_calls) == (4, 2)
 
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), dt=st.floats(2.0 ** -12, 1.0),
@@ -785,7 +771,12 @@ class TestAdjointGradients:
     @staticmethod
     def sweep_peaks(width):
         """The adjoint's traced peak at n in (1, 8, 64), in (batch, x, w)
-        float64 arrays, for batch 256, x 8, w 16 and a width-`width` MLP."""
+        float64 arrays, for batch 256, x 8, w 16 and a width-`width` MLP.
+
+        The field's scratch is made before tracing starts, so each peak
+        adds the scratch bytes beyond what a field held when it kept two
+        (hidden, batch) buffers: an array moved into scratch still counts.
+        """
         batch, x, w = 256, 8, 16
         field = reduced_neural_field(seed=0, x=x, w=w, width=width)
         rng = np.random.default_rng(1)
@@ -797,29 +788,34 @@ class TestAdjointGradients:
             revheun_adjoint_solve(field, z0, cfg, np.ones((batch, x)))
 
         solve(1)  # the field's scratch is made on its first call
-        return [traced_peak(lambda: solve(n)) / (batch * x * w * 8)
+        two_buffer_scratch = 8 * batch * (
+            2 * 2 * width + x + x * w) + 8 * field.param_count
+        extra = _owned_bytes(field._scratch.by_batch) - two_buffer_scratch
+        assert extra >= 0
+        return [(traced_peak(lambda: solve(n)) + extra) / (batch * x * w * 8)
                 for n in (1, 8, 64)]
 
     def test_backward_sweep_frees_what_it_has_read(self):
-        # A backward step holds one tape at a time; pulling back, the tuple
-        # after the step, the old cotangent and (d_mu', d_sigma'), with the
-        # tape and those freed before the new cotangent is made;
-        # reconstructing, the tuples on both sides and one cotangent; and
-        # the noise: 4.51 (batch, x, w) arrays at the peak, flat in n.
-        # A round-trip check with its (got - want), |got - want| and |want|
-        # temporaries peaks at 4.82, summing sigma + sigma' in the update
-        # at 5.32; also keeping the check's (mu, sigma), the old cotangent
-        # through the reconstruction, (d_mu', d_sigma') and allocated
-        # terminal zeros alive peaks at 7.56.
-        assert max(self.sweep_peaks(width=8)) <= 4.6
+        # No tape crosses a step: each reconstruction's evaluation is one
+        # vjp fed the earlier step's cotangents. The sweep drops a tuple's
+        # sigma once contracted and a cotangent's (d_mu, d_sigma) once the
+        # vjp's cotangents exist, so the peak is the terminal check: the
+        # tuple's sigma, the vjp's sigma cotangent and its sigma, and the
+        # noise: 4.13 (batch, x, w) arrays, scratch counted, flat in n
+        # (4.01 at n = 1, which queries no increment ahead). Holding the
+        # old sigma across the vjp peaks at 4.51, the old cotangent at
+        # 4.57; a sweep carrying a tape from step to step peaked at 4.51
+        # with two buffers of scratch.
+        assert max(self.sweep_peaks(width=8)) <= 4.2
 
     def test_backward_sweep_holds_one_wide_tape(self):
-        # At width 64 the tape's stacked hidden state and the LipSwish
-        # derivative are (batch, x, w)-sized too: 6.53 arrays at the peak,
-        # flat in n. The round-trip check's three temporaries instead peak
-        # at 6.83, summing sigma + sigma' in the update at 7.34, and a
-        # LipSwish derivative with a 0.909 s temporary at 7.02.
-        assert max(self.sweep_peaks(width=64)) <= 6.6
+        # At width 64 the stacked hidden state is (batch, x, w)-sized too.
+        # No tape is allocated, and the fused pass holds one such buffer
+        # of scratch more than a field with two: 5.40 arrays at the peak,
+        # scratch counted, flat in n. Holding the old sigma across the
+        # vjp peaks at 5.78, the old cotangent at 6.01; a sweep carrying a
+        # tape from step to step peaked at 6.53.
+        assert max(self.sweep_peaks(width=64)) <= 5.5
 
     def test_sweep_is_the_public_step_bitwise(self):
         # revheun_backward runs revheun_step_backward's two halves itself,
@@ -847,7 +843,8 @@ class TestAdjointGradients:
                                                cfg.dt, dw, field)
             if i in cps:
                 cot.d_z = cot.d_z + cps[i]
-        gz, gp_first = field.pullback(state.tape, cot.d_mu, cot.d_sigma)
+        _, _, gz, gp_first = field.vjp(state.t, state.zhat, cot.d_mu,
+                                       cot.d_sigma)
         np.testing.assert_array_equal(cot.d_z + cot.d_zhat + gz, g0)
         np.testing.assert_array_equal(cot.d_params + gp_first, gp)
 
@@ -858,6 +855,38 @@ class TestAdjointGradients:
             assert view.shape == shape and not view.any()
             with pytest.raises(ValueError, match="read-only"):
                 view += 1.0
+
+    @pytest.mark.parametrize("n", [1, 2, 16])
+    def test_sweep_is_one_vjp_per_step_and_no_tape(self, monkeypatch, n):
+        # The sweep's field calls are n + 1 vjps: the terminal tuple's and
+        # one per reconstruction. It never linearizes, pulls a tape back
+        # or evaluates alone, and its terminal tuple keeps its values.
+        field = reduced_neural_field(seed=11, x=3, w=2)
+        z0 = np.random.default_rng(9).standard_normal((2, 3))
+        cfg = SolveConfig("reversible_heun", 1.0 / n, 1.0,
+                          BrownianInterval(1.0, 5, dims=2, batch=2))
+        cfg.noise.key_on_grid(n, cfg.time)
+        terminal, _ = revheun_solve(field, z0, cfg)
+        kept = [terminal.mu.copy(), terminal.sigma.copy()]
+        calls = []
+
+        def spy(name):
+            method = getattr(field, name)
+
+            def counted(*args):
+                calls.append(name)
+                return method(*args)
+
+            return counted
+
+        for name in ("vjp", "linearize", "pullback", "evaluate",
+                     "eval_drift", "eval_diffusion"):
+            monkeypatch.setattr(field, name, spy(name))
+        revheun_backward(field, terminal, cfg, np.ones((2, 3)), None)
+        assert calls == ["vjp"] * (n + 1)
+        assert "tape" not in vars(terminal)
+        np.testing.assert_array_equal(terminal.mu, kept[0])
+        np.testing.assert_array_equal(terminal.sigma, kept[1])
 
     @pytest.mark.parametrize("cps, match", [
         ({4: np.ones((2, 2))}, "checkpoint key 4 .* n = 4"),
