@@ -233,18 +233,18 @@ def clip_weights(net: MLPField):
 class VectorField:
     """Drift/diffusion pair with one derivative and evaluation counters.
 
-    Subclasses implement `_linearize` and `_pullback`, the tape protocol
-    of the module docstring, and may override `_evaluate`, the same pass
-    without a tape, and `_vjp`, a linearization and its pullback in one.
-    The public methods are views of these and count their calls, so
-    solvers can assert their per-step evaluation budgets: `evaluate`
-    gives (mu, sigma), `linearize` also the tape, which `pullback` reads,
-    `vjp` the values and the pullback of one linearization, `eval_drift`
-    and `eval_diffusion` one half of the pass, and `vjp_drift` and
-    `vjp_diffusion` one half of its pullback. Evaluation is pure per
-    thread: a field may reuse scratch buffers, but no two threads share
-    them and no tape holds one. Parameter mutation (set_params, clipping)
-    requires exclusive access.
+    Subclasses implement `_linearize` and `_pullback`, the tape protocol of
+    the module docstring, and may override `_evaluate`, the same pass
+    without a tape, and `_vjp`, a linearization and its pullback in one,
+    which returns mu and sigma in new arrays. The public methods are views
+    of these and count their calls, so solvers can assert their per-step
+    evaluation budgets: `evaluate` gives (mu, sigma), `linearize` also the
+    tape, which `pullback` reads, `vjp` the values and the pullback of one
+    linearization, `eval_drift` and `eval_diffusion` one half of the pass,
+    and `vjp_drift` and `vjp_diffusion` one half of its pullback.
+    Evaluation is pure per thread: a field may reuse scratch buffers, but
+    no two threads share them and no tape holds one. Parameter mutation
+    (set_params, clipping) requires exclusive access.
     """
 
     state_dim: int
@@ -295,7 +295,9 @@ class VectorField:
     def vjp(self, t, z, d_mu, d_sigma):
         """(mu, sigma, d_z, d_params): the values at (t, z) and the pullback
         of (d_mu, d_sigma) through them, bitwise `linearize` then
-        `pullback`; counts one evaluation and one VJP of each kind."""
+        `pullback`; counts one evaluation and one VJP of each kind. mu and
+        sigma are new arrays, which the caller may write into: the
+        reversible sweep's round-trip check does."""
         self.drift_evals += 1
         self.diffusion_evals += 1
         self.drift_vjp_calls += 1
@@ -303,8 +305,11 @@ class VectorField:
         return self._vjp(t, z, d_mu, d_sigma)
 
     def _vjp(self, t, z, d_mu, d_sigma):
+        # Copied: `_linearize` may return arrays it keeps or read-only
+        # views (an AnalyticField's closures may).
         mu, sigma, tape = self._linearize(t, z)
-        return (mu, sigma, *self._pullback(tape, d_mu, d_sigma))
+        return (np.array(mu), np.array(sigma),
+                *self._pullback(tape, d_mu, d_sigma))
 
     def vjp_drift(self, t, z, cotangent):
         """Gradient of <cotangent, mu>: the pullback of (cotangent, 0)."""

@@ -68,17 +68,6 @@ def new_seed(entropy: int) -> SeedState:
     return SeedState(hi, lo)
 
 
-def _child(hi: int, lo: int) -> SeedState:
-    """A SeedState of two words that `_mix64` made, so 64-bit unsigned:
-    built without `__init__` and its range check, which they cannot fail.
-    The words are set as the frozen `__init__` sets them, so the instance
-    has the same layout and size."""
-    state = object.__new__(SeedState)
-    object.__setattr__(state, "hi", hi)
-    object.__setattr__(state, "lo", lo)
-    return state
-
-
 def split(seed: SeedState) -> tuple[SeedState, SeedState]:
     """Derive the (left, right) child states of `seed`.
 
@@ -90,7 +79,7 @@ def split(seed: SeedState) -> tuple[SeedState, SeedState]:
     ll = _mix64((seed.lo + lh) & _MASK64)
     rh = _mix64(seed.hi ^ _TAG_RIGHT)
     rl = _mix64((seed.lo + rh) & _MASK64)
-    return _child(lh, ll), _child(rh, rl)
+    return SeedState(lh, ll), SeedState(rh, rl)
 
 
 class _ThreadPhilox(threading.local):

@@ -258,7 +258,8 @@ def revheun_step_forward(state: RevHeunState, t_next: float, dt: float,
 
 
 def _mismatch(got, want):
-    """max |got - want| / (1 + max |want|), computed in `got`."""
+    """max |got - want| / (1 + max |want|), computed in `got`, which must
+    be new: a `vjp` value."""
     d = np.subtract(got, want, out=got)
     np.abs(d, out=d)
     return float(d.max()) / (1.0 + max(float(want.max()), -float(want.min())))

@@ -401,8 +401,9 @@ def _counters(field):
 
 
 def _assert_vjp_is_linearize_then_pullback(field, t, z, d_mu, d_sigma):
-    """vjp gives linearize's values and pullback's gradients bitwise, and
-    counts one evaluation and one VJP of each kind."""
+    """vjp gives linearize's values and pullback's gradients bitwise, its
+    values in new writable arrays, and counts one evaluation and one VJP of
+    each kind."""
     mu, sigma, tape = field.linearize(t, z)
     want = (mu, sigma, *field.pullback(tape, d_mu, d_sigma))
     field.reset_counters()
@@ -411,6 +412,9 @@ def _assert_vjp_is_linearize_then_pullback(field, t, z, d_mu, d_sigma):
     assert len(got) == 4
     for a, b in zip(got, want):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    for a, b in zip(got[:2], want[:2]):
+        assert a.flags.writeable
+        assert not np.shares_memory(a, b) and not np.shares_memory(a, z)
 
 
 def _assert_linearize_matches_counted_calls(field, t, z, d_mu, d_sigma):
@@ -510,6 +514,20 @@ class TestLinearize:
         _assert_linearize_matches_counted_calls(
             field, 0.1, z, rng.standard_normal((3, 2)),
             rng.standard_normal((3, 2, 2)))
+
+    def test_vjp_values_are_new_where_the_closures_return_views(self):
+        # Identity drift returns its input and the diffusion a read-only
+        # broadcast view: vjp still returns new arrays, which the reversible
+        # sweep's round-trip check writes into.
+        field = AnalyticField(
+            2, 1, drift=lambda t, z: z,
+            diffusion=lambda t, z: np.broadcast_to(0.5, (len(z), 2, 1)),
+            drift_vjp_z=lambda t, z, c: c,
+            diffusion_vjp_z=lambda t, z, c: np.zeros_like(z))
+        rng = np.random.default_rng(5)
+        _assert_linearize_matches_counted_calls(
+            field, 0.2, rng.standard_normal((3, 2)),
+            rng.standard_normal((3, 2)), rng.standard_normal((3, 2, 1)))
 
 
 def _per_network(field, t, z, d_mu, d_sigma):

@@ -983,6 +983,51 @@ class TestInputRules:
             np.testing.assert_array_equal(got, want)
         assert cps.keys() == {2} and cps[2] is c_2
 
+    @pytest.mark.parametrize("kind", ["stored", "broadcast"])
+    def test_tuples_unchanged_when_the_field_returns_what_it_holds(self,
+                                                                    kind):
+        # Identity drift returns its input, so a tuple's mu is its zhat, and
+        # the diffusion is a constant the closure keeps or a read-only
+        # broadcast view. The round-trip check writes into the values a
+        # vjp returns; neither backward pass may write into a tuple or the
+        # constant, or fail on a read-only one, and both still match the
+        # oracle.
+        batch, x, w, n = 3, 2, 2, 8
+        const = np.random.default_rng(4).standard_normal((x, w))
+        stored = np.broadcast_to(const, (batch, x, w)).copy()
+        field = AnalyticField(
+            x, w, drift=lambda t, z: z,
+            diffusion=(lambda t, z: stored) if kind == "stored" else
+            (lambda t, z: np.broadcast_to(const, (len(z), x, w))),
+            drift_vjp_z=lambda t, z, c: c,
+            diffusion_vjp_z=lambda t, z, c: np.zeros_like(z))
+        rng = np.random.default_rng(6)
+        z0, c_end = rng.standard_normal((2, batch, x))
+
+        def config():
+            return SolveConfig("reversible_heun", 1.0 / n, 1.0,
+                               BrownianInterval(1.0, 12, dims=w, batch=batch))
+
+        cfg = config()
+        cfg.noise.key_on_grid(n, cfg.time)
+        terminal, _ = revheun_solve(field, z0, cfg)
+        assert terminal.mu is terminal.zhat
+        names = ("z", "zhat", "mu", "sigma")
+        kept = [getattr(terminal, name).copy() for name in names]
+        g0, gp = revheun_backward(field, terminal, cfg, c_end, None)
+        dw = cfg.noise.query(cfg.time(n - 1), 1.0)
+        cot = CotangentState(c_end, np.zeros((batch, x)), np.zeros((batch, x)),
+                             np.zeros((batch, x, w)), np.zeros(0))
+        revheun_step_backward(terminal, cot, cfg.time(n - 1), cfg.dt, dw,
+                              field)
+        for name, want in zip(names, kept):
+            np.testing.assert_array_equal(getattr(terminal, name), want)
+        np.testing.assert_array_equal(stored,
+                                      np.broadcast_to(const, stored.shape))
+        gu, gpu = unrolled_backprop("reversible_heun", field, z0, config(),
+                                    c_end)
+        assert rel_l1(g0, gp, gu, gpu) <= 1e-12
+
     @pytest.mark.parametrize("batch, dims", [(1, 2), (3, 2), (2, 1)],
                              ids=["batch-1", "batch-3", "dims-1"])
     def test_noise_of_another_shape_rejected(self, batch, dims):
