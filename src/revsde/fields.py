@@ -6,35 +6,32 @@ diffusion with respect to the state and the (flat) parameter vector, and
 those are small, fixed computations that are written out here and verified
 against central finite differences by `fd_check`.
 
-Each field writes its evaluation and derivative once, over a tape:
-`_linearize(t, z)` -> (mu, sigma, tape) and `_pullback(tape, d_mu,
-d_sigma)` -> (d_z, d_params), the parameter gradient summed over the
-batch. The public methods count their calls. `vjp(t, z, d_mu, d_sigma)`
--> (mu, sigma, d_z, d_params) runs one linearization and its pullback
-in one call, so no tape outlives it: the reversible adjoint, its
-unrolled oracle and the public backward step differentiate through it.
-The baseline schemes, the continuous adjoint and `fd_check` pull one
-linearization back more than once or later, through the counted
-`linearize` -> (mu, sigma, tape) and `pullback(tape, d_mu, d_sigma)`;
-both run the same `_linearize` and `_pullback`, so `fd_check` checks the
-derivative the solvers run. Forward-only passes call `evaluate` -> (mu,
-sigma). `eval_drift`, `eval_diffusion`, `vjp_drift` and `vjp_diffusion`,
-halves of that pass and of its pullback, stay with their counters because
-the benchmark's field proxy (`_TracedField`, `perfbench/tracing.py`)
-binds them and divides its field metrics by their time (ROADMAP items 1a
-and 2). A `NeuralField` runs its two networks, LipSwish MLPs with at least
-one hidden layer each, as one pass with a stacked first layer (see its
-docstring); an `MLPField` only holds a network's parameters.
+Each field writes its evaluation and its derivative once:
+`_evaluate(t, z)` -> (mu, sigma) and `_vjp(t, z, d_mu, d_sigma)` -> (mu,
+sigma, d_z, d_params), the values at (t, z) and the pullback of (d_mu,
+d_sigma) through them, the parameter gradient summed over the batch. The
+public methods count their calls. Forward-only passes call `evaluate`
+and every gradient path calls `vjp`: the reversible adjoint, its unrolled
+oracle and the public backward step, the baseline oracle, the continuous
+adjoint and `fd_check`, so `fd_check` checks the derivative the solvers
+run. No derivative outlives the call that made it. `eval_drift`,
+`eval_diffusion`, `vjp_drift` and `vjp_diffusion`, halves of `evaluate`
+and of `vjp`, stay with their counters because the benchmark's field
+proxy (`_TracedField`, `perfbench/tracing.py`) binds them and divides its
+field metrics by their time (ROADMAP items 1a and 2). A `NeuralField`
+runs its two networks, LipSwish MLPs with at least one hidden layer each,
+as one pass with a stacked first layer (see its docstring); an `MLPField`
+only holds a network's parameters.
 
 The layers run on numpy alone. Each activation may overwrite its own
 pre-activation, and nothing else: a layer computes x @ W.T into a new
 buffer, adds the bias in place and hands the buffer to its activation,
-and no pullback ever writes an array that its tape, its caller or the
-returned (mu, sigma) holds. The one exception is scratch: the stacked
-hidden state of `evaluate` and `vjp` and the pullback's temporaries live
-in buffers of the calling thread, which nothing returned shares. The
-sigmoid (the diffusion head and LipSwish's gate) is the tanh form 0.5 +
-0.5 tanh(h / 2); see `sigmoid` for its accuracy.
+and no pullback writes an array that its caller or the returned (mu,
+sigma) holds. Scratch is the one exception: the stacked hidden state,
+its LipSwish memo and the pullback's temporaries live in buffers of the
+calling thread, which nothing returned shares. The sigmoid (the diffusion
+head and LipSwish's gate) is the tanh form 0.5 + 0.5 tanh(h / 2); see
+`sigmoid` for its accuracy.
 
 Conventions, shared with the solvers:
   * states are batch-major arrays of shape (batch, state_dim);
@@ -81,9 +78,9 @@ def sigmoid(h, out=None):
 # write y into its pre-activation h and nothing else; derivative(y, memo,
 # out) -> dy/dh writes into `out` (a new array if None) from what the
 # forward pass already computed, so a pullback never re-evaluates a
-# nonlinearity and never writes the tape. LipSwish's memo is its sigmoid:
-# dy/dh = 0.909 s + y (1 - s), computed in `out` as (0.909 - y) s + y
-# with no temporary. The identity's derivative is the float 1.0.
+# nonlinearity and never writes what that pass kept. LipSwish's memo is
+# its sigmoid: dy/dh = 0.909 s + y (1 - s), computed in `out` as (0.909 -
+# y) s + y with no temporary. The identity's derivative is the float 1.0.
 def _lipswish_forward(h, out=None):
     s = sigmoid(h, out=out)
     h *= LIPSWISH_SCALE
@@ -233,18 +230,16 @@ def clip_weights(net: MLPField):
 class VectorField:
     """Drift/diffusion pair with one derivative and evaluation counters.
 
-    Subclasses implement `_linearize` and `_pullback`, the tape protocol of
-    the module docstring, and may override `_evaluate`, the same pass
-    without a tape, and `_vjp`, a linearization and its pullback in one,
-    which returns mu and sigma in new arrays. The public methods are views
-    of these and count their calls, so solvers can assert their per-step
-    evaluation budgets: `evaluate` gives (mu, sigma), `linearize` also the
-    tape, which `pullback` reads, `vjp` the values and the pullback of one
-    linearization, `eval_drift` and `eval_diffusion` one half of the pass,
-    and `vjp_drift` and `vjp_diffusion` one half of its pullback.
-    Evaluation is pure per thread: a field may reuse scratch buffers, but
-    no two threads share them and no tape holds one. Parameter mutation
-    (set_params, clipping) requires exclusive access.
+    Subclasses implement `_evaluate(t, z)` -> (mu, sigma) and `_vjp(t, z,
+    d_mu, d_sigma)` -> (mu, sigma, d_z, d_params), with mu and sigma in new
+    arrays. The public methods are views of these and count their calls,
+    so solvers can assert their per-step evaluation budgets: `evaluate`
+    gives (mu, sigma), `vjp` the values and their pullback, `eval_drift`
+    and `eval_diffusion` one half of the pass, and `vjp_drift` and
+    `vjp_diffusion` one half of the pullback. Evaluation is pure per
+    thread: a field may reuse scratch buffers, but no two threads share
+    them. Parameter mutation (set_params, clipping) requires exclusive
+    access.
     """
 
     state_dim: int
@@ -276,27 +271,11 @@ class VectorField:
         self.diffusion_evals += 1
         return self._evaluate(t, z)[1]
 
-    def _evaluate(self, t, z):
-        return self._linearize(t, z)[:2]
-
-    def linearize(self, t, z):
-        """(mu, sigma, tape) at (t, z); counts one evaluation of each kind."""
-        self.drift_evals += 1
-        self.diffusion_evals += 1
-        return self._linearize(t, z)
-
-    def pullback(self, tape, d_mu, d_sigma):
-        """(d_z, d_params), the gradient of <d_mu, mu> + <d_sigma, sigma> at
-        the tape's linearization; counts one VJP of each kind."""
-        self.drift_vjp_calls += 1
-        self.diffusion_vjp_calls += 1
-        return self._pullback(tape, d_mu, d_sigma)
-
     def vjp(self, t, z, d_mu, d_sigma):
-        """(mu, sigma, d_z, d_params): the values at (t, z) and the pullback
-        of (d_mu, d_sigma) through them, bitwise `linearize` then
-        `pullback`; counts one evaluation and one VJP of each kind. mu and
-        sigma are new arrays, which the caller may write into: the
+        """(mu, sigma, d_z, d_params): the values at (t, z), bitwise those of
+        `evaluate`, and d_z and d_params, the gradient of <d_mu, mu> +
+        <d_sigma, sigma>; counts one evaluation and one VJP of each kind.
+        mu and sigma are new arrays, which the caller may write into: the
         reversible sweep's round-trip check does."""
         self.drift_evals += 1
         self.diffusion_evals += 1
@@ -304,24 +283,17 @@ class VectorField:
         self.diffusion_vjp_calls += 1
         return self._vjp(t, z, d_mu, d_sigma)
 
-    def _vjp(self, t, z, d_mu, d_sigma):
-        # Copied: `_linearize` may return arrays it keeps or read-only
-        # views (an AnalyticField's closures may).
-        mu, sigma, tape = self._linearize(t, z)
-        return (np.array(mu), np.array(sigma),
-                *self._pullback(tape, d_mu, d_sigma))
-
     def vjp_drift(self, t, z, cotangent):
         """Gradient of <cotangent, mu>: the pullback of (cotangent, 0)."""
         self.drift_vjp_calls += 1
-        _, sigma, tape = self._linearize(t, z)
-        return self._pullback(tape, cotangent, np.zeros_like(sigma))
+        zero = np.zeros((len(z), self.state_dim, self.noise_dim))
+        return self._vjp(t, z, cotangent, zero)[2:]
 
     def vjp_diffusion(self, t, z, cotangent):
         """Gradient of <cotangent, sigma>: the pullback of (0, cotangent)."""
         self.diffusion_vjp_calls += 1
-        mu, _, tape = self._linearize(t, z)
-        return self._pullback(tape, np.zeros_like(mu), cotangent)
+        zero = np.zeros((len(z), self.state_dim))
+        return self._vjp(t, z, zero, cotangent)[2:]
 
     def get_params(self):
         return np.zeros(0)
@@ -357,18 +329,18 @@ class NeuralField(VectorField):
     (`clip`, `clip_weights`) reach the pass, and a network that rebinds
     them (`set_params`) is stacked anew at the next pass.
 
-    The pullback stacks the two cotangents on the hidden state in one
-    buffer and applies the LipSwish derivative once. It sums the input
-    cotangent per network, so the pullback of (d_mu, d_sigma) is bitwise
-    the sum of those of (d_mu, 0) and (0, d_sigma). Its temporaries, the
-    flat parameter gradient it fills and the hidden state and LipSwish
-    memo of `evaluate` and `vjp` are buffers of the calling thread, one
-    set per batch size, so freeing and refaulting them per call is
-    avoided; every array returned is new. `vjp` runs `_forward` and
-    `_pullback` on that scratch alone: the pullback reads the memo into
-    the LipSwish derivative before it writes the stacked cotangent over
-    the memo, so a fused pass holds one (hidden, batch) buffer more than
-    `evaluate` and allocates no tape.
+    `vjp` runs `_forward` and then `_pullback` over its tape, which lives
+    only within the call. The pullback stacks the two cotangents on the
+    hidden state in one buffer and applies the LipSwish derivative once.
+    It sums the input cotangent per network, so the pullback of (d_mu,
+    d_sigma) is bitwise the sum of those of (d_mu, 0) and (0, d_sigma).
+    The hidden state and its LipSwish memo, the pullback's temporaries
+    and the flat parameter gradient it fills are buffers of the calling
+    thread, one set per batch size, so freeing and refaulting them per
+    call is avoided; every array returned is new. The pullback reads the
+    memo into the LipSwish derivative before it writes the stacked
+    cotangent over the memo, so `vjp` holds one (hidden, batch) buffer
+    more than `evaluate`.
     """
 
     def __init__(self, drift_net: MLPField, diffusion_net: MLPField):
@@ -414,37 +386,32 @@ class NeuralField(VectorField):
 
     def _evaluate(self, t, z):
         x = _time_appended(t, np.asarray(z), self.state_dim)
-        hidden, memo = self._buffers(len(x))[:2]
-        return self._forward(x, hidden, memo)[:2]
-
-    def _linearize(self, t, z):
-        x = _time_appended(t, np.asarray(z), self.state_dim)
-        return self._forward(x, None, None)
+        return self._forward(x, self._buffers(len(x)))[:2]
 
     def _vjp(self, t, z, d_mu, d_sigma):
         x = _time_appended(t, np.asarray(z), self.state_dim)
         buffers = self._buffers(len(x))
-        mu, sigma, tape = self._forward(x, *buffers[:2])
+        mu, sigma, tape = self._forward(x, buffers)
         return (mu, sigma, *self._pullback(tape, d_mu, d_sigma, buffers))
 
-    def _forward(self, x, hidden, memo):
+    def _forward(self, x, buffers):
         """(mu, sigma, tape) of one pass through both networks on x = [z | t].
-        The stacked hidden state goes into `hidden` and its LipSwish memo
-        into `memo` (new arrays where None)."""
+        The stacked hidden state goes into the first of this thread's
+        `buffers` and its LipSwish memo into the second."""
         w0, b0 = self._stacked()
-        h = np.dot(w0, x.T, out=hidden)
+        h = np.dot(w0, x.T, out=buffers[0])
         h += b0
-        memo = _lipswish_forward(h, memo)[1]
+        memo = _lipswish_forward(h, buffers[1])[1]
         tapes = [net._layers(h[rows].T)
                  for net, rows in zip(self._nets, self._rows)]
         mu, flat_sigma = [inputs[-1] for _, inputs in tapes]
         sigma = flat_sigma.reshape(len(x), self.state_dim, self.noise_dim)
         return mu, sigma, (x, w0, h, memo, tapes)
 
-    def _pullback(self, tape, d_mu, d_sigma, buffers=None):
-        """(d_z, d_params) over the tape, in `buffers` (this thread's scratch
-        for the batch if None). The memo may be the scratch's second buffer,
-        the stacked cotangent's: the derivative reads it first."""
+    def _pullback(self, tape, d_mu, d_sigma, buffers):
+        """(d_z, d_params) over the tape of a `_forward` into the same
+        `buffers`. The memo is the second buffer, the stacked cotangent's:
+        the derivative reads it first."""
         x, w0, h, memo, tapes = tape
         batch = len(x)
         d_mu, d_sigma = np.asarray(d_mu), np.asarray(d_sigma)
@@ -454,7 +421,7 @@ class NeuralField(VectorField):
             raise ValueError(f"cotangent shapes {d_mu.shape} and "
                              f"{d_sigma.shape} do not match (mu, sigma) "
                              f"shapes {shapes[0]} and {shapes[1]}")
-        _, g0, d0, flat, nets = buffers or self._buffers(batch)
+        _, g0, d0, flat, nets = buffers
         _lipswish_derivative(h, memo, d0)
         for net, rows, cot, (memos, inputs), (grads, head) in zip(
                 self._nets, self._rows, (d_mu, d_sigma.reshape(batch, -1)),
@@ -530,7 +497,10 @@ class AnalyticField(VectorField):
 
     drift(t, z) -> (batch, x); diffusion(t, z) -> (batch, x, w);
     drift_vjp_z(t, z, cot) and diffusion_vjp_z(t, z, cot) return the state
-    cotangent for cot of the matching output shape.
+    cotangent for cot of the matching output shape. `_evaluate` calls the
+    first two and `_vjp` all four, copying mu and sigma; a `vjp` without
+    both derivative closures raises NotImplementedError naming the one
+    missing.
     """
 
     def __init__(self, state_dim, noise_dim, drift, diffusion,
@@ -544,17 +514,20 @@ class AnalyticField(VectorField):
         self._diffusion_vjp_fn = diffusion_vjp_z
         super().__init__()
 
-    def _linearize(self, t, z):
-        return self._drift_fn(t, z), self._diffusion_fn(t, z), (t, z)
+    def _evaluate(self, t, z):
+        return self._drift_fn(t, z), self._diffusion_fn(t, z)
 
-    def _pullback(self, tape, d_mu, d_sigma):
+    def _vjp(self, t, z, d_mu, d_sigma):
         if self._drift_vjp_fn is None:
             raise NotImplementedError("no drift_vjp_z closure")
         if self._diffusion_vjp_fn is None:
             raise NotImplementedError("no diffusion_vjp_z closure")
-        t, z = tape
-        return (self._drift_vjp_fn(t, z, d_mu)
-                + self._diffusion_vjp_fn(t, z, d_sigma)), np.zeros(0)
+        # Copied: the closures may return arrays they keep or read-only
+        # views (a drift may return its input).
+        mu, sigma = self._evaluate(t, z)
+        return (np.array(mu), np.array(sigma),
+                self._drift_vjp_fn(t, z, d_mu)
+                + self._diffusion_vjp_fn(t, z, d_sigma), np.zeros(0))
 
 
 @dataclass
@@ -567,14 +540,13 @@ class FdReport:
 
 
 def fd_check(field: VectorField, t, z, tolerance=1e-5, step=1e-6):
-    """Compare the field's pullback against central finite differences.
+    """Compare the field's `vjp` against central finite differences.
 
-    Pulls fixed random probes (c_mu, 0) and (0, c_sigma) back through
-    `field.pullback` over the tape of `field.linearize`, then bumps each
-    flat coordinate of a copy of the state and each parameter (written
-    back through `set_params`); one `linearize` per bump serves both
-    probes. Relative errors use an absolute floor of 1e-8 so near-zero
-    entries do not blow up the ratio.
+    Pulls fixed random probes (c_mu, 0) and (0, c_sigma) back through one
+    `field.vjp` each, then bumps each flat coordinate of a copy of the
+    state and each parameter (written back through `set_params`); one
+    `evaluate` per bump serves both probes. Relative errors use an
+    absolute floor of 1e-8 so near-zero entries do not blow up the ratio.
     """
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
@@ -582,9 +554,8 @@ def fd_check(field: VectorField, t, z, tolerance=1e-5, step=1e-6):
     rng = np.random.default_rng(12345)
     c_mu = rng.standard_normal((z.shape[0], field.state_dim))
     c_sigma = rng.standard_normal(c_mu.shape + (field.noise_dim,))
-    _, _, tape = field.linearize(t, z)
-    grads = [field.pullback(tape, c_mu, np.zeros_like(c_sigma)),
-             field.pullback(tape, np.zeros_like(c_mu), c_sigma)]
+    grads = [field.vjp(t, z, c_mu, np.zeros_like(c_sigma))[2:],
+             field.vjp(t, z, np.zeros_like(c_mu), c_sigma)[2:]]
     params = field.get_params()
     worst = 0.0
     for block, (x, write_back) in enumerate(
@@ -595,7 +566,7 @@ def fd_check(field: VectorField, t, z, tolerance=1e-5, step=1e-6):
             for eps in (step, -step):
                 x[k] = orig + eps
                 write_back(x)
-                mu, sigma, _ = field.linearize(t, z)
+                mu, sigma = field.evaluate(t, z)
                 sums.append((float(np.sum(c_mu * mu)),
                              float(np.sum(c_sigma * sigma))))
             x[k] = orig

@@ -33,9 +33,8 @@ algebra and its pullback are written once. The baseline schemes are
 written in increment form, seeing the field only through the step's
 increment mu dt + sigma dW, so one scheme serves the forward solve, the
 oracle and the continuous adjoint, which integrates the flat (state,
-adjoint, parameter-gradient) vector backward with it. The baseline
-gradient paths differentiate the field through `field.linearize`'s tape
-and `field.pullback`, the reversible ones through `field.vjp`.
+adjoint, parameter-gradient) vector backward with it. Every gradient
+path differentiates the field through `field.vjp`.
 
 One grid walk, `_sweep`, yields every pass its steps' grid times
 (`SolveConfig.time`: i*dt, end pinned to t1) with the noise over them, its
@@ -51,7 +50,6 @@ forward-only solves leave the tree shape to their queries.
 from __future__ import annotations
 
 import functools
-import itertools
 import numbers
 from dataclasses import dataclass, field as dataclass_field, replace
 
@@ -411,7 +409,8 @@ def revheun_backward(field: VectorField, terminal: RevHeunState,
     (d_mu, d_sigma) once the vjp's cotangents are made, and the vjp's
     values at the terminal tuple once checked. So a step holds at most
     two (batch, x, w) arrays beside the field's scratch and the noise
-    store's block, and the terminal check three.
+    store's block, and the terminal check three; it runs before the
+    sweep queries the dW ahead, so it holds one dW.
     """
     _require_method("reversible_heun", config)
     loss, cps = _cotangents(loss_cotangent, checkpoint_cotangents,
@@ -420,14 +419,11 @@ def revheun_backward(field: VectorField, terminal: RevHeunState,
     cot = _terminal_cotangent(field, loss)
     state = replace(terminal)
     del terminal  # only the current tuple stays alive
-    # Each step with the dW of the step before it (None at step 0), which
-    # its reconstruction's vjp needs: the sweep queries one step ahead.
-    steps = itertools.chain(
-        _sweep(config, len(state.z), field.noise_dim, reverse=True),
-        [(None,) * 4])
-    pulled = None
+    steps = _sweep(config, len(state.z), field.noise_dim, reverse=True)
+    step, pulled = next(steps), None
     try:
-        for (i, t, _, dw), (*_, dw_ahead) in itertools.pairwise(steps):
+        while step is not None:
+            i, t, _, dw = step
             if pulled is None:  # the terminal tuple: its vjp is checked
                 cot = _revheun_pullback(state, cot, dt, dw, field)
             else:
@@ -435,9 +431,13 @@ def revheun_backward(field: VectorField, terminal: RevHeunState,
                 pulled = None  # read: (gz, gp) go before the next vjp
             if i in cps:
                 cot.d_z = cot.d_z + cps[i]
+            # The reconstruction's vjp needs the dW of the step before (None
+            # at step 0); it is queried once this step is pulled back.
+            step = next(steps, None)
             state, pulled = _revheun_reconstruct(
                 state, t, dt, dw, functools.partial(
-                    _sweep_vjp, field, state, cot, dt, dw_ahead))
+                    _sweep_vjp, field, state, cot, dt,
+                    None if step is None else step[3]))
     except SolverDivergence as exc:
         raise SolverDivergence(f"{exc} at step {i}") from None
     return _revheun_gradients(cot, *pulled)
@@ -463,9 +463,10 @@ def _revheun_gradients(cot: CotangentState, gz, gp):
 # and sees the field only through inc(t, z) -> (delta, inc_pullback),
 # delta = mu dt + sigma dW for the step's fixed dt and dW. baseline_step
 # passes the forward-only `_increment`; the oracle passes
-# `_linearized_increment`, whose pullback the scheme's pullback(d_z_next)
-# -> (d_z, d_params) needs; the continuous adjoint passes
-# `_adjoint_increment` on its flat [z, a, g] vector.
+# `_oracle_increment`, whose pullback, a `vjp` at the stage, the scheme's
+# pullback(d_z_next) -> (d_z, d_params) needs; the continuous adjoint
+# passes `_adjoint_increment` on its flat [z, a, g] vector, one `vjp` per
+# stage.
 
 def _midpoint(inc, t, t_next, z):
     d0, pull0 = inc(t, z)
@@ -503,25 +504,28 @@ def _increment(field, dt, dw):
     return inc
 
 
-def _linearized_increment(field, dt, dw):
-    """Increment mu dt + sigma dW with the pullback of a cotangent on it."""
+def _oracle_increment(field, dt, dw):
+    """Increment mu dt + sigma dW with the pullback of a cotangent on it,
+    one `vjp` at the stage's (t, z)."""
     def inc(t, z):
-        mu, sigma, tape = field.linearize(t, z)
+        mu, sigma = field.evaluate(t, z)
         return (mu * dt + _sdw(sigma, dw),
-                lambda c: field.pullback(tape, dt * c, _outer(c, dw)))
+                lambda c: field.vjp(t, z, dt * c, _outer(c, dw))[2:])
 
     return inc
 
 
 def _adjoint_increment(field, dt, dw, shape):
-    """Increment of the continuous adjoint's flat [z, a, g] vector."""
-    state_inc = _linearized_increment(field, dt, dw)
+    """Increment of the continuous adjoint's flat [z, a, g] vector: the
+    state's increment and minus the pullback of a through it, one `vjp`."""
     n = shape[0] * shape[1]
 
     def inc(t, y):
-        delta, pull = state_inc(t, y[:n].reshape(shape))
-        gz, gp = pull(y[n:2 * n].reshape(shape))
-        return np.concatenate([delta.ravel(), -gz.ravel(), -gp]), None
+        a = y[n:2 * n].reshape(shape)
+        mu, sigma, gz, gp = field.vjp(t, y[:n].reshape(shape), dt * a,
+                                      _outer(a, dw))
+        return np.concatenate([(mu * dt + _sdw(sigma, dw)).ravel(),
+                               -gz.ravel(), -gp]), None
 
     return inc
 
@@ -561,9 +565,10 @@ def continuous_adjoint_solve(method: str, field: VectorField, z0: np.ndarray,
     forward stages' times), re-integrating the state rather than storing
     it. a carries dL/dz(t) and g the batch-summed parameter gradient;
     their increment is minus the pullback of a through the state's
-    increment, taken from `field.linearize` at each stage. The state
-    mismatch between the two passes puts truncation error into these
-    gradients; it vanishes as dt shrinks. Returns (grad_z0, grad_params).
+    increment, which one `field.vjp` per stage gives with the state's.
+    The state mismatch between the two passes puts truncation error into
+    these gradients; it vanishes as dt shrinks. Returns (grad_z0,
+    grad_params).
     """
     if method not in BASELINE_METHODS:
         raise ValueError(f"continuous adjoint supports {BASELINE_METHODS}, "
@@ -634,7 +639,7 @@ def unrolled_backprop(method: str, field: VectorField, z0: np.ndarray,
     scheme = _BASELINE_SCHEMES[method]
     a, gp = loss, np.zeros(field.param_count)
     for i, t, t_next, dw in _sweep(config, batch, w, reverse=True):
-        inc = _linearized_increment(field, dt, dw)
+        inc = _oracle_increment(field, dt, dw)
         _, pullback = scheme(inc, t, t_next, states[i].z)
         a, g = pullback(a)
         gp = gp + g

@@ -94,8 +94,8 @@ class TestLipswish:
         # A LipSwish hidden layer on [I | 0] under an identity head pulls
         # ones back to lipswish'(z).
         z = np.linspace(-6.0, 6.0, 1000).reshape(250, 4)
-        d_z, _ = _drift_pullback(_identity_mlp(4, hidden=1), 0.3, z,
-                                 np.ones_like(z))
+        d_z, _ = _drift_vjp(_identity_mlp(4, hidden=1), 0.3, z,
+                            np.ones_like(z))
         assert np.array_equal(d_z, lipswish_grad(z))
 
     def test_derivative_into_a_buffer_allocates_nothing(self):
@@ -166,12 +166,11 @@ def _identity_mlp(dim, final_activation="identity", hidden=0):
     return net
 
 
-def _drift_pullback(drift_net, t, z, cot):
-    """The drift block of NeuralField.pullback of (cot, 0)."""
+def _drift_vjp(drift_net, t, z, cot):
+    """The drift block of NeuralField.vjp's pullback of (cot, 0)."""
     dim = drift_net.state_dim
     field = NeuralField(drift_net, MLPField(dim, [4], dim))
-    _, sigma, tape = field.linearize(t, z)
-    d_z, d_params = field.pullback(tape, cot, np.zeros_like(sigma))
+    _, _, d_z, d_params = field.vjp(t, z, cot, np.zeros((len(z), dim, 1)))
     return d_z, d_params[:drift_net.n_params]
 
 
@@ -257,13 +256,13 @@ class TestMLPForward:
 
 
 class TestMLPVjp:
-    """The MLP's VJP: the drift block of NeuralField.linearize's pullback,
-    and the reference's pullback for a net with no hidden layer."""
+    """The MLP's VJP: the drift block of NeuralField.vjp's pullback, and
+    the reference's pullback for a net with no hidden layer."""
 
     def test_zero_cotangent_gives_zero_gradients(self):
         net = MLPField(3, [8], 3, rng=np.random.default_rng(4))
         z = np.random.default_rng(5).standard_normal((2, 3))
-        cot_z, cot_p = _drift_pullback(net, 0.1, z, np.zeros((2, 3)))
+        cot_z, cot_p = _drift_vjp(net, 0.1, z, np.zeros((2, 3)))
         assert not cot_z.any()
         assert not cot_p.any()
 
@@ -282,7 +281,7 @@ class TestMLPVjp:
         net = MLPField(4, [8], 4, rng=rng)
         z = rng.standard_normal((2, 4))
         cot = rng.standard_normal((2, 4))
-        cot_z, cot_p = _drift_pullback(net, 0.2, z, cot)
+        cot_z, cot_p = _drift_vjp(net, 0.2, z, cot)
         h = 1e-6
 
         def loss():
@@ -314,7 +313,7 @@ class TestMLPVjp:
     def test_cotangent_shape_rejected(self):
         net = MLPField(3, [4], 3)
         with pytest.raises(ValueError, match="cotangent shape"):
-            _drift_pullback(net, 0.0, np.zeros((2, 3)), np.zeros((2, 5)))
+            _drift_vjp(net, 0.0, np.zeros((2, 3)), np.zeros((2, 5)))
 
 
 class TestClipWeights:
@@ -400,34 +399,21 @@ def _counters(field):
             field.diffusion_vjp_calls)
 
 
-def _assert_vjp_is_linearize_then_pullback(field, t, z, d_mu, d_sigma):
-    """vjp gives linearize's values and pullback's gradients bitwise, its
-    values in new writable arrays, and counts one evaluation and one VJP of
-    each kind."""
-    mu, sigma, tape = field.linearize(t, z)
-    want = (mu, sigma, *field.pullback(tape, d_mu, d_sigma))
+def _assert_vjp_matches_counted_calls(field, t, z, d_mu, d_sigma):
+    """vjp gives evaluate's and eval_*'s values bitwise, in new writable
+    arrays, and the sum of vjp_drift's and vjp_diffusion's gradients
+    bitwise; each call counts what it runs."""
     field.reset_counters()
     got = field.vjp(t, z, d_mu, d_sigma)
     assert _counters(field) == (1, 1, 1, 1)
     assert len(got) == 4
-    for a, b in zip(got, want):
+    mu, sigma, d_z, d_params = got
+    values = field.evaluate(t, z)
+    assert _counters(field) == (2, 2, 1, 1)
+    for a, b in zip((mu, sigma), values):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
-    for a, b in zip(got[:2], want[:2]):
         assert a.flags.writeable
         assert not np.shares_memory(a, b) and not np.shares_memory(a, z)
-
-
-def _assert_linearize_matches_counted_calls(field, t, z, d_mu, d_sigma):
-    """linearize and pullback reproduce eval_* and vjp_* bitwise, and vjp
-    reproduces linearize then pullback."""
-    _assert_vjp_is_linearize_then_pullback(field, t, z, d_mu, d_sigma)
-    field.reset_counters()
-    mu, sigma, tape = field.linearize(t, z)
-    assert (field.drift_evals, field.diffusion_evals) == (1, 1)
-    assert (field.drift_vjp_calls, field.diffusion_vjp_calls) == (0, 0)
-    d_z, d_params = field.pullback(tape, d_mu, d_sigma)
-    assert (field.drift_vjp_calls, field.diffusion_vjp_calls) == (1, 1)
-
     assert np.array_equal(mu, field.eval_drift(t, z))
     assert np.array_equal(sigma, field.eval_diffusion(t, z))
     field.reset_counters()
@@ -441,13 +427,16 @@ def _assert_linearize_matches_counted_calls(field, t, z, d_mu, d_sigma):
 
 
 class TestLinearize:
+    """A field's linearization at a point, as its one derivative method,
+    `vjp`, gives it."""
+
     def test_neural_field_matches_eval_and_vjp_bitwise(self):
         rng = np.random.default_rng(16)
         field = NeuralField(
             MLPField(4, [8], 4, final_activation="tanh", rng=rng),
             MLPField(4, [8], 8, final_activation="sigmoid", rng=rng))
         z = rng.standard_normal((3, 4))
-        _assert_linearize_matches_counted_calls(
+        _assert_vjp_matches_counted_calls(
             field, 0.4, z, rng.standard_normal((3, 4)),
             rng.standard_normal((3, 4, 2)))
 
@@ -462,15 +451,16 @@ class TestLinearize:
         field = NeuralField(
             MLPField(x, hidden, x, final_activation=heads[0], rng=rng),
             MLPField(x, hidden, x * w, final_activation=heads[1], rng=rng))
-        _assert_linearize_matches_counted_calls(
+        _assert_vjp_matches_counted_calls(
             field, float(rng.uniform(-1.0, 1.0)),
             rng.standard_normal((batch, x)), rng.standard_normal((batch, x)),
             rng.standard_normal((batch, x, w)))
 
     @pytest.mark.parametrize("head", HEADS)
-    def test_inputs_tape_and_values_never_written(self, head):
-        # Layers work in place; the caller's z and cotangents, the returned
-        # (mu, sigma) and the tape a second pullback reads must not move.
+    def test_inputs_and_values_never_written(self, head):
+        # Layers work in place and the pullback reuses the forward pass's
+        # scratch; the caller's z and cotangents and the (mu, sigma) a vjp
+        # returned must not move under a second vjp.
         rng = np.random.default_rng(21)
         field = NeuralField(
             MLPField(3, [6], 3, final_activation=head, rng=rng),
@@ -479,12 +469,11 @@ class TestLinearize:
         d_mu = rng.standard_normal((5, 3))
         d_sigma = rng.standard_normal((5, 3, 2))
         inputs = [a.copy() for a in (z, d_mu, d_sigma)]
-        mu, sigma, tape = field.linearize(0.2, z)
-        values = [mu.copy(), sigma.copy()]
-        first = field.pullback(tape, d_mu, d_sigma)
-        second = field.pullback(tape, d_mu, d_sigma)
-        for got, want in zip([z, d_mu, d_sigma, mu, sigma, *second],
-                             inputs + values + list(first)):
+        first = field.vjp(0.2, z, d_mu, d_sigma)
+        values = [a.copy() for a in first]
+        second = field.vjp(0.2, z, d_mu, d_sigma)
+        for got, want in zip([z, d_mu, d_sigma, *first, *second],
+                             inputs + values + values, strict=True):
             assert got.tobytes() == want.tobytes()
 
     def test_analytic_field_names_a_missing_vjp_closure(self):
@@ -511,7 +500,7 @@ class TestLinearize:
         )
         rng = np.random.default_rng(17)
         z = rng.standard_normal((3, 2))
-        _assert_linearize_matches_counted_calls(
+        _assert_vjp_matches_counted_calls(
             field, 0.1, z, rng.standard_normal((3, 2)),
             rng.standard_normal((3, 2, 2)))
 
@@ -525,7 +514,7 @@ class TestLinearize:
             drift_vjp_z=lambda t, z, c: c,
             diffusion_vjp_z=lambda t, z, c: np.zeros_like(z))
         rng = np.random.default_rng(5)
-        _assert_linearize_matches_counted_calls(
+        _assert_vjp_matches_counted_calls(
             field, 0.2, rng.standard_normal((3, 2)),
             rng.standard_normal((3, 2)), rng.standard_normal((3, 2, 1)))
 
@@ -543,17 +532,12 @@ def _per_network(field, t, z, d_mu, d_sigma):
 
 
 def _assert_fused_matches_per_network(field, t, z, d_mu, d_sigma):
+    # d_z is summed per network: bitwise the sum of the one-sided
+    # pullbacks, which the counted calls' check asserts.
+    _assert_vjp_matches_counted_calls(field, t, z, d_mu, d_sigma)
     # A stacked gemm need not round like two separate ones.
-    mu, sigma, tape = field.linearize(t, z)
-    got = (mu, sigma, *field.pullback(tape, d_mu, d_sigma))
-    for a, b in zip(field.evaluate(t, z), got):
-        assert np.array_equal(a, b)
-    _assert_vjp_is_linearize_then_pullback(field, t, z, d_mu, d_sigma)
-    # d_z is summed per network: bitwise the sum of the one-sided pullbacks.
-    d_z_mu = field.pullback(tape, d_mu, np.zeros_like(d_sigma))[0]
-    d_z_sigma = field.pullback(tape, np.zeros_like(d_mu), d_sigma)[0]
-    assert np.array_equal(got[2], d_z_mu + d_z_sigma)
-    for a, b in zip(got, _per_network(field, t, z, d_mu, d_sigma)):
+    for a, b in zip(field.vjp(t, z, d_mu, d_sigma),
+                    _per_network(field, t, z, d_mu, d_sigma)):
         assert a.shape == b.shape
         np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-13)
 
@@ -627,7 +611,7 @@ def _scratch_field(drift_hidden=(6, 5)):
 class TestScratch:
     def test_threads_sharing_a_field_match_one_thread_bitwise(self):
         # Each thread has its own scratch; a shared one would let a thread
-        # overwrite another's cotangents mid-pullback. More threads than
+        # overwrite another's cotangents mid-vjp. More threads than
         # cores and a short switch interval force interleaving.
         field = _scratch_field()
         rng = np.random.default_rng(26)
@@ -638,10 +622,9 @@ class TestScratch:
         def run():
             out = []
             for t, z, d_mu, d_sigma in inputs:
-                mu, sigma, tape = field.linearize(t, z)
-                out.append((*field.evaluate(t, z), mu, sigma,
-                            *field.pullback(tape, d_mu, d_sigma),
-                            *field.vjp(t, z, d_mu, d_sigma)))
+                out.append((*field.evaluate(t, z),
+                            *field.vjp(t, z, d_mu, d_sigma),
+                            *field.vjp_drift(t, z, d_mu)))
             return out
 
         expected = run()
@@ -681,10 +664,9 @@ class TestScratch:
             z = rng.standard_normal((batch, 3))
             d_mu = rng.standard_normal((batch, 3))
             d_sigma = rng.standard_normal((batch, 3, 2))
-            mu, sigma, tape = field.linearize(0.5, z)
-            results += [*field.evaluate(0.5, z), mu, sigma,
-                        *field.pullback(tape, d_mu, d_sigma),
-                        *field.vjp(0.5, z, d_mu, d_sigma)]
+            results += [*field.evaluate(0.5, z),
+                        *field.vjp(0.5, z, d_mu, d_sigma),
+                        *field.vjp_diffusion(0.5, z, d_sigma)]
         for i, a in enumerate(results):
             for b in results[:i]:
                 assert not np.shares_memory(a, b)
@@ -696,21 +678,22 @@ class TestScratch:
             diffusion=lambda t, z: np.cos(z)[:, :, None] * np.ones(2),
             drift_vjp_z=lambda t, z, c: t * np.cos(t * z) * c,
             diffusion_vjp_z=lambda t, z, c: -np.sin(z) * c.sum(axis=2))])
-    def test_tape_is_independent_of_later_calls(self, make_field):
-        # A tape is data: calls at another point, at the same batch size
-        # and so on the same scratch, leave its pullback bitwise unchanged.
+    def test_vjp_is_independent_of_later_calls(self, make_field):
+        # Calls at another point, at the same batch size and so on the
+        # same scratch, leave a vjp's results and its repeat bitwise
+        # unchanged.
         field = make_field()
         rng = np.random.default_rng(28)
         z_a, z_b, d_mu, d_mu_b = rng.standard_normal((4, 6, 3))
         d_sigma, d_sigma_b = rng.standard_normal((2, 6, 3, 2))
-        _, _, tape = field.linearize(0.3, z_a)
-        want = field.pullback(tape, d_mu, d_sigma)
-        _, _, tape_b = field.linearize(0.7, z_b)
+        first = field.vjp(0.3, z_a, d_mu, d_sigma)
+        want = [a.tobytes() for a in first]
+        field.vjp(0.7, z_b, d_mu_b, d_sigma_b)
         field.evaluate(0.7, z_b)
-        field.pullback(tape_b, d_mu_b, d_sigma_b)
-        got = field.pullback(tape, d_mu, d_sigma)
-        for a, b in zip(got, want, strict=True):
-            assert a.tobytes() == b.tobytes()
+        field.vjp_drift(0.7, z_b, d_mu_b)
+        assert [a.tobytes() for a in first] == want
+        again = field.vjp(0.3, z_a, d_mu, d_sigma)
+        assert [a.tobytes() for a in again] == want
 
 
 class TestFdCheck:
@@ -739,7 +722,8 @@ class TestFdCheck:
 
     @pytest.mark.parametrize("head", HEADS)
     def test_every_head_over_lipswish_hidden_layers(self, head):
-        # The pullback reads each derivative from the forward pass's tape.
+        # The pullback reads each derivative from what the forward pass
+        # computed.
         rng = np.random.default_rng(19)
         field = NeuralField(
             MLPField(3, [6], 3, final_activation=head, rng=rng),
@@ -760,16 +744,16 @@ class TestFdCheck:
         rep = fd_check(field, 0.0, z)
         assert not rep.ok
 
-    def test_corrupted_linearize_pullback_is_flagged(self, monkeypatch):
-        # fd_check reaches the pullback the solvers differentiate through.
+    def test_corrupted_pullback_is_flagged(self, monkeypatch):
+        # fd_check reaches the pullback the solvers' vjp runs.
         rng = np.random.default_rng(17)
         field = NeuralField(MLPField(4, [8], 4, rng=rng),
                             MLPField(4, [8], 8, rng=rng))
         z = rng.standard_normal((2, 4))
         pullback = NeuralField._pullback
 
-        def corrupted(self, tape, d_mu, d_sigma):
-            d_z, d_params = pullback(self, tape, d_mu, d_sigma)
+        def corrupted(self, tape, d_mu, d_sigma, buffers):
+            d_z, d_params = pullback(self, tape, d_mu, d_sigma, buffers)
             return 1.01 * d_z, d_params
 
         assert fd_check(field, 0.4, z).ok
@@ -802,9 +786,8 @@ def test_imports_and_differentiates_without_scipy():
         field = NeuralField(
             MLPField(2, [4], 2, final_activation="tanh"),
             MLPField(2, [4], 4, final_activation="sigmoid"))
-        mu, sigma, tape = field.linearize(0.1, np.ones((3, 2)))
-        d_z, d_params = field.pullback(tape, np.ones_like(mu),
-                                       np.ones_like(sigma))
+        mu, sigma, d_z, d_params = field.vjp(
+            0.1, np.ones((3, 2)), np.ones((3, 2)), np.ones((3, 2, 2)))
         assert d_z.shape == (3, 2) and d_params.shape == (field.param_count,)
     """)
     src = str(Path(revsde.__file__).resolve().parent.parent)

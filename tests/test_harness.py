@@ -379,8 +379,9 @@ class TestFitToy:
         # 32 steps: the forward solve evaluates the drift at the start
         # (eval_drift) and after each step (evaluate); the backward pass
         # runs one vjp at the terminal tuple and at each reconstruction,
-        # and linearizes nothing. Before, a second forward solve made 66.
-        calls = {"eval_drift": 0, "evaluate": 0, "linearize": 0, "vjp": 0}
+        # and evaluates nothing alone. Before, a second forward solve made
+        # 66.
+        calls = {"eval_drift": 0, "evaluate": 0, "vjp": 0}
         for name in calls:
             def counted(self, *args, _real=getattr(NeuralField, name),
                         _name=name):
@@ -390,8 +391,7 @@ class TestFitToy:
             monkeypatch.setattr(NeuralField, name, counted)
         fit_toy_sde(ExperimentConfig(seed=0, batch=4, iters=1),
                     grad_check_every=0)
-        assert calls == {"eval_drift": 1, "evaluate": 32, "linearize": 0,
-                         "vjp": 33}
+        assert calls == {"eval_drift": 1, "evaluate": 32, "vjp": 33}
 
     def test_noise_tree_is_keyed_on_the_grid(self, monkeypatch):
         # A keyed tree stores no split points (node_count 1); a lazy one
