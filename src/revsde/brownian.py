@@ -48,16 +48,17 @@ from .prng import SeedState, new_seed, split, standard_normals
 BLOCK_STEPS = 32
 
 
-def _count(value, rule: str) -> int:
-    """`value` as an int >= 1; a bool or a non-integral value raises."""
+def _count(value, rule: str, lo=1, hi=math.inf) -> int:
+    """`value` as an int in [lo, hi); a bool or a non-integral value raises."""
     if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-            or value < 1):
+            or not lo <= int(value) < hi):
         raise ValueError(f"{rule}, got {value!r}")
     return int(value)
 
 
 def _as_seed(seed) -> SeedState:
-    return seed if isinstance(seed, SeedState) else new_seed(int(seed))
+    return seed if isinstance(seed, SeedState) else new_seed(_count(
+        seed, "seed must be a SeedState or an int in [0, 2**64)", 0, 2**64))
 
 
 def bridge_sample(u: float, t: float, s: float, w_ut: np.ndarray,

@@ -10,11 +10,11 @@ Each field writes its evaluation and its derivative once:
 `_evaluate(t, z)` -> (mu, sigma) and `_vjp(t, z, d_mu, d_sigma)` -> (mu,
 sigma, d_z, d_params), the values at (t, z) and the pullback of (d_mu,
 d_sigma) through them, the parameter gradient summed over the batch. The
-public methods count their calls. Forward-only passes call `evaluate`
-and every gradient path calls `vjp`: the reversible adjoint, its unrolled
-oracle and the public backward step, the baseline oracle, the continuous
-adjoint and `fd_check`, so `fd_check` checks the derivative the solvers
-run. No derivative outlives the call that made it. `eval_drift`,
+public methods count their calls. Forward steps, the oracles' marches
+among them, call `evaluate`; every derivative is a `vjp`, in the
+reversible sweep and backward step, the oracles' replays, the continuous
+adjoints and `fd_check`, which so checks the derivative the solvers run.
+No derivative outlives the call that made it. `eval_drift`,
 `eval_diffusion`, `vjp_drift` and `vjp_diffusion`, halves of `evaluate`
 and of `vjp`, stay with their counters because the benchmark's field
 proxy (`_TracedField`, `perfbench/tracing.py`) binds them and divides its

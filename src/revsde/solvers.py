@@ -34,14 +34,14 @@ written in increment form, seeing the field only through the step's
 increment mu dt + sigma dW, so one scheme serves the forward solve, the
 oracle and the continuous adjoint, which integrates the flat (state,
 adjoint, parameter-gradient) vector backward with it. Every gradient
-path differentiates the field through `field.vjp`.
+path differentiates the field through `field.vjp`. The oracle runs each
+step once and replays what its pullback reads, re-running no scheme.
 
 One grid walk, `_sweep`, yields every pass its steps' grid times
 (`SolveConfig.time`: i*dt, end pinned to t1) with the noise over them, its
 shape checked, so forward and backward passes hit bitwise-identical tree
 intervals and states sit on the grid. A SolverDivergence names its step.
-The oracle differentiates the public forward solves. Every solve that
-sweeps the grid backward first keys a fresh noise tree on its grid
+Every gradient solve first keys a fresh noise tree on its grid
 (`BrownianInterval.key_on_grid`): a sweep then holds one leaf block and
 O(log n) path values, with O(1) amortized tree work per query;
 forward-only solves leave the tree shape to their queries.
@@ -60,7 +60,7 @@ from .fields import AnalyticField, VectorField
 BASELINE_METHODS = ("midpoint", "heun")
 METHODS = ("reversible_heun",) + BASELINE_METHODS
 ROUNDTRIP_TOL = 1e-9
-# Ceiling on the unrolled oracle's stored trajectory and increments.
+# Ceiling on the bytes of the records the unrolled oracle keeps.
 UNROLLED_MEMORY_LIMIT = 2 << 30
 
 
@@ -185,7 +185,7 @@ def _march(step, state, config, save_at, field):
 
 def _prebuild(config):
     """Key the noise on the solve's grid, if it can (a VirtualBrownianTree
-    cannot), before a solve that sweeps its grid backward."""
+    cannot), before a gradient solve."""
     key = getattr(config.noise, "key_on_grid", None)
     if key is not None:
         key(config.n_steps, config.time)
@@ -374,6 +374,8 @@ def revheun_adjoint_solve(field: VectorField, z0: np.ndarray,
 
     Checks the cotangent and keys the noise on the grid (`_prebuild`), then
     runs `revheun_solve` and `revheun_backward` from its terminal tuple.
+    Keying is a no-op on a tree that queries have split: pass a fresh or
+    keyed tree, or it runs lazy (see `revheun_backward`) on another path.
     """
     _require_method("reversible_heun", config)
     loss_cotangent, _ = _cotangents(loss_cotangent, None, config.n_steps,
@@ -461,12 +463,11 @@ def _revheun_gradients(cot: CotangentState, gz, gp):
 # scheme(inc, t, t_next, z) -> (z_next, pullback) for the step from grid
 # time t to t_next, evaluating only at t, t_next and 0.5 * (t + t_next),
 # and sees the field only through inc(t, z) -> (delta, inc_pullback),
-# delta = mu dt + sigma dW for the step's fixed dt and dW. baseline_step
-# passes the forward-only `_increment`; the oracle passes
-# `_oracle_increment`, whose pullback, a `vjp` at the stage, the scheme's
-# pullback(d_z_next) -> (d_z, d_params) needs; the continuous adjoint
-# passes `_adjoint_increment` on its flat [z, a, g] vector, one `vjp` per
-# stage.
+# delta = mu dt + sigma dW for the step's fixed dt and dW; its
+# pullback(d_z_next) -> (d_z, d_params) runs the stages' inc_pullbacks.
+# The forward steps pass `_increment`, whose inc_pullback, a `vjp` at the
+# stage, only the oracle runs; the continuous adjoint passes
+# `_adjoint_increment` on its flat [z, a, g] vector, one `vjp` per stage.
 
 def _midpoint(inc, t, t_next, z):
     d0, pull0 = inc(t, z)
@@ -496,17 +497,7 @@ _BASELINE_SCHEMES = {"midpoint": _midpoint, "heun": _heun}
 
 
 def _increment(field, dt, dw):
-    """Forward-only increment mu dt + sigma dW; no pullback."""
-    def inc(t, z):
-        mu, sigma = field.evaluate(t, z)
-        return mu * dt + _sdw(sigma, dw), None
-
-    return inc
-
-
-def _oracle_increment(field, dt, dw):
-    """Increment mu dt + sigma dW with the pullback of a cotangent on it,
-    one `vjp` at the stage's (t, z)."""
+    """mu dt + sigma dW at (t, z), and its pullback: one `vjp` there."""
     def inc(t, z):
         mu, sigma = field.evaluate(t, z)
         return (mu * dt + _sdw(sigma, dw),
@@ -530,6 +521,17 @@ def _adjoint_increment(field, dt, dw, shape):
     return inc
 
 
+def _baseline_step(method, state, t_next, dt, dw, field):
+    """(`baseline_step`'s state, the scheme's pullback of the step)."""
+    scheme = _BASELINE_SCHEMES.get(method)
+    if scheme is None:
+        raise ValueError(f"unknown baseline method {method!r}")
+    z_next, pullback = scheme(_increment(field, dt, dw), state.t, t_next,
+                              state.z)
+    _check_finite(z_next, f"state after {method} step")
+    return PathState(t_next, z_next), pullback
+
+
 def baseline_step(method: str, state: PathState, t_next: float, dt: float,
                   dw: np.ndarray, field: VectorField) -> PathState:
     """One step of a baseline scheme to grid time t_next.
@@ -538,12 +540,7 @@ def baseline_step(method: str, state: PathState, t_next: float, dt: float,
     state and predictor-corrector respectively). Heun evaluates the field
     at state.t and t_next, midpoint at state.t and 0.5 * (state.t + t_next).
     """
-    scheme = _BASELINE_SCHEMES.get(method)
-    if scheme is None:
-        raise ValueError(f"unknown baseline method {method!r}")
-    z_next, _ = scheme(_increment(field, dt, dw), state.t, t_next, state.z)
-    _check_finite(z_next, f"state after {method} step")
-    return PathState(t_next, z_next)
+    return _baseline_step(method, state, t_next, dt, dw, field)[0]
 
 
 def baseline_solve(method: str, field: VectorField, z0: np.ndarray,
@@ -593,55 +590,57 @@ def continuous_adjoint_solve(method: str, field: VectorField, z0: np.ndarray,
     return y[n:2 * n].reshape(shape), y[2 * n:]
 
 
-class _Recorder:
-    """Noise that queries its source once per interval, then replays it."""
-
-    def __init__(self, noise):
-        self.query = functools.cache(noise.query)
-
-
 def unrolled_backprop(method: str, field: VectorField, z0: np.ndarray,
                       config: SolveConfig, loss_cotangent,
                       checkpoint_cotangents: dict | None = None):
     """Discretise-then-optimise gradients: the O(N)-memory oracle.
 
-    Runs the public forward solve saving every state and recording the
-    increments (one query per step), then replays them backward through
-    the step pullbacks the adjoints share. Raises MemoryError up front if
-    the saved states would exceed UNROLLED_MEMORY_LIMIT bytes. Keys the
-    noise on the grid like the adjoints, so on a fresh tree of the same seed
-    it sees their noise. Returns (grad_z0, grad_params).
+    Marches the grid once with the public steps, recording what each
+    step's pullback reads: the reversible tuple after it and its dW, or a
+    baseline scheme's pullback, which holds two stage states and the dW.
+    The reverse pass pops them through the pullbacks the adjoints share
+    and queries no noise: 2n + 2 evaluations and n + 1 VJPs for the
+    reversible oracle, 4n and 2n for midpoint and Heun. Raises MemoryError
+    up front if the records would exceed UNROLLED_MEMORY_LIMIT bytes. Keys
+    the noise on the grid like the adjoints, so on a fresh tree of the
+    same seed it sees their noise. Returns (grad_z0, grad_params).
     """
     _require_method(method, config)
     z0 = np.atleast_2d(np.asarray(z0, dtype=float))
     (batch, x), w, n = z0.shape, field.noise_dim, config.n_steps
     loss, cps = _cotangents(loss_cotangent, checkpoint_cotangents, n,
                             z0.shape)
-    per_state = x * (3 + w) if method == "reversible_heun" else x
-    need = 8 * batch * ((n + 1) * per_state + n * w)
+    reversible = method == "reversible_heun"
+    need = 8 * batch * n * (w + (x * (3 + w) if reversible else 2 * x))
     if need > UNROLLED_MEMORY_LIMIT:
         raise MemoryError(f"unrolled trajectory needs {need} bytes > limit "
                           f"{UNROLLED_MEMORY_LIMIT}")
     _prebuild(config)
-    config = replace(config, noise=_Recorder(config.noise))
-    dt = config.dt
-    if method == "reversible_heun":
-        _, states = revheun_solve(field, z0, config, range(n + 1))
+    records = []
+
+    def step(state, *args):  # args: t_next, dt, dw, field
+        if reversible:
+            state = revheun_step_forward(state, *args)
+            records.append((state, args[2]))
+        else:
+            state, pullback = _baseline_step(method, state, *args)
+            records.append(pullback)
+        return state
+
+    first = initial_state(field, z0) if reversible else PathState(0.0, z0)
+    _march(step, first, config, (), field)
+    if reversible:
         cot = _terminal_cotangent(field, loss)
-        for i, _, _, dw in _sweep(config, batch, w, reverse=True):
-            cot = _revheun_pullback(states[i + 1], cot, dt, dw, field)
+        for i in reversed(range(n)):
+            state, dw = records.pop()
+            cot = _revheun_pullback(state, cot, config.dt, dw, field)
             if i in cps:
                 cot.d_z = cot.d_z + cps[i]
-        first = states[0]
         return _revheun_gradients(cot, *field.vjp(
             first.t, first.z, cot.d_mu, cot.d_sigma)[2:])
-    _, states = baseline_solve(method, field, z0, config, range(n + 1))
-    scheme = _BASELINE_SCHEMES[method]
     a, gp = loss, np.zeros(field.param_count)
-    for i, t, t_next, dw in _sweep(config, batch, w, reverse=True):
-        inc = _oracle_increment(field, dt, dw)
-        _, pullback = scheme(inc, t, t_next, states[i].z)
-        a, g = pullback(a)
+    for i in reversed(range(n)):
+        a, g = records.pop()(a)
         gp = gp + g
         if i in cps:
             a = a + cps[i]

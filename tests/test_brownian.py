@@ -217,6 +217,24 @@ class TestBrownianIntervalQueries:
         vbt = VirtualBrownianTree(1.0, 1, dims=np.int64(2), batch=np.int8(3))
         assert vbt.query(0, 1).shape == (3, 2)
 
+    @pytest.mark.parametrize("store", [BrownianInterval, VirtualBrownianTree])
+    @pytest.mark.parametrize("seed", [5.9, "5", 2 ** 64 + 5, 2 ** 64, -1,
+                                      True, np.bool_(True), None])
+    def test_seeds_outside_64_bits_rejected(self, store, seed):
+        # int() would give 5.9, "5" and 2**64 + 5 seed 5's path, -1 that of
+        # 2**64 - 1 and True seed 1's, with no word to the caller.
+        with pytest.raises(ValueError, match=r"seed must be a SeedState or "
+                           rf"an int in \[0, 2\*\*64\), got "
+                           rf"{re.escape(repr(seed))}$"):
+            store(1.0, seed)
+
+    @pytest.mark.parametrize("store", [BrownianInterval, VirtualBrownianTree])
+    def test_seeds_take_numpy_integers_and_seed_states(self, store):
+        ref = store(1.0, 2 ** 64 - 1, dims=2).query(0.0, 1.0)
+        for seed in (np.uint64(2 ** 64 - 1), new_seed(2 ** 64 - 1)):
+            np.testing.assert_array_equal(
+                store(1.0, seed, dims=2).query(0.0, 1.0), ref)
+
     def test_rejected_grid_leaves_the_tree_lazy(self):
         tree = BrownianInterval(1.0, 5)
         with pytest.raises(ValueError, match=r"n >= 1 steps, got 4\.0"):

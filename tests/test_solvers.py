@@ -625,14 +625,15 @@ class TestAdjointGradients:
         np.testing.assert_array_equal(gp_end, gpa)
 
         oracle_states = []
-        solve = solvers.revheun_solve
+        step = solvers.revheun_step_forward
 
-        def spy(*args, **kwargs):
-            result = solve(*args, **kwargs)
-            oracle_states.extend(result[1])
-            return result
+        def spy(state, *args):
+            if not oracle_states:
+                oracle_states.append(state)
+            oracle_states.append(step(state, *args))
+            return oracle_states[-1]
 
-        monkeypatch.setattr(solvers, "revheun_solve", spy)
+        monkeypatch.setattr(solvers, "revheun_step_forward", spy)
         gu, gpu = unrolled_backprop("reversible_heun", field, z0, config(),
                                     c_end, checkpoint_cotangents=cps)
         assert len(oracle_states) == n + 1
@@ -1342,12 +1343,14 @@ class TestContinuousAdjoint:
 
 
 class TestUnrolledBackprop:
-    @pytest.mark.parametrize("method", BASELINE_METHODS)
-    def test_baseline_oracle_budget(self, method):
-        # The O(N) oracle's cost, counted: two evaluations per forward
-        # step; per backward step its scheme evaluates both stages again
-        # and pulls each back with one vjp at the stage, two evaluations
-        # and two VJPs more. 6n evaluations and 2n VJPs of each kind.
+    @pytest.mark.parametrize("method", METHODS)
+    def test_oracle_budget(self, method):
+        # The O(N) oracle's cost, counted. Its forward march evaluates each
+        # stage once; its reverse pass replays what the march kept, one
+        # vjp per stage, evaluating nothing again: 4n evaluations and 2n
+        # VJPs of each kind for a baseline. The reversible one evaluates
+        # n + 1 times forward (the initial tuple's in two passes) and makes
+        # n + 1 vjps back: one per step and the initial evaluation's.
         field = reduced_neural_field(seed=3, x=3, w=2)
         z0 = np.random.default_rng(8).standard_normal((2, 3))
         n = 8
@@ -1356,9 +1359,11 @@ class TestUnrolledBackprop:
                                       BrownianInterval(1.0, 9, dims=2,
                                                        batch=2)),
                           np.ones((2, 3)))
-        assert (field.drift_evals, field.diffusion_evals) == (6 * n, 6 * n)
+        evals, vjps = ((2 * n + 2, n + 1) if method == "reversible_heun"
+                       else (4 * n, 2 * n))
+        assert (field.drift_evals, field.diffusion_evals) == (evals, evals)
         assert (field.drift_vjp_calls,
-                field.diffusion_vjp_calls) == (2 * n, 2 * n)
+                field.diffusion_vjp_calls) == (vjps, vjps)
 
     def test_matches_finite_differences_of_whole_solve(self):
         field = reduced_neural_field(seed=13, x=2, w=1, width=4)
