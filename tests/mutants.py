@@ -55,21 +55,21 @@ MUTANTS = [
            "_outer(c, dw)))[1][2:])",
            (f"{UNROLLED}::test_oracle_budget[midpoint]",
             f"{UNROLLED}::test_oracle_budget[heun]"),
-           "oracle-replay"),
+           "98e513d"),
     Mutant("oracle-queries-noise-backward", SOLVERS,
            "            state, dw = records.pop()\n",
            "            state, _ = records.pop()\n"
            "            dw = config.noise.query(config.time(i), "
            "config.time(i + 1))\n",
            (f"{UNROLLED}::test_queries_each_step_once[reversible_heun]",),
-           "oracle-replay"),
+           "98e513d"),
     Mutant("oracle-replays-first-step-first", SOLVERS,
            "a, g = records.pop()(a)",
            "a, g = records.pop(0)(a)",
            (f"{UNROLLED}::test_baseline_backward_matches_finite_differences",
             f"{UNROLLED}::test_baseline_checkpoint_cotangents_superpose"
             "[heun]"),
-           "oracle-replay"),
+           "98e513d"),
     Mutant("oracle-drops-reversible-checkpoints", SOLVERS,
            "            cot = _revheun_pullback(state, cot, config.dt, dw, "
            "field)\n            if i in cps:\n"
@@ -78,19 +78,19 @@ MUTANTS = [
            "field)\n",
            (f"{ADJOINT}::test_checkpoint_cotangents_match_unrolled",
             f"{ADJOINT}::test_solve_then_backward_is_the_adjoint"),
-           "oracle-replay"),
+           "98e513d"),
     Mutant("baseline-step-unchecked", SOLVERS,
            '    _check_finite(z_next, f"state after {method} step")\n',
            "",
            (f"{UNROLLED}::test_divergence_reports_step_index[heun]",),
-           "oracle-replay"),
+           "98e513d"),
     Mutant("oracle-without-round-trip-check", SOLVERS,
            "cot = _revheun_pullback(state, cot, config.dt, dw, field)",
            "cot = _pulled_back(cot, *field.vjp(\n"
            "                state.t, state.zhat, *_field_cotangents(\n"
            "                    cot, config.dt, dw))[2:], config.dt, dw)",
            (f"{ADJOINT}::test_checkpoint_cotangents_match_unrolled",),
-           "oracle-replay",
+           "98e513d",
            survives="the oracle pulls back only tuples its own march made, "
                     "so the check never fires on a correct field"),
     # Mutants quoted by earlier changes whose old text still exists.
